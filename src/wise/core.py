@@ -1,8 +1,8 @@
-"""Series validation and construction of similarity and weight matrices.
+"""Series validation, the similarity matrix, lag weights and moment sums.
 
-The scalar summaries computed here (w1, w2, w3 and S1, S2, S3 plus the row
-sums) are exactly the inputs of the closed-form permutation moments; all of
-them sum over off-diagonal pairs only.
+Lag weights stay a Toeplitz profile, so their sums cost O(n). S is read
+through one copy centered off the diagonal, which yields every sum the
+permutation moments and regularity ratios need (see MomentSummary).
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import InvalidValue, ShapeMismatch, TooFewObservations
 from .kernels import KernelSpec, pairwise_similarity
@@ -44,58 +43,75 @@ def validate_series(raw, kind: str) -> ObservationSeries:
 
 
 def build_similarity_matrix(series: ObservationSeries, kernel: Kernel) -> SimilarityMatrix:
-    """Pairwise similarity matrix, symmetrized as (s(i,j) + s(j,i)) / 2.
+    """Pairwise similarity matrix.
 
-    ``kernel`` is either a KernelSpec or a callable s(x, y) -> float, which
-    need not be symmetric; symmetrization is applied unconditionally (it is
-    idempotent for the built-ins). The diagonal holds the kernel's
-    self-similarity; moment sums exclude it downstream.
+    ``kernel`` is either a KernelSpec, exactly symmetric already, or a
+    callable s(x, y) -> float, which need not be and is symmetrized as
+    (s(i,j) + s(j,i)) / 2. The diagonal holds the kernel's self-similarity;
+    moment sums exclude it downstream.
     """
     if isinstance(kernel, KernelSpec):
-        raw = pairwise_similarity(kernel, series)
-    else:
-        n = series.n
-        raw = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                raw[i, j] = kernel(series.data[i], series.data[j])
-        if not np.isfinite(raw).all():
-            raise InvalidValue("user kernel produced NaN or infinite similarity")
+        return SimilarityMatrix(pairwise_similarity(kernel, series))
+    n = series.n
+    raw = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            raw[i, j] = kernel(series.data[i], series.data[j])
+    if not np.isfinite(raw).all():
+        raise InvalidValue("user kernel produced NaN or infinite similarity")
     return SimilarityMatrix((raw + raw.T) / 2.0)
 
 
 def build_weight_matrix(n: int, spec: WeightSpec) -> WeightMatrix:
-    """Toeplitz matrix values[i][j] = w(|i-j|); zero diagonal since w(0)=0."""
+    """Lag weights w(|i-j|) for n observations, held as the profile w(0..n-1)."""
     if n < 2:
         raise TooFewObservations(f"weight matrix needs n >= 2, got {n}")
-    profile = weight_profile(spec, np.arange(n))
-    return WeightMatrix(toeplitz(profile), spec)
+    return WeightMatrix(weight_profile(spec, np.arange(n)), spec)
 
 
 def moment_summary(S: SimilarityMatrix, W: WeightMatrix) -> MomentSummary:
-    """Off-diagonal sums feeding the permutation-null moment formulas.
+    """Centered off-diagonal sums feeding the permutation-null moments.
 
-        w1 = sum_{i != j} W_ij    w_row[i] = sum_{j != i} W_ij
-        w2 = sum_{i != j} W_ij^2  w3 = sum_i w_row[i]^2
-
-    and the same for S. numpy's pairwise-summation reductions keep the
-    accumulated rounding error at the 1e-12 relative level required here.
+    Lag t occurs 2(n-t) times, so with a(t) = w(t) - w_bar (a(0) = 0) and
+    c = cumsum(a), w2 = 2 sum_t (n-t) a(t)^2 and w_row = c + c[::-1]. The
+    S sums come from one centered copy, overwritten by its absolute value
+    for the regularity sums.
     """
     if S.n != W.n:
         raise ShapeMismatch(f"dimension mismatch: S is {S.n}x{S.n}, W is {W.n}x{W.n}")
-    so = S.values.copy()
-    np.fill_diagonal(so, 0.0)
-    s_row = so.sum(axis=1)
-    # W's diagonal is zero by construction, so no masking needed
-    w = W.values
-    w_row = w.sum(axis=1)
+    n = S.n
+    pairs = n * (n - 1)
+    lag_count = 2.0 * (n - np.arange(n))
+    w1 = float(lag_count @ W.profile)
+    a = W.profile - w1 / pairs
+    a[0] = 0.0
+    c = np.cumsum(a)
+    w_row = c + c[::-1]
+
+    sc = S.values.copy()
+    np.fill_diagonal(sc, 0.0)
+    s1 = float(sc.sum())
+    sc -= s1 / pairs
+    np.fill_diagonal(sc, 0.0)
+    s_row = sc.sum(axis=1)
+    # s1 / pairs carries the rounding of a large sum; m is the mean the copy
+    # still holds, and each sum below is corrected to the exact mean
+    m = float(s_row.sum()) / pairs
+    s_row -= (n - 1) * m
+    s2 = float(np.vdot(sc, sc)) - pairs * m * m
+    zc = float(np.einsum("ij,ij->", W.values, sc)) - w1 * m
+    np.abs(sc, out=sc)
+    s_abs_row = sc.sum(axis=1)
     return MomentSummary(
-        w1=float(w_row.sum()),
-        w2=float((w * w).sum()),
-        w3=float((w_row * w_row).sum()),
+        w1=w1,
+        w2=float(lag_count @ (a * a)),
+        w3=float(w_row @ w_row),
         w_row=w_row,
-        s1=float(s_row.sum()),
-        s2=float((so * so).sum()),
-        s3=float((s_row * s_row).sum()),
+        s1=s1,
+        s2=s2,
+        s3=float(s_row @ s_row),
         s_row=s_row,
+        s_abs_row=s_abs_row,
+        s_abs_max=float(sc.max()),
+        zc=zc,
     )

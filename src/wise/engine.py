@@ -19,7 +19,7 @@ statistic combines several weight choices into one test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations as _all_permutations
 from typing import Optional, Sequence, Tuple
 
@@ -39,8 +39,11 @@ from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMat
 
 SIDES = ("two_sided", "upper", "lower")
 
-# relative threshold below which varZ is treated as exactly zero
-_DEGENERATE_REL = 1e-12
+# the centered similarity field counts as zero when its root mean square is at
+# most this fraction of the raw off-diagonal field's: about 450 ulps, so the
+# kernel's rounding of a constant field is caught, while a field whose spread
+# is 1e-11 of its level still holds digits and is tested
+_DEGENERATE_RMS_REL = 1e-13
 # negative varZ beyond rounding noise means the moment formula was misfed
 _CLAMP_REL = 1e-9
 
@@ -74,9 +77,10 @@ class DiagnosticsReport:
 
     ratio1..ratio3 are the three centered-similarity ratios whose smallness
     underwrites the N(0,1) limit of Z_G; values above 1 trigger warnings.
-    alignment = tr(W-centered^T S)/sqrt(n) measures how strongly the weight
-    pattern lines up with the observed similarity field (near 0 under
-    independence, diverging under matched dependence).
+    alignment = (Z - EZ)/sqrt(n) measures how strongly the weight pattern
+    lines up with the observed similarity field (near 0 under independence,
+    diverging under matched dependence). It equals
+    sum_{i != j} (W_ij - w_bar) S_ij / sqrt(n), since w_bar * S1 = EZ.
     """
 
     ratio1: float
@@ -132,11 +136,16 @@ def compute_z(S: SimilarityMatrix, W: WeightMatrix) -> float:
     """Z = sum_ij W_ij S_ij; the diagonal contributes nothing since w(0)=0."""
     if S.n != W.n:
         raise ShapeMismatch(f"dimension mismatch: S is {S.n}x{S.n}, W is {W.n}x{W.n}")
-    return float((W.values * S.values).sum())
+    # einsum reads the Toeplitz view in place; a product would allocate n x n
+    return float(np.einsum("ij,ij->", W.values, S.values))
 
 
 def _raw_moments(M: MomentSummary, n: int) -> Tuple[float, float, bool]:
-    """(EZ, varZ, clamped) from the closed-form permutation-null moments."""
+    """(EZ, varZ, clamped) from the closed-form permutation-null moments.
+
+    EZ = w1 * s_bar. varZ is the Daniels-Mantel form in the centered sums
+    (see MomentSummary), so nothing cancels before the four terms.
+    """
     if n < 4:
         raise TooFewObservations(f"closed-form variance needs n >= 4, got n={n}")
     if M.n != n:
@@ -144,14 +153,10 @@ def _raw_moments(M: MomentSummary, n: int) -> Tuple[float, float, bool]:
     w1, w2, w3 = M.w1, M.w2, M.w3
     s1, s2, s3 = M.s1, M.s2, M.s3
     ez = w1 * s1 / (n * (n - 1))
-    dw3 = w3 - w1 * w1 / n
-    ds3 = s3 - s1 * s1 / n
-    dw2 = w2 - w1 * w1 / (n * (n - 1))
-    ds2 = s2 - s1 * s1 / (n * (n - 1))
-    t1 = 4.0 * (n + 1) * dw3 * ds3 / (n * (n - 1) * (n - 2) * (n - 3))
-    t2 = 2.0 * dw2 * ds2 / (n * (n - 3))
-    t3 = -4.0 * dw2 * ds3 / (n * (n - 2) * (n - 3))
-    t4 = -4.0 * dw3 * ds2 / (n * (n - 2) * (n - 3))
+    t1 = 4.0 * (n + 1) * w3 * s3 / (n * (n - 1) * (n - 2) * (n - 3))
+    t2 = 2.0 * w2 * s2 / (n * (n - 3))
+    t3 = -4.0 * w2 * s3 / (n * (n - 2) * (n - 3))
+    t4 = -4.0 * w3 * s2 / (n * (n - 2) * (n - 3))
     var = t1 + t2 + t3 + t4
     clamped = False
     if var < 0.0:
@@ -198,6 +203,8 @@ def _permuted_z(
     does not depend on chunking or thread count.
     """
     n = s_values.shape[0]
+    # the einsum below runs a few percent slower on a strided Toeplitz view
+    w_stack = np.ascontiguousarray(w_stack)
     out = np.empty((B, w_stack.shape[0]))
     for start in range(0, B, chunk):
         stop = min(start + chunk, B)
@@ -209,41 +216,30 @@ def _permuted_z(
     return out
 
 
-def regularity_diagnostics(S: SimilarityMatrix, W: WeightMatrix) -> DiagnosticsReport:
+def regularity_diagnostics(M: MomentSummary) -> DiagnosticsReport:
     """Centered-similarity ratios plus the weight/similarity alignment.
 
-    Centering subtracts the off-diagonal mean (S1/(n(n-1)) and likewise for
-    w) from the off-diagonal entries. With Xt the centered matrix,
+    With Xt the off-diagonal centered similarity matrix (B in MomentSummary),
 
-        ratio1 = n max(Xt)^2 / sum(Xt^2)
+        ratio1 = n max(|Xt|)^2 / sum(Xt^2)
         ratio2 = max_i (sum_j |Xt_ij|)^2 / (n sum(Xt^2))
         ratio3 = sum_i (sum_j |Xt_ij|)^2 / (n sum(Xt^2))
 
     all three must vanish asymptotically for the normal approximation to be
     trustworthy; warnings fire on the heuristic threshold 1. alignment is
-    tr(Wt^T S)/sqrt(n) with Wt centered and S raw.
+    (Z - EZ)/sqrt(n). Raises DegenerateVariance when Xt is zero to rounding.
     """
-    if S.n != W.n:
-        raise ShapeMismatch(f"dimension mismatch: S is {S.n}x{S.n}, W is {W.n}x{W.n}")
-    n = S.n
+    n = M.n
     if n < 4:
         raise TooFewObservations(f"diagnostics need n >= 4, got n={n}")
-    off = ~np.eye(n, dtype=bool)
-    st = S.values.copy()
-    st[off] -= st[off].sum() / (n * (n - 1))
-    wt = W.values.copy()
-    wt[off] -= wt[off].sum() / (n * (n - 1))
-    s2p = float((st * st).sum())
-    if s2p == 0.0:
+    # sum of squares of the raw off-diagonal field, as two non-negative terms
+    raw_sq = M.s2 + M.s1**2 / (n * (n - 1))
+    if M.s2 <= _DEGENERATE_RMS_REL**2 * raw_sq:
         raise DegenerateVariance("centered similarity field is identically zero")
-    abs_rows = np.abs(st).sum(axis=1)
-    s0p = float(np.abs(st).max())
-    s1p = float(abs_rows.max())
-    s3p = float((abs_rows * abs_rows).sum())
-    ratio1 = n * s0p * s0p / s2p
-    ratio2 = s1p * s1p / (n * s2p)
-    ratio3 = s3p / (n * s2p)
-    alignment = float(np.einsum("ij,ij->", wt, S.values)) / math.sqrt(n)
+    ratio1 = n * M.s_abs_max**2 / M.s2
+    ratio2 = float(M.s_abs_row.max()) ** 2 / (n * M.s2)
+    ratio3 = float(M.s_abs_row @ M.s_abs_row) / (n * M.s2)
+    alignment = M.zc / math.sqrt(n)
     warnings = tuple(
         f"regularity {name} = {value:.4g} exceeds 1; "
         "the normal approximation may be unreliable"
@@ -269,26 +265,6 @@ def rearrangement_bounds(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, f
     return lower, upper
 
 
-def _diagnostics_or_degenerate(S, W) -> Tuple[DiagnosticsReport, bool]:
-    try:
-        return regularity_diagnostics(S, W), False
-    except DegenerateVariance:
-        nan = float("nan")
-        n = S.n
-        off = ~np.eye(n, dtype=bool)
-        wt = W.values.copy()
-        wt[off] -= wt[off].sum() / (n * (n - 1))
-        alignment = float(np.einsum("ij,ij->", wt, S.values)) / math.sqrt(n)
-        report = DiagnosticsReport(
-            nan,
-            nan,
-            nan,
-            alignment,
-            ("centered similarity field is identically zero",),
-        )
-        return report, True
-
-
 def run_test(
     series: ObservationSeries,
     kernel,
@@ -311,59 +287,40 @@ def run_test(
     M = moment_summary(S, W)
     z = compute_z(S, W)
     ez, var, clamped = _raw_moments(M, n)
-    diagnostics, degenerate_field = _diagnostics_or_degenerate(S, W)
+    try:
+        diagnostics = regularity_diagnostics(M)
+        degenerate_field = False
+    except DegenerateVariance as exc:
+        nan = float("nan")
+        diagnostics = DiagnosticsReport(nan, nan, nan, M.zc / math.sqrt(n), (str(exc),))
+        degenerate_field = True
     extra = list(diagnostics.warnings)
     if clamped:
         extra.append("variance formula returned a tiny negative value; clamped to 0")
 
-    degenerate = var <= _DEGENERATE_REL * M.w2 * M.s2
-    if degenerate:
+    if degenerate_field or var == 0.0:
         if not degenerate_field:
             extra.append("permutation variance is degenerate; reporting p = 1")
-        diagnostics = DiagnosticsReport(
-            diagnostics.ratio1,
-            diagnostics.ratio2,
-            diagnostics.ratio3,
-            diagnostics.alignment,
-            tuple(extra),
-        )
-        return TestResult(
-            z=z,
-            e_z=ez,
-            var_z=0.0 if var < 0 else var,
-            z_g=0.0,
-            p_value=1.0,
-            reject=False,
-            alpha=config.alpha,
-            method=config.method,
-            diagnostics=diagnostics,
-        )
-
-    z_g = (z - ez) / math.sqrt(var)
-    if config.method == "analytic":
-        if config.sidedness == "two_sided":
-            p = float(2.0 * ndtr(-abs(z_g)))
-        elif config.sidedness == "upper":
-            p = float(ndtr(-z_g))
-        else:
-            p = float(ndtr(z_g))
+        z_g, p = 0.0, 1.0
     else:
-        zs = _permuted_z(S.values, W.values[None, :, :], config.permutations, config.seed)[:, 0]
-        if config.sidedness == "two_sided":
-            count = int(np.sum(np.abs(zs - ez) >= abs(z - ez)))
-        elif config.sidedness == "upper":
-            count = int(np.sum(zs >= z))
+        z_g = M.zc / math.sqrt(var)
+        if config.method == "analytic":
+            if config.sidedness == "two_sided":
+                p = float(2.0 * ndtr(-abs(z_g)))
+            elif config.sidedness == "upper":
+                p = float(ndtr(-z_g))
+            else:
+                p = float(ndtr(z_g))
         else:
-            count = int(np.sum(zs <= z))
-        p = (1.0 + count) / (config.permutations + 1.0)
+            zs = _permuted_z(S.values, W.values[None], config.permutations, config.seed)[:, 0]
+            if config.sidedness == "two_sided":
+                count = int(np.sum(np.abs(zs - ez) >= abs(z - ez)))
+            elif config.sidedness == "upper":
+                count = int(np.sum(zs >= z))
+            else:
+                count = int(np.sum(zs <= z))
+            p = (1.0 + count) / (config.permutations + 1.0)
 
-    diagnostics = DiagnosticsReport(
-        diagnostics.ratio1,
-        diagnostics.ratio2,
-        diagnostics.ratio3,
-        diagnostics.alignment,
-        tuple(extra),
-    )
     return TestResult(
         z=z,
         e_z=ez,
@@ -373,7 +330,7 @@ def run_test(
         reject=bool(p < config.alpha),
         alpha=config.alpha,
         method=config.method,
-        diagnostics=diagnostics,
+        diagnostics=replace(diagnostics, warnings=tuple(extra)),
     )
 
 
@@ -402,7 +359,9 @@ def mahalanobis_aggregate(
     S = build_similarity_matrix(series, kernel)
     ws = [build_weight_matrix(n, spec) for spec in weight_specs]
     w_stack = np.stack([w.values for w in ws])
-    mu = np.array([permutation_moments(moment_summary(S, w), n)[0] for w in ws])
+    # EZ_k = w1_k * s_bar, with w1_k the off-diagonal total of weight k
+    s_bar = (S.values.sum() - np.trace(S.values)) / (n * (n - 1))
+    mu = w_stack.sum(axis=(1, 2)) * s_bar
     z_obs = np.einsum("kij,ij->k", w_stack, S.values)
     z_perm = _permuted_z(S.values, w_stack, B, seed)
     sigma = np.cov(z_perm, rowvar=False, ddof=1)

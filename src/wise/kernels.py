@@ -193,7 +193,7 @@ def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> np.ndarr
     """Raw n x n kernel matrix, computed via pairwise-distance fast paths.
 
     All built-in kernels are symmetric, so the result equals its transpose up
-    to the bit; the caller still symmetrizes (one code path for user kernels).
+    to the bit and needs no symmetrizing.
     """
     if spec.family == "knn_affinity":
         return knn_affinity_matrix(series, spec.k, spec.base).values.copy()

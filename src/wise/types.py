@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidValue, NotAQuantile, ShapeMismatch
 
@@ -126,38 +127,47 @@ class SimilarityMatrix:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Materialized lag weights: values[i][j] = w(|i-j|), zero diagonal."""
+    """Lag weights W_ij = w(|i-j|), stored as the Toeplitz profile w(0..n-1)."""
 
-    values: np.ndarray
+    profile: np.ndarray
     spec: "WeightSpec"
 
     def __post_init__(self):
-        arr = _freeze(np.asarray(self.values))
-        object.__setattr__(self, "values", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeMismatch(f"weight matrix must be square, got {arr.shape}")
+        arr = _freeze(np.asarray(self.profile))
+        object.__setattr__(self, "profile", arr)
+        if arr.ndim != 1 or arr.shape[0] < 1:
+            raise ShapeMismatch(f"weight profile must be a non-empty vector, got {arr.shape}")
         if not np.isfinite(arr).all():
-            raise InvalidValue("weight matrix contains NaN or infinite entries")
-        if np.any(arr.diagonal() != 0.0):
+            raise InvalidValue("weight profile contains NaN or infinite entries")
+        if arr[0] != 0.0:
             raise InvalidValue("weight matrix diagonal must be zero (w(0) = 0)")
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.profile.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only n x n view on O(n) memory: row i of W starts i places
+        left of w(0) in w(n-1), ..., w(1), w(0), w(1), ..., w(n-1)."""
+        mirrored = np.concatenate((self.profile[::-1], self.profile[1:]))
+        step = mirrored.strides[0]
+        return as_strided(mirrored[self.n - 1 :], (self.n,) * 2, (-step, step), writeable=False)
 
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Scalar summaries of a (similarity, weight) pair.
+    """Off-diagonal sums of a (similarity, weight) pair, centered once.
 
-    With W the weight matrix and S the similarity matrix, all sums running
-    over off-diagonal pairs (j != i):
+    w1 = sum_{i != j} W_ij and s1 = sum_{i != j} S_ij are raw totals. A and
+    B are W and S minus their off-diagonal means, with zero diagonals; then
 
-        w1 = sum_ij W_ij        w_row[i] = sum_j W_ij
-        w2 = sum_ij W_ij^2      w3 = sum_i w_row[i]^2
+        w_row[i] = sum_j A_ij   w2 = sum_ij A_ij^2   w3 = sum_i w_row[i]^2
 
-    and S1, S_row, S2, S3 defined the same way from S. These are exactly the
-    quantities the closed-form permutation moments consume.
+    and s_row, s2, s3 likewise from B: the Daniels-Mantel sums of the
+    closed-form permutation moments, none a difference of large raw sums.
+    s_abs_row[i] = sum_j |B_ij| and s_abs_max = max |B_ij| feed the
+    regularity ratios; zc = sum_ij A_ij B_ij = Z - EZ.
     """
 
     w1: float
@@ -168,11 +178,14 @@ class MomentSummary:
     s2: float
     s3: float
     s_row: np.ndarray
+    s_abs_row: np.ndarray
+    s_abs_max: float
+    zc: float
 
     def __post_init__(self):
-        object.__setattr__(self, "w_row", _freeze(np.asarray(self.w_row)))
-        object.__setattr__(self, "s_row", _freeze(np.asarray(self.s_row)))
-        if self.w_row.shape != self.s_row.shape or self.w_row.ndim != 1:
+        for name in ("w_row", "s_row", "s_abs_row"):
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name))))
+        if self.w_row.ndim != 1 or not self.w_row.shape == self.s_row.shape == self.s_abs_row.shape:
             raise ShapeMismatch("row-sum vectors must share one dimension")
 
     @property

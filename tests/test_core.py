@@ -134,19 +134,29 @@ def test_weight_matrix_needs_two_points():
 
 
 def test_moment_summary_default_weight_n4():
+    # w(1..3) = -0.5, -0.8, -0.9 and w_bar = -8/12; centered lags 1/6, -2/15,
+    # -7/30 occur 6, 4, 2 times, and the raw row sums -2.2, -1.8, -1.8, -2.2
+    # lose 3 w_bar = -2 each
     S = SimilarityMatrix(np.zeros((4, 4)))
     W = build_weight_matrix(4, default_weight())
     M = moment_summary(S, W)
     assert M.w1 == -8.0
-    assert M.w2 == pytest.approx(5.68, rel=1e-12)
-    assert M.w3 == pytest.approx(16.16, rel=1e-12)
+    assert M.w2 == pytest.approx(26.0 / 75.0, rel=1e-12)
+    assert M.w3 == pytest.approx(0.16, rel=1e-12)
+    assert M.w_row == pytest.approx([-0.2, 0.2, 0.2, -0.2], rel=1e-12)
 
 
 def test_moment_summary_single_pair():
+    # s_bar = 1/6: the pair becomes 5/6 twice, the other ten entries -1/6
     s = np.zeros((4, 4))
     s[0, 1] = s[1, 0] = 1.0
     M = moment_summary(SimilarityMatrix(s), build_weight_matrix(4, default_weight()))
-    assert (M.s1, M.s2, M.s3) == (2.0, 2.0, 2.0)
+    assert M.s1 == 2.0
+    assert M.s2 == pytest.approx(5.0 / 3.0, rel=1e-15)
+    assert M.s3 == pytest.approx(1.0, rel=1e-15)
+    assert M.s_row == pytest.approx([0.5, 0.5, -0.5, -0.5], rel=1e-15)
+    assert M.s_abs_row == pytest.approx([7 / 6, 7 / 6, 0.5, 0.5], rel=1e-15)
+    assert M.s_abs_max == pytest.approx(5.0 / 6.0, rel=1e-15)
 
 
 def test_moment_summary_zero_field():
@@ -160,22 +170,31 @@ def test_moment_summary_excludes_diagonal():
     series = ObservationSeries("vector", rng.standard_normal((6, 3)))
     S = build_similarity_matrix(series, gaussian(1.0))
     M = moment_summary(S, build_weight_matrix(6, default_weight()))
-    off = ~np.eye(6, dtype=bool)
-    assert M.s1 == pytest.approx(S.values[off].sum(), rel=1e-12)
-    assert M.s2 == pytest.approx((S.values[off] ** 2).sum(), rel=1e-12)
+    off = S.values[~np.eye(6, dtype=bool)]
+    assert M.s1 == pytest.approx(off.sum(), rel=1e-12)
+    assert M.s2 == pytest.approx(((off - off.mean()) ** 2).sum(), rel=1e-12)
 
 
 def test_moment_summary_row_sum_identities():
+    def centered(x):
+        out = x - x[~np.eye(len(x), dtype=bool)].mean()
+        np.fill_diagonal(out, 0.0)
+        return out
+
     rng = np.random.default_rng(5)
     for _ in range(25):
         n = int(rng.integers(4, 12))
         a = rng.uniform(-1, 1, size=(n, n))
         S = SimilarityMatrix((a + a.T) / 2)
-        M = moment_summary(S, build_weight_matrix(n, default_weight()))
-        assert M.w1 == pytest.approx(M.w_row.sum(), rel=1e-12)
-        assert M.s1 == pytest.approx(M.s_row.sum(), rel=1e-12)
+        W = build_weight_matrix(n, default_weight())
+        M = moment_summary(S, W)
+        A, B = centered(np.array(W.values)), centered(S.values)
+        assert M.w_row == pytest.approx(A.sum(axis=1), rel=1e-12)
+        assert M.s_row == pytest.approx(B.sum(axis=1), rel=1e-12)
+        assert M.w2 == pytest.approx((A**2).sum(), rel=1e-12)
         assert M.w3 == pytest.approx((M.w_row**2).sum(), rel=1e-12)
         assert M.s3 == pytest.approx((M.s_row**2).sum(), rel=1e-12)
+        assert M.s_abs_row == pytest.approx(np.abs(B).sum(axis=1), rel=1e-12)
 
 
 def test_moment_summary_dimension_mismatch():
@@ -191,10 +210,20 @@ def test_similarity_matrix_requires_exact_symmetry():
 
 
 def test_weight_matrix_rejects_nonzero_diagonal():
-    vals = np.zeros((3, 3))
-    vals[1, 1] = 0.5
     with pytest.raises(InvalidValue):
-        WeightMatrix(vals, default_weight())
+        WeightMatrix(np.array([0.5, -0.5, -0.8]), default_weight())
+
+
+def test_weight_matrix_values_is_a_read_only_view():
+    n = 10_000
+    W = build_weight_matrix(n, default_weight())
+    assert W.profile.nbytes == 8 * n
+    view = W.values
+    assert view.shape == (n, n)
+    assert not view.flags.writeable
+    assert not view.flags.owndata
+    assert view[0, n - 1] == view[n - 1, 0] == W.profile[n - 1]
+    assert view[5000, 5003] == W.profile[3]
 
 
 def test_series_is_immutable():

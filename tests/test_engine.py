@@ -3,6 +3,8 @@ from itertools import permutations as all_permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wise import engine
 from wise.core import build_similarity_matrix, build_weight_matrix, moment_summary
@@ -25,7 +27,7 @@ from wise.errors import (
 )
 from wise.kernels import neg_l1
 from wise.types import ObservationSeries, SimilarityMatrix
-from wise.weights import algebraic, cosine, default_weight, geometric
+from wise.weights import algebraic, cosine, default_weight, geometric, weight_profile
 
 
 def sim(arr) -> SimilarityMatrix:
@@ -56,6 +58,10 @@ def random_weight_spec(rng):
     if fam == 2:
         return cosine(float(rng.uniform(2.0, 9.0)))
     return algebraic(float(rng.uniform(1.1, 3.0)))
+
+
+def diagnostics_of(S: SimilarityMatrix, W):
+    return regularity_diagnostics(moment_summary(S, W))
 
 
 def iid_series(rng, n: int, p: int) -> ObservationSeries:
@@ -238,22 +244,33 @@ class TestRunTest:
         assert b.e_z == pytest.approx(a.e_z, rel=1e-12)
         assert b.var_z == pytest.approx(a.var_z, rel=1e-12)
 
-    def test_standardization_invariance(self):
-        # off-diagonal affine maps of S leave the standardized statistic alone
-        rng = np.random.default_rng(12)
-        S = random_sym(rng, 6)
-        W = build_weight_matrix(6, default_weight())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(1e-3, 1e3),
+        b=st.floats(-1e8, 1e8),
+    )
+    def test_standardization_invariance(self, seed, a, b):
+        # off-diagonal affine maps S -> aS + b (a > 0) leave z_g alone. The
+        # image T rounds each entry to ulp(b), so it is compared with its own
+        # preimage (T - b) / a, which holds exactly what T holds.
         n = 6
+        S = random_sym(np.random.default_rng(seed), n).values
+        off = np.ones((n, n)) - np.eye(n)
+        T = a * S + b * off
+        preimage = (T - b * off) / a
 
-        def z_g_of(Smat):
-            M = moment_summary(Smat, W)
-            ez, var = permutation_moments(M, n)
-            return (compute_z(Smat, W) - ez) / math.sqrt(var)
+        def z_g_of(values):
+            # the series is the time index, so the kernel looks S up
+            return run_test(
+                ObservationSeries("vector", np.arange(float(n))[:, None]),
+                lambda x, y: values[int(x[0]), int(y[0])],
+                default_weight(),
+            ).z_g
 
-        base = z_g_of(S)
-        for a, b in ((2.7, -1.3), (0.4, 5.0)):
-            shifted = a * S.values + b * (np.ones((n, n)) - np.eye(n))
-            assert z_g_of(sim(shifted)) == pytest.approx(base, abs=1e-9)
+        base = z_g_of(preimage)
+        assert base != 0.0
+        assert z_g_of(T) == pytest.approx(base, abs=1e-9)
 
     def test_permutation_p_super_uniform(self):
         # under exchangeable data P(p <= a) = floor(a(B+1))/(B+1) <= a; the
@@ -287,6 +304,58 @@ class TestRunTest:
         assert obj["p_value"] == 1.0
 
 
+def dense_centered_moments(S: np.ndarray, W: np.ndarray):
+    """z, EZ and varZ of sum_{i != j} W_ij S_ij from dense copies of S and W
+    centered off the diagonal (Daniels 1944; Mantel 1967)."""
+    n = S.shape[0]
+    pairs = n * (n - 1)
+    S, W = S.copy(), W.copy()
+    np.fill_diagonal(S, 0.0)
+    np.fill_diagonal(W, 0.0)
+    z = float(np.vdot(W, S))
+    s_bar, w_bar = S.sum() / pairs, W.sum() / pairs
+    S -= s_bar
+    W -= w_bar
+    np.fill_diagonal(S, 0.0)
+    np.fill_diagonal(W, 0.0)
+    a2, b2 = float(np.vdot(W, W)), float(np.vdot(S, S))
+    a_row, b_row = W.sum(axis=1), S.sum(axis=1)
+    a3, b3 = float(a_row @ a_row), float(b_row @ b_row)
+    var = (
+        2.0 * a2 * b2 / (n * (n - 3))
+        + 4.0 * (n + 1) * a3 * b3 / (n * (n - 1) * (n - 2) * (n - 3))
+        - 4.0 * (a2 * b3 + a3 * b2) / (n * (n - 2) * (n - 3))
+    )
+    return z, pairs * w_bar * s_bar, var
+
+
+class TestLargeN:
+    # at n = 2500 the uncentered moment algebra called these nulls degenerate
+    n, p = 2500, 100
+
+    def series(self, kind):
+        rng = np.random.default_rng(2500)
+        x = rng.standard_normal((self.n, self.p))
+        if kind == "var1":
+            for t in range(1, self.n):
+                x[t] += 0.3 * x[t - 1]
+        return ObservationSeries("vector", x)
+
+    @pytest.mark.parametrize("kind", ["iid", "var1"])
+    def test_analytic_matches_dense_centered_reference(self, kind):
+        series = self.series(kind)
+        res = run_test(series, neg_l1(), default_weight(), TestConfig(method="analytic"))
+        assert res.z_g != 0.0 and res.p_value < 1.0
+        assert not any("degenerate" in w for w in res.diagnostics.warnings)
+
+        S = build_similarity_matrix(series, neg_l1()).values
+        lags = np.abs(np.subtract.outer(np.arange(self.n), np.arange(self.n)))
+        z, e_z, var_z = dense_centered_moments(S, weight_profile(default_weight(), lags))
+        assert res.z == pytest.approx(z, rel=1e-9)
+        assert res.e_z == pytest.approx(e_z, rel=1e-9)
+        assert res.var_z == pytest.approx(var_z, rel=1e-9)
+
+
 class TestConfigValidation:
     def test_alpha_range(self):
         with pytest.raises(InvalidValue):
@@ -315,7 +384,7 @@ class TestConfigValidation:
 class TestDiagnostics:
     def test_single_pair_anchor_values(self):
         W = build_weight_matrix(4, default_weight())
-        rep = regularity_diagnostics(single_pair(), W)
+        rep = diagnostics_of(single_pair(), W)
         assert rep.ratio1 == pytest.approx(5.0 / 3.0, rel=1e-10)
         assert rep.ratio2 == pytest.approx(49.0 * 3.0 / 720.0, rel=1e-10)
         assert rep.ratio3 == pytest.approx(29.0 / 60.0, rel=1e-10)
@@ -325,7 +394,7 @@ class TestDiagnostics:
     def test_constant_off_diagonal_is_degenerate(self):
         W = build_weight_matrix(5, default_weight())
         with pytest.raises(DegenerateVariance):
-            regularity_diagnostics(off_diag_ones(5), W)
+            diagnostics_of(off_diag_ones(5), W)
 
     def test_alignment_centered_near_zero_for_iid(self):
         rng = np.random.default_rng(77)
@@ -333,14 +402,14 @@ class TestDiagnostics:
         W = build_weight_matrix(20, default_weight())
         for _ in range(200):
             S = build_similarity_matrix(iid_series(rng, 20, 5), neg_l1())
-            vals.append(regularity_diagnostics(S, W).alignment)
+            vals.append(diagnostics_of(S, W).alignment)
         vals = np.asarray(vals)
         sem = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean()) <= 4.0 * sem
 
     def test_needs_four_observations(self):
         with pytest.raises(TooFewObservations):
-            regularity_diagnostics(off_diag_ones(3), build_weight_matrix(3, default_weight()))
+            diagnostics_of(off_diag_ones(3), build_weight_matrix(3, default_weight()))
 
 
 class TestRearrangementBounds:
