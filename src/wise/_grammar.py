@@ -1,0 +1,148 @@
+"""The text and JSON forms shared by kernel and weight specs.
+
+Text form: ``family[:key=value,...][;key=value,...]``. Only fourier uses the
+``;`` groups, one per term. :func:`tokenize` splits the text into the family
+and one dict of raw string values per group; the spec modules turn those
+into the JSON-object form and read it with :func:`read_fields`, so the text
+and JSON forms accept and reject the same keys.
+
+Each family's parameters are :class:`Param` rows in its module's table,
+which also drives validation (:func:`validate`) and the canonical text
+(:func:`to_text`).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+from .errors import BadWeightParam, ParseError
+
+
+class Param(NamedTuple):
+    """One parameter of a spec family.
+
+    ``field`` is the spec dataclass field and the JSON key; ``text``, when
+    set, is the key the canonical text writes, and both spellings are read
+    in either form. ``read`` converts a JSON or text value. A numeric value
+    must lie in the open interval (low, high); ``low = None`` skips that
+    check and ``high = None`` leaves the interval open above.
+    """
+
+    field: str
+    read: Callable[[Any], Any] = float
+    show: Callable[[Any], str] = "{:g}".format
+    low: Optional[float] = None
+    high: Optional[float] = None
+    text: Optional[str] = None
+    required: bool = True
+
+    @property
+    def key(self) -> str:
+        return self.text or self.field
+
+
+def tokenize(text: str, what: str) -> Tuple[str, List[Dict[str, str]]]:
+    """Split a text spec into its family and one key -> value dict per group."""
+    text = text.strip()
+    if not text:
+        raise ParseError(f"empty {what} spec")
+    family, _, rest = text.partition(":")
+    groups = []
+    for group in rest.split(";") if rest.strip() else ():
+        fields: Dict[str, str] = {}
+        for part in group.split(","):
+            key, eq, value = part.partition("=")
+            key = key.strip()
+            if not eq or not key:
+                raise ParseError(f"expected key=value in {what} spec, got {part!r}")
+            # the family is named before the colon; "family=" would name it twice
+            if key in fields or key == "family":
+                raise ParseError(f"{what} spec repeats key {key!r}")
+            fields[key] = value.strip()
+        groups.append(fields)
+    return family.strip(), groups
+
+
+def single_group(family: str, groups: List[Dict[str, str]], what: str) -> dict:
+    """The JSON-object form of a tokenized spec that has at most one group."""
+    if len(groups) > 1:
+        raise ParseError(f"{what} {family!r} takes no ';' groups")
+    return {"family": family, **(groups[0] if groups else {})}
+
+
+def family_of(obj: Any, families: Mapping, short: Mapping[str, str], what: str) -> str:
+    """The family a JSON object names; ``short`` maps families to text aliases."""
+    if not isinstance(obj, dict) or "family" not in obj:
+        raise ParseError(f"{what} JSON object needs a 'family' field")
+    name = obj["family"]
+    for family, alias in short.items():
+        if name == alias:
+            return family
+    if not isinstance(name, str) or name not in families:
+        raise ParseError(f"unknown {what} family {name!r}")
+    return name
+
+
+def read_fields(obj: Mapping[str, Any], params: Sequence[Param], where: str) -> dict:
+    """Field values read from every key of ``obj`` except ``family``.
+
+    A key no parameter has, two keys for one field, a missing required
+    parameter or a value ``Param.read`` rejects is a ParseError.
+    """
+    by_key = {key: p for p in params for key in (p.field, p.key)}
+    values = {}
+    for key, raw in obj.items():
+        if key == "family":
+            continue
+        p = by_key.get(key)
+        if p is None:
+            raise ParseError(f"{where} has no parameter {key!r}")
+        if p.field in values:
+            raise ParseError(f"{where} repeats parameter {p.key!r}")
+        try:
+            values[p.field] = p.read(raw)
+        except (TypeError, ValueError):
+            raise ParseError(f"{where} parameter {key!r} has a bad value {raw!r}") from None
+    for p in params:
+        if p.required and p.field not in values:
+            raise ParseError(f"{where} requires parameter {p.key!r}")
+    return values
+
+
+def check_range(p: Param, value, where: str) -> None:
+    if p.low is None or p.low < value and (p.high is None or value < p.high):
+        return
+    bound = f"> {p.low:g}" if p.high is None else f"in ({p.low:g},{p.high:g})"
+    raise BadWeightParam(f"{where} requires {p.key} {bound}, got {value}")
+
+
+def validate(spec, params: Sequence[Param], where: str) -> None:
+    """Check and normalize the fields of a frozen spec dataclass in place.
+
+    A field outside ``params`` must be None and a required one must be set;
+    every set value is converted by ``Param.read`` and range-checked.
+    """
+    own = {p.field: p for p in params}
+    for f in dataclasses.fields(spec):
+        if f.name == "family":
+            continue
+        p = own.get(f.name)
+        value = getattr(spec, f.name)
+        if value is None:
+            if p is not None and p.required:
+                raise BadWeightParam(f"{where} requires parameter {p.key!r}")
+        elif p is None:
+            raise BadWeightParam(f"{where} takes no parameter {f.name!r}")
+        else:
+            value = p.read(value)
+            check_range(p, value, where)
+            object.__setattr__(spec, f.name, value)
+
+
+def to_text(name: str, params: Sequence[Param], rows: Sequence[Sequence]) -> str:
+    """Canonical text: ``name[:key=value,...][;...]``, one group per row."""
+    groups = ";".join(
+        ",".join(f"{p.key}={p.show(v)}" for p, v in zip(params, row)) for row in rows
+    )
+    return f"{name}:{groups}" if groups else name

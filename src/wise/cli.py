@@ -30,13 +30,15 @@ from .errors import BadModelParam, BadRange, BadWeightParam, ParseError, WiseErr
 from .ingest import TOKYO, GridConfig, ingest_checkins, read_checkin_csv
 from .kernels import parse_kernel_spec
 from .simgen import from_setting, generate
+from .types import SERIES_KINDS
 from .weights import parse_weight_spec
 
 
 def _load_series(path: str, kind: str):
-    if kind == "vector":
-        return validate_series(wio.load_vector_csv(path), "vector")
-    return validate_series(wio.load_matrix_jsonl(path), "matrix")
+    """Matrix series are JSONL; every other kind is one CSV row per time point."""
+    if kind == "matrix":
+        return validate_series(wio.load_matrix_jsonl(path), kind)
+    return validate_series(wio.load_vector_csv(path), kind)
 
 
 def _parse_tz(text: str) -> timezone:
@@ -167,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("test", help="test a series for serial independence")
-    t.add_argument("--input", required=True, help="CSV (vector) or JSONL (matrix) series")
-    t.add_argument("--kind", choices=("vector", "matrix"), default="vector")
+    t.add_argument("--input", required=True, help="JSONL for matrix series, else CSV")
+    t.add_argument("--kind", choices=SERIES_KINDS, default="vector")
     t.add_argument("--similarity", default="neg_l1", help="kernel spec, e.g. gaussian:sigma=2")
     t.add_argument("--weight", default="default", help="weight spec, e.g. geometric:rho=0.5")
     t.add_argument("--method", choices=("analytic", "perm"), default="analytic")
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("heatmap", help="emit a similarity matrix as CSV/PGM")
     h.add_argument("--input", required=True)
-    h.add_argument("--kind", choices=("vector", "matrix"), default="vector")
+    h.add_argument("--kind", choices=SERIES_KINDS, default="vector")
     h.add_argument("--similarity", default="neg_l1")
     h.add_argument("--csv-out", dest="csv_out")
     h.add_argument("--pgm-out", dest="pgm_out")

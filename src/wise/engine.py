@@ -285,8 +285,8 @@ def run_test(
     S = build_similarity_matrix(series, kernel)
     W = build_weight_matrix(n, weight_spec)
     M = moment_summary(S, W)
-    z = compute_z(S, W)
     ez, var, clamped = _raw_moments(M, n)
+    z = ez + M.zc
     try:
         diagnostics = regularity_diagnostics(M)
         degenerate_field = False
@@ -312,6 +312,10 @@ def run_test(
             else:
                 p = float(ndtr(z_g))
         else:
+            # when S and w hold few distinct values (a knn field, a cosine
+            # weight), many draws equal Z exactly; ez + zc carries rounding
+            # that would split those ties, so Z is summed as the draws are
+            z = compute_z(S, W)
             zs = _permuted_z(S.values, W.values[None], config.permutations, config.seed)[:, 0]
             if config.sidedness == "two_sided":
                 count = int(np.sum(np.abs(zs - ez) >= abs(z - ez)))

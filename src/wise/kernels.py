@@ -25,44 +25,14 @@ when only one direction holds, else 0. See :func:`knn_affinity_matrix`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .errors import BadWeightParam, KernelMismatch, ParseError
+from ._grammar import Param, family_of, read_fields, single_group, to_text, tokenize, validate
+from .errors import BadWeightParam, KernelMismatch
 from .types import ObservationSeries, SimilarityMatrix
-
-FAMILIES = (
-    "neg_l1",
-    "neg_l2",
-    "neg_sq_l2_scaled",
-    "frobenius",
-    "gaussian",
-    "functional_l2",
-    "wasserstein1_quantile",
-    "knn_affinity",
-)
-
-# kinds each family accepts; knn_affinity defers to its base kernel
-_ACCEPTS = {
-    "neg_l1": ("vector",),
-    "neg_l2": ("vector",),
-    "neg_sq_l2_scaled": ("vector",),
-    "frobenius": ("matrix",),
-    "gaussian": ("vector",),
-    "functional_l2": ("function",),
-    "wasserstein1_quantile": ("quantile",),
-}
-
-_DISTANCE_FAMILIES = (
-    "neg_l1",
-    "neg_l2",
-    "neg_sq_l2_scaled",
-    "frobenius",
-    "functional_l2",
-    "wasserstein1_quantile",
-)
 
 
 @dataclass(frozen=True)
@@ -73,43 +43,97 @@ class KernelSpec:
     base: Optional["KernelSpec"] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILIES:
             raise BadWeightParam(f"unknown kernel family {self.family!r}")
-        if self.family == "gaussian":
-            if self.sigma is None or not self.sigma > 0:
-                raise BadWeightParam(f"gaussian requires sigma > 0, got {self.sigma}")
-        if self.family == "knn_affinity":
-            if self.k is None or int(self.k) < 1:
-                raise BadWeightParam(f"knn requires k >= 1, got {self.k}")
-            object.__setattr__(self, "k", int(self.k))
-            base = self.base if self.base is not None else KernelSpec("neg_l1")
-            if base.family not in _DISTANCE_FAMILIES:
-                raise BadWeightParam(
-                    f"knn base must be a distance kernel, got {base.family!r}"
-                )
-            object.__setattr__(self, "base", base)
+        if self.family == "knn_affinity" and self.base is None:
+            object.__setattr__(self, "base", KernelSpec("neg_l1"))
+        validate(self, _FAMILIES[self.family].params, _name(self.family))
+        if self.base is not None and not _FAMILIES[self.base.family].distance:
+            raise BadWeightParam(
+                f"knn base must be a distance kernel, got {self.base.family!r}"
+            )
 
     def accepts(self) -> Tuple[str, ...]:
-        if self.family == "knn_affinity":
-            return self.base.accepts()
-        return _ACCEPTS[self.family]
+        return _FAMILIES[self.family].kinds or self.base.accepts()
 
     def to_json_obj(self) -> dict:
         obj: dict = {"family": self.family}
-        if self.sigma is not None:
-            obj["sigma"] = float(self.sigma)
-        if self.k is not None:
-            obj["k"] = int(self.k)
-        if self.base is not None:
-            obj["base"] = self.base.to_json_obj()
+        for p in _FAMILIES[self.family].params:
+            value = getattr(self, p.field)
+            obj[p.field] = value.to_json_obj() if isinstance(value, KernelSpec) else value
         return obj
 
     def to_string(self) -> str:
-        if self.family == "gaussian":
-            return f"gaussian:sigma={self.sigma:g}"
-        if self.family == "knn_affinity":
-            return f"knn:k={self.k},base={self.base.to_string()}"
-        return self.family
+        params = _FAMILIES[self.family].params
+        return to_text(_name(self.family), params, [[getattr(self, p.field) for p in params]])
+
+
+def _read_base(raw) -> KernelSpec:
+    """A knn base kernel, given as a spec, its text or its JSON object."""
+    if isinstance(raw, KernelSpec):
+        return raw
+    if isinstance(raw, str):
+        return parse_kernel_spec(raw)
+    return kernel_spec_from_json_obj(raw)
+
+
+def _sqrt_trapezoid(g: int) -> np.ndarray:
+    """Square roots of the trapezoid-rule weights on a uniform grid over [0,1].
+
+    The rule makes the integral a weighted sqeuclidean, so scaling columns by
+    these reduces it to a plain euclidean pdist.
+    """
+    w = np.full(g, 1.0 / (g - 1))
+    w[0] = w[-1] = 0.5 / (g - 1)
+    return np.sqrt(w)
+
+
+def _gaussian(d: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    np.divide(d, -2.0 * spec.sigma**2, out=d)
+    return np.exp(d, out=d)
+
+
+class _Family(NamedTuple):
+    kinds: Tuple[str, ...] = ()  # empty: the base kernel's kinds
+    metric: Optional[str] = None  # scipy pdist metric on the flattened observations
+    prescale: Optional[Callable[[int], np.ndarray]] = None  # column weights, from row length
+    per_column: bool = False  # the distance is divided by the row length
+    transform: Optional[Callable[[np.ndarray, KernelSpec], np.ndarray]] = None
+    params: Tuple[Param, ...] = ()
+
+    @property
+    def distance(self) -> bool:
+        """S is the negated distance, with no other transform."""
+        return self.metric is not None and self.transform is None
+
+
+# family -> formula and parameters. The squareform pdist output d becomes S
+# in place: negated, or put through ``transform``. knn_affinity has no
+# formula of its own; see _knn_affinity.
+_FAMILIES = {
+    "neg_l1": _Family(("vector",), "cityblock"),
+    "neg_l2": _Family(("vector",), "euclidean"),
+    "neg_sq_l2_scaled": _Family(("vector",), "sqeuclidean", per_column=True),
+    "frobenius": _Family(("matrix",), "euclidean"),
+    "gaussian": _Family(
+        ("vector",), "sqeuclidean", transform=_gaussian, params=(Param("sigma", low=0.0),)
+    ),
+    "functional_l2": _Family(("function",), "euclidean", prescale=_sqrt_trapezoid),
+    "wasserstein1_quantile": _Family(("quantile",), "cityblock", per_column=True),
+    "knn_affinity": _Family(
+        params=(
+            Param("k", read=int, show=str, low=0),
+            Param("base", read=_read_base, show=KernelSpec.to_string, required=False),
+        )
+    ),
+}
+FAMILIES = tuple(_FAMILIES)
+# text names that differ from the family; the text and JSON forms accept both
+_SHORT = {"knn_affinity": "knn"}
+
+
+def _name(family: str) -> str:
+    return _SHORT.get(family, family)
 
 
 def neg_l1() -> KernelSpec:
@@ -144,11 +168,22 @@ def knn_affinity(k: int, base: Optional[KernelSpec] = None) -> KernelSpec:
     return KernelSpec("knn_affinity", k=k, base=base)
 
 
-def _check_kind(spec: KernelSpec, kind: str):
-    if kind not in spec.accepts():
-        raise KernelMismatch(
-            f"kernel {spec.family} accepts kinds {spec.accepts()}, got {kind!r}"
-        )
+def _distance(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
+    """Fresh n x n pdist matrix of the rows of ``flat`` under the family's metric."""
+    family = _FAMILIES[spec.family]
+    if family.prescale is not None:
+        flat = flat * family.prescale(flat.shape[1])
+    d = squareform(pdist(flat, metric=family.metric))
+    if family.per_column:
+        d /= flat.shape[1]
+    return d
+
+
+def _similarity(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
+    """S of a family with a formula, made in place from the fresh distances."""
+    d = _distance(spec, flat)
+    transform = _FAMILIES[spec.family].transform
+    return np.negative(d, out=d) if transform is None else transform(d, spec)
 
 
 def similarity_evaluate(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -161,32 +196,7 @@ def similarity_evaluate(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise KernelMismatch(f"observation shapes differ: {x.shape} vs {y.shape}")
-    f = spec.family
-    if f == "neg_l1":
-        return float(-np.sum(np.abs(x - y)))
-    if f == "neg_l2":
-        return float(-np.sqrt(np.sum((x - y) ** 2)))
-    if f == "neg_sq_l2_scaled":
-        return float(-np.sum((x - y) ** 2) / x.size)
-    if f == "frobenius":
-        return float(-np.sqrt(np.sum((x - y) ** 2)))
-    if f == "gaussian":
-        return float(np.exp(-np.sum((x - y) ** 2) / (2.0 * spec.sigma**2)))
-    if f == "functional_l2":
-        return float(-np.sqrt(np.sum(_trapezoid_weights(x.shape[-1]) * (x - y) ** 2)))
-    # wasserstein1_quantile
-    return float(-np.sum(np.abs(x - y)) / x.size)
-
-
-def _trapezoid_weights(g: int) -> np.ndarray:
-    """Quadrature weights for the trapezoidal rule on a uniform grid over [0,1]."""
-    w = np.full(g, 1.0 / (g - 1))
-    w[0] = w[-1] = 0.5 / (g - 1)
-    return w
-
-
-def _flat(series: ObservationSeries) -> np.ndarray:
-    return series.data.reshape(series.n, -1)
+    return float(_similarity(spec, np.stack((x, y)).reshape(2, -1))[0, 1])
 
 
 def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> np.ndarray:
@@ -195,27 +205,29 @@ def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> np.ndarr
     All built-in kernels are symmetric, so the result equals its transpose up
     to the bit and needs no symmetrizing.
     """
+    if series.kind not in spec.accepts():
+        raise KernelMismatch(
+            f"kernel {spec.family} accepts kinds {spec.accepts()}, got {series.kind!r}"
+        )
+    flat = series.data.reshape(series.n, -1)
     if spec.family == "knn_affinity":
-        return knn_affinity_matrix(series, spec.k, spec.base).values.copy()
-    _check_kind(spec, series.kind)
-    flat = _flat(series)
-    f = spec.family
-    if f == "neg_l1":
-        return -squareform(pdist(flat, metric="cityblock"))
-    if f in ("neg_l2", "frobenius"):
-        return -squareform(pdist(flat, metric="euclidean"))
-    if f == "neg_sq_l2_scaled":
-        return -squareform(pdist(flat, metric="sqeuclidean")) / flat.shape[1]
-    if f == "gaussian":
-        sq = squareform(pdist(flat, metric="sqeuclidean"))
-        return np.exp(-sq / (2.0 * spec.sigma**2))
-    if f == "functional_l2":
-        # trapezoid weights turn the integral into a weighted sqeuclidean,
-        # so scaling columns by sqrt(weight) reduces it to a plain pdist
-        w = _trapezoid_weights(flat.shape[1])
-        return -squareform(pdist(flat * np.sqrt(w), metric="euclidean"))
-    # wasserstein1_quantile
-    return -squareform(pdist(flat, metric="cityblock")) / flat.shape[1]
+        return _knn_affinity(flat, spec.k, spec.base)
+    return _similarity(spec, flat)
+
+
+def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:
+    n = flat.shape[0]
+    if k >= n:
+        raise BadWeightParam(f"knn requires k < n, got k={k}, n={n}")
+    dist = _distance(base, flat)
+    np.fill_diagonal(dist, np.inf)
+    # stable argsort on each row: equal distances keep index order
+    order = np.argsort(dist, axis=1, kind="stable")
+    neighbors = order[:, :k]
+    a = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), k)
+    a[rows, neighbors.ravel()] = 1.0
+    return (a + a.T) / 2.0
 
 
 def knn_affinity_matrix(
@@ -228,92 +240,20 @@ def knn_affinity_matrix(
     the lower time index, which makes the graph reproducible.
     """
     spec = KernelSpec("knn_affinity", k=k, base=base)
-    _check_kind(spec, series.kind)
-    n = series.n
-    if spec.k >= n:
-        raise BadWeightParam(f"knn requires k < n, got k={spec.k}, n={n}")
-    dist = -pairwise_similarity(spec.base, series)
-    np.fill_diagonal(dist, np.inf)
-    # stable argsort on each row: equal distances keep index order
-    order = np.argsort(dist, axis=1, kind="stable")
-    neighbors = order[:, : spec.k]
-    a = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), spec.k)
-    a[rows, neighbors.ravel()] = 1.0
-    return SimilarityMatrix((a + a.T) / 2.0)
+    return SimilarityMatrix(pairwise_similarity(spec, series))
 
 
 def parse_kernel_spec(text: str) -> KernelSpec:
     """Parse the `family[:key=value,...]` grammar.
 
-    Examples: `neg_l1`, `gaussian:sigma=2.5`, `knn:k=5,base=neg_l2`.
+    Examples: `neg_l1`, `gaussian:sigma=2.5`, `knn:k=5,base=neg_l2`. The
+    knn base defaults to neg_l1 and must be a distance kernel.
     """
-    text = text.strip()
-    if not text:
-        raise ParseError("empty kernel spec")
-    family, sep, rest = text.partition(":")
-    family = family.strip()
-    if family == "knn":
-        family = "knn_affinity"
-    if family not in FAMILIES:
-        raise ParseError(f"unknown kernel family {family!r}")
-    if family == "gaussian":
-        if not sep or not rest.strip():
-            raise ParseError("gaussian requires sigma, e.g. gaussian:sigma=2.5")
-        kwargs = {}
-        for part in rest.split(","):
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            if key != "sigma":
-                raise ParseError(f"gaussian has no parameter {key!r}")
-            if "sigma" in kwargs:
-                raise ParseError("gaussian repeats parameter 'sigma'")
-            try:
-                kwargs["sigma"] = float(raw)
-            except ValueError:
-                raise ParseError(f"sigma has non-numeric value {raw!r}") from None
-        return KernelSpec("gaussian", **kwargs)
-    if family == "knn_affinity":
-        if not sep or not rest.strip():
-            raise ParseError("knn requires k, e.g. knn:k=5,base=neg_l2")
-        k = None
-        base = None
-        for part in rest.split(","):
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key == "k":
-                try:
-                    k = int(raw)
-                except ValueError:
-                    raise ParseError(f"k has non-integer value {raw!r}") from None
-            elif key == "base":
-                if raw == "knn" or raw == "knn_affinity":
-                    raise ParseError("knn cannot be its own base kernel")
-                base = parse_kernel_spec(raw)
-            else:
-                raise ParseError(f"knn has no parameter {key!r}")
-        if k is None:
-            raise ParseError("knn requires k, e.g. knn:k=5")
-        return KernelSpec("knn_affinity", k=k, base=base)
-    if sep and rest.strip():
-        raise ParseError(f"{family} takes no parameters, got {rest!r}")
-    return KernelSpec(family)
+    family, groups = tokenize(text, "kernel")
+    return kernel_spec_from_json_obj(single_group(family, groups, "kernel"))
 
 
 def kernel_spec_from_json_obj(obj: dict) -> KernelSpec:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ParseError("kernel JSON object needs a 'family' field")
-    family = obj["family"]
-    if family == "knn":
-        family = "knn_affinity"
-    if family not in FAMILIES:
-        raise ParseError(f"unknown kernel family {family!r}")
-    kwargs: dict = {}
-    if "sigma" in obj:
-        kwargs["sigma"] = float(obj["sigma"])
-    if "k" in obj:
-        kwargs["k"] = int(obj["k"])
-    if "base" in obj:
-        kwargs["base"] = kernel_spec_from_json_obj(obj["base"])
-    return KernelSpec(family, **kwargs)
+    """Inverse of :meth:`KernelSpec.to_json_obj` (config-file form)."""
+    family = family_of(obj, _FAMILIES, _SHORT, "kernel")
+    return KernelSpec(family, **read_fields(obj, _FAMILIES[family].params, _name(family)))

@@ -28,21 +28,49 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import BadWeightParam, InvalidValue, ParseError
-
-FAMILIES = (
-    "default_cauchy",
-    "algebraic",
-    "geometric",
-    "exp_decay",
-    "cosine",
-    "abs_cosine",
-    "fourier",
-    "mixed",
+from ._grammar import (
+    Param,
+    check_range,
+    family_of,
+    read_fields,
+    single_group,
+    to_text,
+    tokenize,
+    validate,
 )
+from .errors import BadWeightParam, InvalidValue
 
 # relative slack when checking that fourier coefficients sum to one
 _FOURIER_SUM_TOL = 1e-12
+
+
+def _read_terms(raw) -> Tuple[Tuple[float, float], ...]:
+    return tuple((float(a), float(l)) for a, l in raw)
+
+
+_ALPHA = Param("alpha", low=0.0, high=1.0)
+_L = Param("l", low=0.0)
+# one fourier term: [alpha, l] in JSON, alpha=..,l=.. in text
+_TERM = (_ALPHA, _L)
+
+# family -> its parameters, in the order the canonical text writes them
+_FAMILIES = {
+    "default_cauchy": (),
+    "algebraic": (Param("beta", low=1.0),),
+    "geometric": (Param("rho", low=0.0, high=1.0),),
+    "exp_decay": (Param("lam", low=0.0, text="lambda"),),
+    "cosine": (_L,),
+    "abs_cosine": (_L,),
+    "fourier": (Param("terms", read=_read_terms),),
+    "mixed": (_ALPHA, Param("beta", low=0.0), _L),
+}
+FAMILIES = tuple(_FAMILIES)
+# text names that differ from the family; the text and JSON forms accept both
+_SHORT = {"default_cauchy": "default"}
+
+
+def _name(family: str) -> str:
+    return _SHORT.get(family, family)
 
 
 @dataclass(frozen=True)
@@ -62,112 +90,37 @@ class WeightSpec:
     terms: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILIES:
             raise BadWeightParam(f"unknown weight family {self.family!r}")
-        check = _VALIDATORS[self.family]
-        check(self)
+        validate(self, _FAMILIES[self.family], _name(self.family))
         if self.terms is not None:
-            object.__setattr__(
-                self, "terms", tuple((float(a), float(l)) for a, l in self.terms)
-            )
+            _check_terms(self.terms)
 
     def to_json_obj(self) -> dict:
         obj: dict = {"family": self.family}
-        for key in ("beta", "rho", "lam", "l", "alpha"):
-            val = getattr(self, key)
-            if val is not None:
-                obj[key] = float(val)
-        if self.terms is not None:
-            obj["terms"] = [[a, l] for a, l in self.terms]
+        for p in _FAMILIES[self.family]:
+            obj[p.field] = getattr(self, p.field)
+        if self.terms is not None:  # as JSON reads them: lists, not tuples
+            obj["terms"] = [list(term) for term in self.terms]
         return obj
 
     def to_string(self) -> str:
         """Inverse of :func:`parse_weight_spec` (canonical form)."""
-        f = self.family
-        if f == "default_cauchy":
-            return "default"
-        if f == "algebraic":
-            return f"algebraic:beta={self.beta:g}"
-        if f == "geometric":
-            return f"geometric:rho={self.rho:g}"
-        if f == "exp_decay":
-            return f"exp_decay:lambda={self.lam:g}"
-        if f in ("cosine", "abs_cosine"):
-            return f"{f}:l={self.l:g}"
-        if f == "fourier":
-            groups = ";".join(f"alpha={a:g},l={l:g}" for a, l in self.terms)
-            return f"fourier:{groups}"
-        return f"mixed:alpha={self.alpha:g},beta={self.beta:g},l={self.l:g}"
+        if self.terms is not None:
+            return to_text(self.family, _TERM, self.terms)
+        params = _FAMILIES[self.family]
+        return to_text(_name(self.family), params, [[getattr(self, p.field) for p in params]])
 
 
-def _need(spec: WeightSpec, *names: str):
-    for name in names:
-        if getattr(spec, name) is None:
-            raise BadWeightParam(f"{spec.family} requires parameter {name!r}")
-
-
-def _check_default(spec):
-    pass
-
-
-def _check_algebraic(spec):
-    _need(spec, "beta")
-    if not spec.beta > 1:
-        raise BadWeightParam(f"algebraic requires beta > 1, got {spec.beta}")
-
-
-def _check_geometric(spec):
-    _need(spec, "rho")
-    if not 0 < spec.rho < 1:
-        raise BadWeightParam(f"geometric requires rho in (0,1), got {spec.rho}")
-
-
-def _check_exp_decay(spec):
-    _need(spec, "lam")
-    if not spec.lam > 0:
-        raise BadWeightParam(f"exp_decay requires lambda > 0, got {spec.lam}")
-
-
-def _check_cosine(spec):
-    _need(spec, "l")
-    if not spec.l > 0:
-        raise BadWeightParam(f"{spec.family} requires period l > 0, got {spec.l}")
-
-
-def _check_fourier(spec):
-    if not spec.terms:
+def _check_terms(terms):
+    if not terms:
         raise BadWeightParam("fourier requires at least one (alpha, l) term")
-    total = 0.0
-    for a, l in spec.terms:
-        if not 0 < a < 1:
-            raise BadWeightParam(f"fourier coefficient must lie in (0,1), got {a}")
-        if not l > 0:
-            raise BadWeightParam(f"fourier period must be positive, got {l}")
-        total += a
+    for term in terms:
+        for p, value in zip(_TERM, term):
+            check_range(p, value, "fourier term")
+    total = sum(a for a, _ in terms)
     if abs(total - 1.0) > _FOURIER_SUM_TOL:
         raise BadWeightParam(f"fourier coefficients must sum to 1, got {total!r}")
-
-
-def _check_mixed(spec):
-    _need(spec, "alpha", "beta", "l")
-    if not 0 < spec.alpha < 1:
-        raise BadWeightParam(f"mixed requires alpha in (0,1), got {spec.alpha}")
-    if not spec.beta > 0:
-        raise BadWeightParam(f"mixed requires beta > 0, got {spec.beta}")
-    if not spec.l > 0:
-        raise BadWeightParam(f"mixed requires period l > 0, got {spec.l}")
-
-
-_VALIDATORS = {
-    "default_cauchy": _check_default,
-    "algebraic": _check_algebraic,
-    "geometric": _check_geometric,
-    "exp_decay": _check_exp_decay,
-    "cosine": _check_cosine,
-    "abs_cosine": _check_cosine,
-    "fourier": _check_fourier,
-    "mixed": _check_mixed,
-}
 
 
 def default_weight() -> WeightSpec:
@@ -242,92 +195,24 @@ def weight_evaluate(spec: WeightSpec, lag: Union[int, float]) -> float:
     return float(weight_profile(spec, np.asarray([lag]))[0])
 
 
-_SCALAR_KEYS = {
-    "algebraic": {"beta": "beta"},
-    "geometric": {"rho": "rho"},
-    "exp_decay": {"lambda": "lam", "lam": "lam"},
-    "cosine": {"l": "l"},
-    "abs_cosine": {"l": "l"},
-    "mixed": {"alpha": "alpha", "beta": "beta", "l": "l"},
-}
-
-
-def _parse_kv(part: str, where: str) -> Tuple[str, float]:
-    if "=" not in part:
-        raise ParseError(f"expected key=value in {where}, got {part!r}")
-    key, _, raw = part.partition("=")
-    key = key.strip()
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(f"parameter {key!r} has non-numeric value {raw!r}") from None
-    return key, value
-
-
 def parse_weight_spec(text: str) -> WeightSpec:
-    """Parse the `family[:key=value,...]` grammar.
+    """Parse the `family[:key=value,...][;key=value,...]` grammar.
 
-    `default` is an alias for default_cauchy. Fourier terms are
-    semicolon-separated groups: `fourier:alpha=0.5,l=4;alpha=0.5,l=6`.
+    `default` is an alias for default_cauchy, and exp_decay's `lambda` may
+    be spelled `lam`. Fourier terms are semicolon-separated groups:
+    `fourier:alpha=0.5,l=4;alpha=0.5,l=6`.
     """
-    text = text.strip()
-    if not text:
-        raise ParseError("empty weight spec")
-    family, sep, rest = text.partition(":")
-    family = family.strip()
-    if family == "default":
-        family = "default_cauchy"
-    if family not in FAMILIES:
-        raise ParseError(f"unknown weight family {family!r}")
-    if family in ("default_cauchy",):
-        if sep and rest.strip():
-            raise ParseError(f"{family} takes no parameters, got {rest!r}")
-        return WeightSpec(family)
-    if not sep or not rest.strip():
-        raise ParseError(f"{family} requires parameters, e.g. from --help")
-    if family == "fourier":
-        terms = []
-        for group in rest.split(";"):
-            seen = {}
-            for part in group.split(","):
-                key, value = _parse_kv(part, "fourier term")
-                if key not in ("alpha", "l"):
-                    raise ParseError(f"fourier term has unknown key {key!r}")
-                if key in seen:
-                    raise ParseError(f"fourier term repeats key {key!r}")
-                seen[key] = value
-            if set(seen) != {"alpha", "l"}:
-                raise ParseError("each fourier term needs alpha=.. and l=..")
-            terms.append((seen["alpha"], seen["l"]))
-        return WeightSpec("fourier", terms=tuple(terms))
-    keymap = _SCALAR_KEYS[family]
-    kwargs = {}
-    for part in rest.split(","):
-        key, value = _parse_kv(part, f"{family} spec")
-        if key not in keymap:
-            raise ParseError(f"{family} has no parameter {key!r}")
-        attr = keymap[key]
-        if attr in kwargs:
-            raise ParseError(f"{family} repeats parameter {key!r}")
-        kwargs[attr] = value
-    return WeightSpec(family, **kwargs)
+    family, groups = tokenize(text, "weight")
+    if family != "fourier":
+        return weight_spec_from_json_obj(single_group(family, groups, "weight"))
+    obj: dict = {"family": family}
+    if groups:
+        terms = [read_fields(group, _TERM, "fourier term") for group in groups]
+        obj["terms"] = [[t["alpha"], t["l"]] for t in terms]
+    return weight_spec_from_json_obj(obj)
 
 
 def weight_spec_from_json_obj(obj: dict) -> WeightSpec:
     """Inverse of :meth:`WeightSpec.to_json_obj` (config-file form)."""
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ParseError("weight JSON object needs a 'family' field")
-    family = obj["family"]
-    if family == "default":
-        family = "default_cauchy"
-    kwargs = {}
-    for key in ("beta", "rho", "lam", "l", "alpha"):
-        if key in obj:
-            kwargs[key] = float(obj[key])
-    if "lambda" in obj:
-        kwargs["lam"] = float(obj["lambda"])
-    if "terms" in obj:
-        kwargs["terms"] = tuple((float(a), float(l)) for a, l in obj["terms"])
-    if family not in FAMILIES:
-        raise ParseError(f"unknown weight family {family!r}")
-    return WeightSpec(family, **kwargs)
+    family = family_of(obj, _FAMILIES, _SHORT, "weight")
+    return WeightSpec(family, **read_fields(obj, _FAMILIES[family], _name(family)))

@@ -114,6 +114,22 @@ class TestTestCommand:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["p_value"] > 0.0
 
+    @pytest.mark.parametrize(
+        "kind, similarity",
+        [
+            ("function", "functional_l2"),
+            ("quantile", "wasserstein1_quantile"),
+            ("function", "knn:k=3,base=functional_l2"),
+        ],
+    )
+    def test_curve_kinds_read_csv(self, tmp_path, capsys, kind, similarity):
+        # sorted rows are valid observations of either kind
+        path = str(tmp_path / "curves.csv")
+        write_vector_csv(path, np.sort(np.random.default_rng(2).standard_normal((30, 9)), axis=1))
+        argv = ["test", "--input", path, "--kind", kind, "--similarity", similarity, "--json"]
+        assert main(argv) == 0
+        assert 0.0 < json.loads(capsys.readouterr().out)["p_value"] <= 1.0
+
 
 class TestSimulateCommand:
     def test_stdout_rows(self, capsys):
@@ -232,6 +248,18 @@ class TestHeatmapCommand:
         assert S.shape == (40, 40)
         assert np.allclose(S, S.T)
         assert open(pgm_out, encoding="utf-8").readline().strip() == "P2"
+
+    def test_quantile_kind(self, tmp_path, capsys):
+        src = str(tmp_path / "q.csv")
+        out = str(tmp_path / "q_heat.csv")
+        write_vector_csv(src, np.sort(np.random.default_rng(4).standard_normal((12, 5)), axis=1))
+        argv = [
+            "heatmap", "--input", src, "--kind", "quantile",
+            "--similarity", "wasserstein1_quantile", "--csv-out", out,
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert np.loadtxt(out, delimiter=",").shape == (12, 12)
 
     def test_requires_an_output(self, series_csv):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ from itertools import permutations as all_permutations
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from wise.errors import (
     TooFewObservations,
     TooLarge,
 )
-from wise.kernels import neg_l1
+from wise.kernels import knn_affinity, neg_l1, neg_l2
 from wise.types import ObservationSeries, SimilarityMatrix
 from wise.weights import algebraic, cosine, default_weight, geometric, weight_profile
 
@@ -234,6 +235,27 @@ class TestRunTest:
             ps[side] = run_test(series, neg_l1(), default_weight(), cfg).p_value
         assert ps["upper"] + ps["lower"] >= 1.0
         assert all(0.0 < p <= 1.0 for p in ps.values())
+
+    @pytest.mark.parametrize("side", ["two_sided", "upper", "lower"])
+    def test_permutation_counts_draws_that_tie_z(self, side):
+        # a knn field and a cosine weight hold few values, so Z and many draws
+        # are the same exact sum of multiples of 1/2: every such tie counts
+        n, B, seed = 120, 300, 4
+        kernel, weight = knn_affinity(5, neg_l2()), cosine(4.0)
+        series = iid_series(np.random.default_rng(0), n, 10)
+        cfg = TestConfig(method="permutation", permutations=B, seed=seed, sidedness=side)
+        res = run_test(series, kernel, weight, cfg)
+        S = build_similarity_matrix(series, kernel).values
+        W = build_weight_matrix(n, weight)
+        perms = (default_rng(SeedSequence((seed, b))).permutation(n) for b in range(B))
+        zs = np.array([compute_z(SimilarityMatrix(S[np.ix_(pi, pi)]), W) for pi in perms])
+        assert np.sum(zs == res.z) > 0
+        tail = {
+            "two_sided": np.abs(zs - res.e_z) >= abs(res.z - res.e_z),
+            "upper": zs >= res.z,
+            "lower": zs <= res.z,
+        }[side]
+        assert res.p_value == (1 + int(tail.sum())) / (B + 1)
 
     def test_moments_invariant_under_reordering(self):
         rng = np.random.default_rng(11)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from wise.errors import BadWeightParam, KernelMismatch, ParseError
 from wise.kernels import (
@@ -217,6 +218,9 @@ def test_parse_knn_default_base():
         "knn:base=neg_l2",
         "knn:k=x",
         "knn:k=2,base=knn",
+        "knn:k=2,k=3",
+        "neg_l1:family=gaussian",
+        "knn:k=2;k=3",
     ],
 )
 def test_parse_rejects_bad_grammar(text):
@@ -239,3 +243,107 @@ def test_parse_out_of_range_kernel_parameter():
 def test_string_and_json_round_trips(spec):
     assert parse_kernel_spec(spec.to_string()) == spec
     assert kernel_spec_from_json_obj(spec.to_json_obj()) == spec
+
+
+def _trapezoid(g):
+    w = np.full(g, 1.0 / (g - 1))
+    w[0] = w[-1] = 0.5 / (g - 1)
+    return w
+
+
+# each distance kernel as its own scipy formula, with the kind and observation
+# shape it takes; S = INLINE[family](rows flattened to vectors)
+INLINE = {
+    "neg_l1": (lambda f: -squareform(pdist(f, "cityblock")), "vector", (5,)),
+    "neg_l2": (lambda f: -squareform(pdist(f, "euclidean")), "vector", (5,)),
+    "neg_sq_l2_scaled": (
+        lambda f: -squareform(pdist(f, "sqeuclidean")) / f.shape[1], "vector", (5,)
+    ),
+    "frobenius": (lambda f: -squareform(pdist(f, "euclidean")), "matrix", (2, 3)),
+    "functional_l2": (
+        lambda f: -squareform(pdist(f * np.sqrt(_trapezoid(f.shape[1])), "euclidean")),
+        "function",
+        (9,),
+    ),
+    "wasserstein1_quantile": (
+        lambda f: -squareform(pdist(f, "cityblock")) / f.shape[1], "quantile", (7,)
+    ),
+}
+
+
+def _series(kind, shape, ties, n=30):
+    data = np.random.default_rng(41).standard_normal((n,) + shape)
+    if ties:  # coarse values make equal distances, and knn ties to break
+        data = np.round(data)
+    if kind == "quantile":
+        data = np.sort(data, axis=1)
+    return ObservationSeries(kind, data)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize("family", list(INLINE) + ["gaussian"])
+def test_pairwise_equals_inline_formula(family, ties):
+    if family == "gaussian":
+        series = _series("vector", (5,), ties)
+        sq = squareform(pdist(series.data, "sqeuclidean"))
+        want = np.exp(-sq / (2.0 * 1.7**2))
+        spec = gaussian(1.7)
+    else:
+        formula, kind, shape = INLINE[family]
+        series = _series(kind, shape, ties)
+        want = formula(series.data.reshape(series.n, -1))
+        spec = KernelSpec(family)
+    assert np.array_equal(pairwise_similarity(spec, series), want)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize("base", list(INLINE))
+def test_knn_equals_inline_construction(base, ties):
+    formula, kind, shape = INLINE[base]
+    series = _series(kind, shape, ties)
+    k, n = 3, series.n
+    dist = -formula(series.data.reshape(n, -1))
+    np.fill_diagonal(dist, np.inf)
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, np.argsort(dist[i], kind="stable")[:k]] = 1.0
+    want = (a + a.T) / 2.0
+    spec = knn_affinity(k, KernelSpec(base))
+    assert np.array_equal(pairwise_similarity(spec, series), want)
+    assert np.array_equal(knn_affinity_matrix(series, k, KernelSpec(base)).values, want)
+
+
+@pytest.mark.parametrize("base", list(INLINE))
+def test_knn_round_trips_over_every_base(base):
+    spec = knn_affinity(2, KernelSpec(base))
+    assert parse_kernel_spec(spec.to_string()) == spec
+    assert kernel_spec_from_json_obj(spec.to_json_obj()) == spec
+
+
+def test_canonical_strings():
+    assert neg_l1().to_string() == "neg_l1"
+    assert gaussian(2.5).to_string() == "gaussian:sigma=2.5"
+    assert knn_affinity(4, neg_l2()).to_string() == "knn:k=4,base=neg_l2"
+    assert knn_affinity(3).to_string() == "knn:k=3,base=neg_l1"
+
+
+@pytest.mark.parametrize(
+    "text, obj",
+    [
+        ("neg_l1:sigma=2", {"family": "neg_l1", "sigma": 2}),
+        ("gaussian:sigm=1", {"family": "gaussian", "sigm": 1}),
+        ("gaussian:sigma=1,k=2", {"family": "gaussian", "sigma": 1, "k": 2}),
+        ("knn:k=2,junk=1", {"family": "knn", "k": 2, "junk": 1}),
+        ("knn:base=neg_l2", {"family": "knn_affinity", "base": {"family": "neg_l2"}}),
+    ],
+)
+def test_text_and_json_reject_the_same_keys(text, obj):
+    with pytest.raises(ParseError):
+        parse_kernel_spec(text)
+    with pytest.raises(ParseError):
+        kernel_spec_from_json_obj(obj)
+
+
+def test_parameters_outside_the_family_rejected():
+    with pytest.raises(BadWeightParam):
+        KernelSpec("neg_l1", sigma=2.0)

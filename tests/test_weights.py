@@ -156,6 +156,9 @@ def test_parse_out_of_range_parameter():
         "default:rho=0.5",
         "fourier:alpha=0.5",
         "fourier:alpha=0.5,l=4,junk=1",
+        "fourier",
+        "geometric:rho=0.5;rho=0.6",
+        "exp_decay:lambda=1,lam=2",
     ],
 )
 def test_parse_rejects_bad_grammar(text):
@@ -171,3 +174,43 @@ def test_string_round_trip(spec):
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
 def test_json_round_trip(spec):
     assert weight_spec_from_json_obj(spec.to_json_obj()) == spec
+
+
+def test_three_term_fourier_round_trips():
+    spec = fourier([(0.2, 4.0), (0.3, 6.0), (0.5, 9.0)])
+    assert spec.to_string() == "fourier:alpha=0.2,l=4;alpha=0.3,l=6;alpha=0.5,l=9"
+    assert parse_weight_spec(spec.to_string()) == spec
+    assert weight_spec_from_json_obj(spec.to_json_obj()) == spec
+
+
+def test_canonical_strings():
+    assert default_weight().to_string() == "default"
+    assert exp_decay(1.5).to_string() == "exp_decay:lambda=1.5"
+    assert mixed(0.5, 1.2, 7.0).to_string() == "mixed:alpha=0.5,beta=1.2,l=7"
+
+
+@pytest.mark.parametrize("key", ["lambda", "lam"])
+def test_both_lambda_spellings_accepted(key):
+    assert parse_weight_spec(f"exp_decay:{key}=1.5") == exp_decay(1.5)
+    assert weight_spec_from_json_obj({"family": "exp_decay", key: 1.5}) == exp_decay(1.5)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"family": "geometric", "rho": 0.5, "junk": 1},
+        {"family": "default", "rho": 0.5},
+        {"family": "exp_decay", "lam": 1.0, "lambda": 2.0},
+        {"family": "geometric"},
+        {"family": "geometric", "rho": "abc"},
+        {"family": "fourier", "terms": [[0.5]]},
+    ],
+)
+def test_json_rejects_bad_keys_and_values(obj):
+    with pytest.raises(ParseError):
+        weight_spec_from_json_obj(obj)
+
+
+def test_parameters_outside_the_family_rejected():
+    with pytest.raises(BadWeightParam):
+        WeightSpec("geometric", rho=0.5, beta=2.0)
