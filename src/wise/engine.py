@@ -37,7 +37,9 @@ from .errors import (
 )
 from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
 
-SIDES = ("two_sided", "upper", "lower")
+# each side as the statistic whose upper tail rejects
+_ORIENT = {"two_sided": np.abs, "upper": np.positive, "lower": np.negative}
+SIDES = tuple(_ORIENT)
 
 # the centered similarity field counts as zero when its root mean square is at
 # most this fraction of the raw off-diagonal field's: about 450 ulps, so the
@@ -46,6 +48,10 @@ SIDES = ("two_sided", "upper", "lower")
 _DEGENERATE_RMS_REL = 1e-13
 # negative varZ beyond rounding noise means the moment formula was misfed
 _CLAMP_REL = 1e-9
+# permuted Z - EZ this fraction of its bound from the observed value is a tie
+_TIE_REL = 1e-10
+# one bincount of the permutation draws covers about this many pairs
+_BATCH_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -90,13 +96,8 @@ class DiagnosticsReport:
     warnings: Tuple[str, ...] = ()
 
     def to_json_obj(self) -> dict:
-        return {
-            "ratio1": _json_real(self.ratio1),
-            "ratio2": _json_real(self.ratio2),
-            "ratio3": _json_real(self.ratio3),
-            "alignment": _json_real(self.alignment),
-            "warnings": list(self.warnings),
-        }
+        obj = _json_reals(self, ("ratio1", "ratio2", "ratio3", "alignment"))
+        return {**obj, "warnings": list(self.warnings)}
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,7 @@ class TestResult:
 
     def to_json_obj(self) -> dict:
         return {
-            "z": _json_real(self.z),
-            "e_z": _json_real(self.e_z),
-            "var_z": _json_real(self.var_z),
-            "z_g": _json_real(self.z_g),
-            "p_value": _json_real(self.p_value),
+            **_json_reals(self, ("z", "e_z", "var_z", "z_g", "p_value")),
             "reject": bool(self.reject),
             "alpha": float(self.alpha),
             "method": self.method,
@@ -127,9 +124,10 @@ class TestResult:
         }
 
 
-def _json_real(x: float):
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _json_reals(obj, names) -> dict:
+    """The named float fields of obj, with NaN and infinities as None."""
+    values = {name: float(getattr(obj, name)) for name in names}
+    return {name: x if math.isfinite(x) else None for name, x in values.items()}
 
 
 def compute_z(S: SimilarityMatrix, W: WeightMatrix) -> float:
@@ -158,17 +156,9 @@ def _raw_moments(M: MomentSummary, n: int) -> Tuple[float, float, bool]:
     t3 = -4.0 * w2 * s3 / (n * (n - 2) * (n - 3))
     t4 = -4.0 * w3 * s2 / (n * (n - 2) * (n - 3))
     var = t1 + t2 + t3 + t4
-    clamped = False
-    if var < 0.0:
-        scale = abs(t1) + abs(t2) + abs(t3) + abs(t4)
-        if var >= -_CLAMP_REL * scale:
-            var = 0.0
-            clamped = True
-        else:
-            raise InvalidValue(
-                f"variance formula produced {var}, far below rounding tolerance"
-            )
-    return ez, var, clamped
+    if var < -_CLAMP_REL * (abs(t1) + abs(t2) + abs(t3) + abs(t4)):
+        raise InvalidValue(f"variance formula produced {var}, far below rounding tolerance")
+    return ez, max(var, 0.0), var < 0.0
 
 
 def permutation_moments(M: MomentSummary, n: int) -> Tuple[float, float]:
@@ -194,26 +184,50 @@ def enumerate_moments(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, floa
     return float(zs.mean()), float(zs.var())
 
 
-def _permuted_z(
-    s_values: np.ndarray, w_stack: np.ndarray, B: int, seed: int, chunk: int = 256
-) -> np.ndarray:
-    """Z for B seeded random permutations, one row per draw.
+def _lag_sum_draws(
+    s_values: np.ndarray, profiles: np.ndarray, B: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z - EZ per lag profile, at the identity and at B seeded draws.
 
-    Permutation b is generated from the seed pair (seed, b), so the stream
-    does not depend on chunking or thread count.
+    With sigma = pi^-1, Z(pi) - EZ = 2 sum_t w(t) D_t, where D_t sums the
+    centered S_ab over a < b with |sigma_a - sigma_b| = t (Mantel 1967).
+    Draw k is pi = permutation (seed, k). Returns (observed (m,), draws
+    (B, m), bound (m,)), where bound = max|S_ab - s_bar| sum_t 2(n-t)|w(t)|.
     """
     n = s_values.shape[0]
-    # the einsum below runs a few percent slower on a strided Toeplitz view
-    w_stack = np.ascontiguousarray(w_stack)
-    out = np.empty((B, w_stack.shape[0]))
-    for start in range(0, B, chunk):
-        stop = min(start + chunk, B)
-        perms = np.stack(
-            [default_rng(SeedSequence((seed, b))).permutation(n) for b in range(start, stop)]
-        )
-        gathered = s_values[perms[:, :, None], perms[:, None, :]]
-        out[start:stop] = np.einsum("kij,bij->bk", w_stack, gathered)
-    return out
+    index = np.arange(n)
+    rows, cols = np.triu_indices(n, 1)
+    b = s_values[rows, cols]
+    # the mean carries the rounding of a large sum; remove what it leaves
+    b -= b.mean()
+    b -= b.mean()
+    bound = np.abs(b).max() * ((2.0 * (n - index)) @ np.abs(profiles.T))
+    # at small n one bincount takes a batch of draws, each on its own n bins
+    size = max(1, _BATCH_PAIRS // rows.size)
+    b, offset = np.tile(b, size), n * np.arange(size)[:, None]
+    sigma = np.tile(index, (size, 1))
+    lag, other = np.empty((2, size, rows.size), dtype=np.intp)
+    w_cols = 2.0 * profiles.T
+
+    def lag_sums():
+        # every row of sigma, so each draw rounds alike in any batch; the
+        # indices are in range, and "clip" skips the copy "raise" makes
+        np.take(sigma, rows, axis=1, out=lag, mode="clip")
+        np.take(sigma, cols, axis=1, out=other, mode="clip")
+        np.subtract(lag, other, out=lag)
+        np.abs(lag, out=lag)
+        if size > 1:
+            np.add(lag, offset, out=lag)
+        d = np.bincount(lag.ravel(), weights=b, minlength=size * n)
+        return d.reshape(size, n) @ w_cols
+
+    observed = lag_sums()[0]
+    out = np.empty((B, profiles.shape[0]))
+    for start in range(0, B, size):
+        for j in range(min(size, B - start)):
+            sigma[j, default_rng(SeedSequence((seed, start + j))).permutation(n)] = index
+        out[start : start + size] = lag_sums()[: B - start]
+    return observed, out, bound
 
 
 def regularity_diagnostics(M: MomentSummary) -> DiagnosticsReport:
@@ -304,25 +318,18 @@ def run_test(
         z_g, p = 0.0, 1.0
     else:
         z_g = M.zc / math.sqrt(var)
+        orient = _ORIENT[config.sidedness]
         if config.method == "analytic":
-            if config.sidedness == "two_sided":
-                p = float(2.0 * ndtr(-abs(z_g)))
-            elif config.sidedness == "upper":
-                p = float(ndtr(-z_g))
-            else:
-                p = float(ndtr(z_g))
+            p = float((2.0 if config.sidedness == "two_sided" else 1.0) * ndtr(-orient(z_g)))
         else:
-            # when S and w hold few distinct values (a knn field, a cosine
-            # weight), many draws equal Z exactly; ez + zc carries rounding
-            # that would split those ties, so Z is summed as the draws are
-            z = compute_z(S, W)
-            zs = _permuted_z(S.values, W.values[None], config.permutations, config.seed)[:, 0]
-            if config.sidedness == "two_sided":
-                count = int(np.sum(np.abs(zs - ez) >= abs(z - ez)))
-            elif config.sidedness == "upper":
-                count = int(np.sum(zs >= z))
-            else:
-                count = int(np.sum(zs <= z))
+            # a knn field or a cosine weight holds few values, so many draws
+            # tie Z - EZ exactly, yet each sums in its own order: a draw
+            # within _TIE_REL of the bound on |Z - EZ| counts as a tie
+            obs, draws, bound = _lag_sum_draws(
+                S.values, W.profile[None], config.permutations, config.seed
+            )
+            tol = _TIE_REL * bound[0]
+            count = int(np.sum(orient(draws[:, 0]) >= orient(obs[0]) - tol))
             p = (1.0 + count) / (config.permutations + 1.0)
 
     return TestResult(
@@ -347,10 +354,10 @@ def mahalanobis_aggregate(
 ) -> Tuple[float, float]:
     """Combine several weight choices into one Mahalanobis-type statistic.
 
-    The coordinates Z_1..Z_m share one similarity matrix; their means come
-    from the closed-form null moments and their covariance from B shared
-    random permutations (the same permutation is applied to every
-    coordinate). The p-value is the permutation tail of M over those draws.
+    The coordinates Z_k - EZ_k share one similarity matrix, centered once;
+    their covariance comes from B shared random permutations (the same
+    permutation is applied to every coordinate). The p-value is the
+    permutation tail of M over those draws.
     """
     m = len(weight_specs)
     if m < 2:
@@ -361,19 +368,12 @@ def mahalanobis_aggregate(
     if n < 4:
         raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")
     S = build_similarity_matrix(series, kernel)
-    ws = [build_weight_matrix(n, spec) for spec in weight_specs]
-    w_stack = np.stack([w.values for w in ws])
-    # EZ_k = w1_k * s_bar, with w1_k the off-diagonal total of weight k
-    s_bar = (S.values.sum() - np.trace(S.values)) / (n * (n - 1))
-    mu = w_stack.sum(axis=(1, 2)) * s_bar
-    z_obs = np.einsum("kij,ij->k", w_stack, S.values)
-    z_perm = _permuted_z(S.values, w_stack, B, seed)
-    sigma = np.cov(z_perm, rowvar=False, ddof=1)
+    profiles = np.stack([build_weight_matrix(n, spec).profile for spec in weight_specs])
+    d_obs, d_perm, _ = _lag_sum_draws(S.values, profiles, B, seed)
+    sigma = np.cov(d_perm, rowvar=False, ddof=1)
     sigma = sigma + 1e-8 * (np.trace(sigma) / m) * np.eye(m)
     try:
-        d_obs = z_obs - mu
         m_obs = float(d_obs @ np.linalg.solve(sigma, d_obs))
-        d_perm = z_perm - mu
         m_perm = np.einsum("bk,kb->b", d_perm, np.linalg.solve(sigma, d_perm.T))
     except np.linalg.LinAlgError:
         raise DegenerateVariance(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations as all_permutations
 
 import numpy as np
@@ -28,7 +29,14 @@ from wise.errors import (
 )
 from wise.kernels import knn_affinity, neg_l1, neg_l2
 from wise.types import ObservationSeries, SimilarityMatrix
-from wise.weights import algebraic, cosine, default_weight, geometric, weight_profile
+from wise.weights import (
+    abs_cosine,
+    algebraic,
+    cosine,
+    default_weight,
+    geometric,
+    weight_profile,
+)
 
 
 def sim(arr) -> SimilarityMatrix:
@@ -238,24 +246,35 @@ class TestRunTest:
 
     @pytest.mark.parametrize("side", ["two_sided", "upper", "lower"])
     def test_permutation_counts_draws_that_tie_z(self, side):
-        # a knn field and a cosine weight hold few values, so Z and many draws
-        # are the same exact sum of multiples of 1/2: every such tie counts
+        # a knn field and a cosine weight hold few values, so many draws tie
+        # Z, or mirror it around EZ, as exact sums that round apart: a draw
+        # within 1e-10 of the bound on |Z - EZ| counts as a tie
         n, B, seed = 120, 300, 4
-        kernel, weight = knn_affinity(5, neg_l2()), cosine(4.0)
-        series = iid_series(np.random.default_rng(0), n, 10)
-        cfg = TestConfig(method="permutation", permutations=B, seed=seed, sidedness=side)
-        res = run_test(series, kernel, weight, cfg)
-        S = build_similarity_matrix(series, kernel).values
-        W = build_weight_matrix(n, weight)
-        perms = (default_rng(SeedSequence((seed, b))).permutation(n) for b in range(B))
-        zs = np.array([compute_z(SimilarityMatrix(S[np.ix_(pi, pi)]), W) for pi in perms])
-        assert np.sum(zs == res.z) > 0
-        tail = {
-            "two_sided": np.abs(zs - res.e_z) >= abs(res.z - res.e_z),
-            "upper": zs >= res.z,
-            "lower": zs <= res.z,
-        }[side]
-        assert res.p_value == (1 + int(tail.sum())) / (B + 1)
+        kernel = knn_affinity(5, neg_l2())
+        off = ~np.eye(n, dtype=bool)
+        ties = 0
+        for weight in (cosine(4.0), abs_cosine(3.0)):
+            W = build_weight_matrix(n, weight)
+            w_bound = float(2.0 * (n - np.arange(n)) @ np.abs(W.profile))
+            for data_seed in range(6):
+                series = iid_series(np.random.default_rng(data_seed), n, 10)
+                cfg = TestConfig(method="permutation", permutations=B, seed=seed, sidedness=side)
+                res = run_test(series, kernel, weight, cfg)
+                S = build_similarity_matrix(series, kernel).values
+                tol = 1e-10 * np.abs(S[off] - S[off].mean()).max() * w_bound
+                zc = compute_z(SimilarityMatrix(S), W) - res.e_z
+                perms = (default_rng(SeedSequence((seed, b))).permutation(n) for b in range(B))
+                zcs = np.array(
+                    [compute_z(SimilarityMatrix(S[np.ix_(pi, pi)]), W) for pi in perms]
+                ) - res.e_z
+                tail, gap = {
+                    "two_sided": (np.abs(zcs) >= abs(zc) - tol, np.abs(zcs) - abs(zc)),
+                    "upper": (zcs >= zc - tol, zcs - zc),
+                    "lower": (zcs <= zc + tol, zcs - zc),
+                }[side]
+                ties += int(np.sum(np.abs(gap) <= tol))
+                assert res.p_value == (1 + int(tail.sum())) / (B + 1)
+        assert ties > 0
 
     def test_moments_invariant_under_reordering(self):
         rng = np.random.default_rng(11)
@@ -377,6 +396,15 @@ class TestLargeN:
         assert res.e_z == pytest.approx(e_z, rel=1e-9)
         assert res.var_z == pytest.approx(var_z, rel=1e-9)
 
+    def test_permutation_at_n_2000(self):
+        n, B = 2000, 100
+        series = ObservationSeries("vector", np.random.default_rng(2000).standard_normal((n, 20)))
+        cfg = TestConfig(method="permutation", permutations=B, seed=3)
+        perm = run_test(series, neg_l1(), default_weight(), cfg)
+        analytic = run_test(series, neg_l1(), default_weight())
+        assert perm.p_value in {(1 + c) / (B + 1) for c in range(B + 1)}
+        assert (perm.z, perm.e_z, perm.var_z) == (analytic.z, analytic.e_z, analytic.var_z)
+
 
 class TestConfigValidation:
     def test_alpha_range(self):
@@ -479,19 +507,49 @@ class TestRearrangementBounds:
             rearrangement_bounds(off_diag_ones(4), build_weight_matrix(5, default_weight()))
 
 
-class TestPermutedZ:
-    def test_chunking_does_not_change_the_stream(self):
-        rng = np.random.default_rng(5)
-        s = random_sym(rng, 8).values
-        w_stack = np.stack(
-            [
-                build_weight_matrix(8, default_weight()).values,
-                build_weight_matrix(8, cosine(4.0)).values,
-            ]
-        )
-        a = engine._permuted_z(s, w_stack, 40, seed=7, chunk=256)
-        b = engine._permuted_z(s, w_stack, 40, seed=7, chunk=7)
-        assert np.array_equal(a, b)
+class TestLagSumDraws:
+    def spy_draws(self, monkeypatch):
+        # records the (B, m) draws of every call to the shared draw routine
+        seen = []
+        real = engine._lag_sum_draws
+
+        def spy(*args):
+            out = real(*args)
+            seen.append(out[1])
+            return out
+
+        monkeypatch.setattr(engine, "_lag_sum_draws", spy)
+        return seen
+
+    def test_draws_are_a_prefix_of_a_longer_stream(self, monkeypatch):
+        seen = self.spy_draws(monkeypatch)
+        series = iid_series(np.random.default_rng(5), 40, 3)
+        for B in (150, 400):
+            cfg = TestConfig(method="permutation", permutations=B, seed=7)
+            run_test(series, neg_l1(), default_weight(), cfg)
+        # the aggregate takes at least 500 draws
+        specs = [default_weight(), cosine(4.0)]
+        for B in (500, 1000):
+            mahalanobis_aggregate(series, neg_l1(), specs, B=B, seed=7)
+        short, long, agg_short, agg_long = seen
+        assert short.shape == (150, 1) and agg_short.shape == (500, 2)
+        assert np.array_equal(short, long[:150])
+        assert np.array_equal(agg_short, agg_long[:500])
+
+    def test_memory_does_not_grow_with_B(self):
+        n = 300
+        series = iid_series(np.random.default_rng(6), n, 10)
+        peaks = []
+        for B in (200, 2000):
+            cfg = TestConfig(method="permutation", permutations=B, seed=1)
+            tracemalloc.start()
+            try:
+                run_test(series, neg_l1(), default_weight(), cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.1 * min(peaks)
+        assert max(peaks) < 8 * n * n * 8  # eight float64 n x n arrays
 
 
 class TestMahalanobis:
@@ -515,6 +573,32 @@ class TestMahalanobis:
         first = mahalanobis_aggregate(series, neg_l1(), specs, B=500, seed=11)
         second = mahalanobis_aggregate(series, neg_l1(), specs, B=500, seed=11)
         assert first == second
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(1e-3, 1e3),
+        b=st.floats(-1e8, 1e8),
+    )
+    def test_invariance_under_affine_similarity(self, seed, a, b):
+        # as test_standardization_invariance: m on T = aS + b off the diagonal
+        # equals m on T's exact preimage (T - b) / a
+        n = 30
+        S = random_sym(np.random.default_rng(seed), n).values
+        off = np.ones((n, n)) - np.eye(n)
+        T = a * S + b * off
+        preimage = (T - b * off) / a
+
+        def m_of(values):
+            return mahalanobis_aggregate(
+                ObservationSeries("vector", np.arange(float(n))[:, None]),
+                lambda x, y: values[int(x[0]), int(y[0])],
+                [default_weight(), cosine(4.0)],
+                B=500,
+                seed=seed,
+            )[0]
+
+        assert m_of(T) == pytest.approx(m_of(preimage), rel=1e-9)
 
     def test_constant_similarity_degenerate(self):
         with pytest.raises(DegenerateVariance):
