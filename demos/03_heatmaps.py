@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from wise import build_similarity_matrix, kernels, validate_series
-from wise.io import write_matrix_csv, write_pgm
+from wise.io import write_csv, write_pgm
 from wise.simgen import from_setting, generate
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -34,7 +34,7 @@ cases = {
 
 for name, series in cases.items():
     S = build_similarity_matrix(series, kernels.neg_l1())
-    write_matrix_csv(os.path.join(OUT, f"{name}.csv"), S.values)
+    write_csv(os.path.join(OUT, f"{name}.csv"), S.values)
     write_pgm(os.path.join(OUT, f"{name}.pgm"), S.values)
     near, far = band_means(S.values)
     print(f"{name}: mean similarity at lags 1-2 = {near:8.2f}, "

@@ -8,7 +8,8 @@ and JSON forms accept and reject the same keys.
 
 Each family's parameters are :class:`Param` rows in its module's table,
 which also drives validation (:func:`validate`) and the canonical text
-(:func:`to_text`).
+(:func:`to_text`). Simulation models have no text form but read their JSON
+form and validate through the same functions.
 """
 
 from __future__ import annotations
@@ -110,18 +111,19 @@ def read_fields(obj: Mapping[str, Any], params: Sequence[Param], where: str) -> 
     return values
 
 
-def check_range(p: Param, value, where: str) -> None:
+def check_range(p: Param, value, where: str, error=BadWeightParam) -> None:
     if p.low is None or p.low < value and (p.high is None or value < p.high):
         return
     bound = f"> {p.low:g}" if p.high is None else f"in ({p.low:g},{p.high:g})"
-    raise BadWeightParam(f"{where} requires {p.key} {bound}, got {value}")
+    raise error(f"{where} requires {p.key} {bound}, got {value}")
 
 
-def validate(spec, params: Sequence[Param], where: str) -> None:
+def validate(spec, params: Sequence[Param], where: str, error=BadWeightParam) -> None:
     """Check and normalize the fields of a frozen spec dataclass in place.
 
     A field outside ``params`` must be None and a required one must be set;
-    every set value is converted by ``Param.read`` and range-checked.
+    every set value is converted by ``Param.read`` and range-checked. A
+    failed check raises ``error``.
     """
     own = {p.field: p for p in params}
     for f in dataclasses.fields(spec):
@@ -131,12 +133,12 @@ def validate(spec, params: Sequence[Param], where: str) -> None:
         value = getattr(spec, f.name)
         if value is None:
             if p is not None and p.required:
-                raise BadWeightParam(f"{where} requires parameter {p.key!r}")
+                raise error(f"{where} requires parameter {p.key!r}")
         elif p is None:
-            raise BadWeightParam(f"{where} takes no parameter {f.name!r}")
+            raise error(f"{where} takes no parameter {f.name!r}")
         else:
             value = p.read(value)
-            check_range(p, value, where)
+            check_range(p, value, where, error)
             object.__setattr__(spec, f.name, value)
 
 

@@ -19,17 +19,14 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Optional, Tuple, get_type_hints
 
 from .engine import TestConfig, run_test
 from .errors import ExperimentError, InvalidValue, ParseError, WiseError
 from .kernels import KernelSpec, kernel_spec_from_json_obj, parse_kernel_spec
 from .simgen import ModelSpec, generate, model_spec_from_json_obj, replicate_spec
 from .weights import WeightSpec, parse_weight_spec, weight_spec_from_json_obj
-
-CSV_COLUMNS = ("setting", "n", "p", "replications", "alpha", "rate", "mc_se", "seconds", "seed")
-
 
 def thread_count() -> int:
     """Worker count: WISE_THREADS if set, else min(4, cpu count)."""
@@ -88,17 +85,11 @@ class CellResult:
     seed: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "setting": self.setting,
-            "n": self.n,
-            "p": self.p,
-            "replications": self.replications,
-            "alpha": self.alpha,
-            "rate": self.rate,
-            "mc_se": self.mc_se,
-            "seconds": self.seconds,
-            "seed": self.seed,
-        }
+        return asdict(self)
+
+
+# the report's CSV columns and JSON cell keys, in this order
+CSV_COLUMNS = tuple(f.name for f in fields(CellResult))
 
 
 @dataclass(frozen=True)
@@ -205,22 +196,10 @@ def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None) -> Exper
 
 def report_to_csv(report: ExperimentReport) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer = csv.DictWriter(buf, CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
     for cell in report.cells:
-        writer.writerow(
-            [
-                cell.setting,
-                cell.n,
-                cell.p,
-                cell.replications,
-                repr(cell.alpha),
-                repr(cell.rate),
-                repr(cell.mc_se),
-                f"{cell.seconds:.3f}",
-                cell.seed,
-            ]
-        )
+        writer.writerow({**cell.to_json_obj(), "seconds": f"{cell.seconds:.3f}"})
     return buf.getvalue()
 
 
@@ -229,31 +208,23 @@ def report_to_json(report: ExperimentReport) -> str:
 
 
 def report_from_json_obj(obj: dict) -> ExperimentReport:
-    cells = tuple(
-        CellResult(
-            setting=c["setting"],
-            n=int(c["n"]),
-            p=int(c["p"]),
-            replications=int(c["replications"]),
-            alpha=float(c["alpha"]),
-            rate=float(c["rate"]),
-            mc_se=float(c["mc_se"]),
-            seconds=float(c["seconds"]),
-            seed=int(c["seed"]),
-        )
-        for c in obj["cells"]
-    )
+    types = get_type_hints(CellResult)
+    cells = tuple(CellResult(**{k: types[k](c[k]) for k in CSV_COLUMNS}) for c in obj["cells"])
     return ExperimentReport(cells=cells, provenance=obj.get("provenance", {}))
+
+
+def format_report(report: ExperimentReport, fmt: str) -> str:
+    """The report as 'csv' or 'json' text."""
+    if fmt == "csv":
+        return report_to_csv(report)
+    if fmt == "json":
+        return report_to_json(report)
+    raise InvalidValue(f"format must be csv or json, got {fmt!r}")
 
 
 def export_report(report: ExperimentReport, fmt: str, path: str) -> str:
     """Write the report as 'csv' or 'json'; returns the path written."""
-    if fmt == "csv":
-        payload = report_to_csv(report)
-    elif fmt == "json":
-        payload = report_to_json(report)
-    else:
-        raise InvalidValue(f"format must be csv or json, got {fmt!r}")
+    payload = format_report(report, fmt)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -23,7 +23,7 @@ from datetime import date, timedelta, timezone
 from typing import Optional
 
 from . import io as wio
-from .bench import load_plan, report_to_csv, report_to_json, run_experiment
+from .bench import export_report, format_report, load_plan, run_experiment
 from .core import build_similarity_matrix, validate_series
 from .engine import SIDES, TestConfig, run_test
 from .errors import BadModelParam, BadRange, BadWeightParam, ParseError, WiseError
@@ -98,7 +98,7 @@ def cmd_simulate(args) -> int:
     spec = from_setting(args.model, args.n, args.p, seed=args.seed, burn_in=args.burn_in)
     series = generate(spec)
     if args.out:
-        wio.write_vector_csv(args.out, series.data)
+        wio.write_csv(args.out, series.data)
     else:
         for row in series.data:
             print(",".join(repr(float(v)) for v in row))
@@ -108,14 +108,12 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     plan = load_plan(args.plan)
     report = run_experiment(plan, threads=args.threads)
-    payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
     out = args.out or plan.output_path
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        export_report(report, args.format, out)
         print(f"wrote {len(report.cells)} cell(s) to {out}", file=sys.stderr)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(format_report(report, args.format))
     return 0
 
 
@@ -152,7 +150,7 @@ def cmd_heatmap(args) -> int:
     S = build_similarity_matrix(series, kernel)
     wrote = []
     if args.csv_out:
-        wio.write_matrix_csv(args.csv_out, S.values)
+        wio.write_csv(args.csv_out, S.values)
         wrote.append(args.csv_out)
     if args.pgm_out:
         wio.write_pgm(args.pgm_out, S.values)

@@ -46,13 +46,15 @@ def load_vector_csv(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def write_vector_csv(path: str, data: np.ndarray):
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ShapeMismatch(f"vector series must be 2-d, got shape {data.shape}")
+def write_csv(path: str, values: np.ndarray):
+    """A 2-d array as CSV, one row per line, each value as repr(float):
+    a vector series that loads back exactly, or a heatmap's matrix."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ShapeMismatch(f"expected a 2-d array, got shape {values.shape}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for row in data:
+        for row in values:
             writer.writerow([repr(float(v)) for v in row])
 
 
@@ -112,16 +114,6 @@ def write_matrix_jsonl(path: str, data: np.ndarray):
 
 
 # --------------------------------------------------------------- heatmaps
-
-
-def write_matrix_csv(path: str, values: np.ndarray):
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d matrix, got shape {values.shape}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in values:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def write_pgm(path: str, values: np.ndarray):

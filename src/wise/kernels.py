@@ -219,15 +219,17 @@ def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:
     n = flat.shape[0]
     if k >= n:
         raise BadWeightParam(f"knn requires k < n, got k={k}, n={n}")
-    dist = _distance(base, flat)
-    np.fill_diagonal(dist, np.inf)
-    # stable argsort on each row: equal distances keep index order
-    order = np.argsort(dist, axis=1, kind="stable")
-    neighbors = order[:, :k]
-    a = np.zeros((n, n))
+    a = _distance(base, flat)
+    np.fill_diagonal(a, np.inf)
+    # stable argsort on each row: equal distances keep index order; ravel
+    # copies the k nearest, so the n x n order is freed at once
+    neighbors = np.argsort(a, axis=1, kind="stable")[:, :k].ravel()
+    # the distances' buffer becomes (A + A^T) / 2: each edge adds 0.5 both ways
+    a.fill(0.0)
     rows = np.repeat(np.arange(n), k)
-    a[rows, neighbors.ravel()] = 1.0
-    return (a + a.T) / 2.0
+    a[rows, neighbors] += 0.5
+    a[neighbors, rows] += 0.5
+    return a
 
 
 def knn_affinity_matrix(

@@ -3,7 +3,7 @@
 Null families draw i.i.d. rows; alternatives add serial structure:
 
     iid_normal         rows ~ N(0, I_p)
-    iid_normal_ar_cov  rows ~ N(0, Sigma), Sigma_ij = rho^|i-j| (rho = 0.6)
+    iid_normal_ar_cov  rows ~ N(0, Sigma), Sigma_ij = rho^|i-j| (rho = 0.6 by default)
     iid_t1             multivariate t with 1 df: N(0, I_p) / chi(1 df) per row
     iid_lognormal      exp of N(0, I_p), elementwise
     var1               X_t = A X_{t-1} + e_t
@@ -29,56 +29,75 @@ regardless of thread count, on any platform numpy supports.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from ._grammar import Param, family_of, read_fields, validate
 from .errors import BadModelParam, ParseError
 from .types import ObservationSeries
 
-FAMILIES = (
-    "iid_normal",
-    "iid_normal_ar_cov",
-    "iid_t1",
-    "iid_lognormal",
-    "var1",
-    "svar",
-    "garch",
-    "nma2",
-)
 
-# preset name -> (family, family-specific kwargs)
+def _real(value):
+    """A real number as given, so a spec writes back the JSON it was read from."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a real number: {value!r}")
+    return value
+
+
+_A = (Param("a_low", read=_real), Param("a_high", read=_real))
+_B = (Param("b_low", read=_real), Param("b_high", read=_real))
+_BAND_DIV = Param("band_div", read=_real, low=0.0)
+
+# family -> {parameter: default}. A default of None leaves the parameter
+# unset; a required one must then be given. The checks a row cannot state
+# (closed bounds at 0, low <= high, garch stationarity, var1's choice of
+# coef_scale or band) are ModelSpec's _check_<family> methods.
+_FAMILIES = {
+    "iid_normal": {},
+    "iid_normal_ar_cov": {Param("rho", read=_real, low=-1.0, high=1.0): 0.6},
+    "iid_t1": {},
+    "iid_lognormal": {},
+    "var1": dict.fromkeys(
+        p._replace(required=False) for p in (Param("coef_scale", read=_real), *_A, _BAND_DIV)
+    ),
+    "svar": dict.fromkeys((*_A, *_B, _BAND_DIV, Param("seasonal_lag", read=operator.index, low=0))),
+    "garch": {
+        Param("garch_a_high", read=_real): 0.15,
+        Param("garch_b_high", read=_real): 0.4,
+        Param("garch_const", read=_real, low=0.0): 0.002,
+    },
+    "nma2": {},
+}
+FAMILIES = tuple(_FAMILIES)
+
+# the fields of every family; seed and burn_in are closed at 0, checked in code
+_COMMON = (
+    Param("n", read=int, low=0),
+    Param("p", read=int, low=0),
+    Param("seed", read=int),
+    Param("burn_in", read=int),
+    Param("label", read=str),
+)
+# every key of a model's JSON form, and of a preset override
+_KEYS = {p.field: p._replace(required=False) for ps in (_COMMON, *_FAMILIES.values()) for p in ps}
+
+# the band of both seasonal VAR settings
+_SVAR = {"a_low": -0.01, "a_high": 0.03, "b_low": -0.01, "b_high": 0.04, "band_div": 50.0}
+# preset name -> (family, parameters beyond the family's defaults)
 _SETTINGS = {
     "setting1.1": ("iid_normal", {}),
-    "setting1.2": ("iid_normal_ar_cov", {"rho": 0.6}),
+    "setting1.2": ("iid_normal_ar_cov", {}),
     "setting1.3": ("iid_t1", {}),
     "setting1.4": ("iid_lognormal", {}),
     "setting2.1": ("var1", {"coef_scale": 0.015}),
     "setting2.2": ("var1", {"a_low": -0.01, "a_high": 0.04, "band_div": 50.0}),
     "setting2.3": ("var1", {"a_low": -0.04, "a_high": 0.015, "band_div": 20.0}),
-    "setting3.1": (
-        "svar",
-        {
-            "a_low": -0.01,
-            "a_high": 0.03,
-            "b_low": -0.01,
-            "b_high": 0.04,
-            "band_div": 50.0,
-            "seasonal_lag": 4,
-        },
-    ),
-    "setting3.2": (
-        "svar",
-        {
-            "a_low": -0.01,
-            "a_high": 0.03,
-            "b_low": -0.01,
-            "b_high": 0.04,
-            "band_div": 50.0,
-            "seasonal_lag": 12,
-        },
-    ),
+    "setting3.1": ("svar", {**_SVAR, "seasonal_lag": 4}),
+    "setting3.2": ("svar", {**_SVAR, "seasonal_lag": 12}),
     "setting4": ("garch", {}),
     "setting5": ("nma2", {}),
 }
@@ -86,7 +105,11 @@ _SETTINGS = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One fully parameterized data-generating model."""
+    """One fully parameterized data-generating model.
+
+    Only the parameters ``family`` takes are set, with the family's defaults
+    filled in; the rest stay None.
+    """
 
     family: str
     n: int
@@ -94,7 +117,7 @@ class ModelSpec:
     seed: int = 0
     burn_in: int = 200
     label: str = ""
-    rho: float = 0.6
+    rho: Optional[float] = None
     coef_scale: Optional[float] = None
     a_low: Optional[float] = None
     a_high: Optional[float] = None
@@ -109,17 +132,16 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise BadModelParam(f"unknown model family {self.family!r}")
-        if self.n < 1 or self.p < 1:
-            raise BadModelParam(f"n and p must be positive, got n={self.n}, p={self.p}")
+        params = _FAMILIES[self.family]
+        for p, default in params.items():
+            if getattr(self, p.field) is None:
+                object.__setattr__(self, p.field, default)
+        validate(self, (*_COMMON, *params), self.family, BadModelParam)
         if self.burn_in < 0:
             raise BadModelParam(f"burn_in must be nonnegative, got {self.burn_in}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise BadModelParam("seed must be a 64-bit unsigned integer")
         getattr(self, f"_check_{self.family}", lambda: None)()
-
-    def _check_iid_normal_ar_cov(self):
-        if not -1.0 < self.rho < 1.0:
-            raise BadModelParam(f"rho must lie in (-1,1), got {self.rho}")
 
     def _band(self, which: str):
         low = getattr(self, f"{which}_low")
@@ -128,83 +150,49 @@ class ModelSpec:
             raise BadModelParam(f"{self.family} needs {which}_low, {which}_high, band_div")
         if low > high:
             raise BadModelParam(f"{which}_low must not exceed {which}_high")
-        if not self.band_div > 0:
-            raise BadModelParam(f"band_div must be positive, got {self.band_div}")
 
     def _check_var1(self):
-        if self.coef_scale is not None:
-            if not 0.0 <= self.coef_scale < 1.0:
-                raise BadModelParam(f"coef_scale must lie in [0,1), got {self.coef_scale}")
-        else:
+        if self.coef_scale is None:
             self._band("a")
+        elif not 0.0 <= self.coef_scale < 1.0:
+            raise BadModelParam(f"coef_scale must lie in [0,1), got {self.coef_scale}")
 
     def _check_svar(self):
         self._band("a")
         self._band("b")
-        if self.seasonal_lag is None or self.seasonal_lag < 1:
-            raise BadModelParam(f"seasonal_lag must be >= 1, got {self.seasonal_lag}")
 
     def _check_garch(self):
-        # fill setting-4 defaults for anything left unset
-        if self.garch_a_high is None:
-            object.__setattr__(self, "garch_a_high", 0.15)
-        if self.garch_b_high is None:
-            object.__setattr__(self, "garch_b_high", 0.4)
-        if self.garch_const is None:
-            object.__setattr__(self, "garch_const", 0.002)
         if self.garch_a_high < 0 or self.garch_b_high < 0:
             raise BadModelParam("garch coefficient ranges must be nonnegative")
         if not self.garch_a_high + self.garch_b_high < 1.0:
             raise BadModelParam("garch needs garch_a_high + garch_b_high < 1 for stationarity")
-        if not self.garch_const > 0:
-            raise BadModelParam(f"garch_const must be positive, got {self.garch_const}")
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "family": self.family,
-            "n": self.n,
-            "p": self.p,
-            "seed": int(self.seed),
-            "burn_in": self.burn_in,
-        }
-        if self.label:
-            obj["label"] = self.label
-        if self.family == "iid_normal_ar_cov":
-            obj["rho"] = self.rho
-        for key in (
-            "coef_scale",
-            "a_low",
-            "a_high",
-            "b_low",
-            "b_high",
-            "band_div",
-            "seasonal_lag",
-            "garch_a_high",
-            "garch_b_high",
-            "garch_const",
-        ):
-            val = getattr(self, key)
-            if val is not None:
-                obj[key] = val
-        return obj
+        fields = (*_COMMON, *_FAMILIES[self.family])
+        values = ((p.field, getattr(self, p.field)) for p in fields)
+        return {"family": self.family, **{k: v for k, v in values if v is not None and v != ""}}
 
 
-def from_setting(name: str, n: int, p: int, seed: int = 0, burn_in: int = 200, **overrides) -> ModelSpec:
+def from_setting(
+    name: str, /, n: int, p: int, seed: int = 0, burn_in: int = 200, **overrides
+) -> ModelSpec:
     """Build a ModelSpec from a preset name like 'setting2.1'.
 
     Keyword overrides replace preset parameters, e.g.
     ``from_setting('setting2.1', 100, 200, coef_scale=0.2)`` or the
     degenerate ``from_setting('setting4', 100, 200, garch_a_high=0.0,
-    garch_b_high=0.0)``.
+    garch_b_high=0.0)``. An unknown key or a value of the wrong type is a
+    ParseError, a parameter the family does not take a BadModelParam.
     """
-    key = name.strip().lower()
+    key = str(name).strip().lower()
     if key not in _SETTINGS:
         known = ", ".join(sorted(_SETTINGS))
         raise ParseError(f"unknown setting {name!r}; known: {known}")
-    family, kwargs = _SETTINGS[key]
-    merged = dict(kwargs)
-    merged.update(overrides)
-    return ModelSpec(family, n, p, seed=seed, burn_in=burn_in, label=key, **merged)
+    if "family" in overrides or "label" in overrides:
+        raise ParseError(f"setting {key} fixes the family and the label")
+    family, preset = _SETTINGS[key]
+    fields = {**preset, "n": n, "p": p, "seed": seed, "burn_in": burn_in, **overrides}
+    return ModelSpec(family, label=key, **read_fields(fields, _KEYS.values(), f"setting {key}"))
 
 
 def model_spec_from_json_obj(obj: dict, n: Optional[int] = None, p: Optional[int] = None) -> ModelSpec:
@@ -212,18 +200,12 @@ def model_spec_from_json_obj(obj: dict, n: Optional[int] = None, p: Optional[int
     reference with overrides, or the full field form."""
     if not isinstance(obj, dict):
         raise ParseError("model JSON must be an object")
-    obj = dict(obj)
-    n = int(obj.pop("n", n if n is not None else 4))
-    p = int(obj.pop("p", p if p is not None else 1))
-    if "setting" in obj:
-        name = obj.pop("setting")
-        seed = int(obj.pop("seed", 0))
-        burn_in = int(obj.pop("burn_in", 200))
-        obj.pop("label", None)
-        return from_setting(name, n, p, seed=seed, burn_in=burn_in, **obj)
-    if "family" not in obj:
-        raise ParseError("model JSON needs a 'setting' or 'family' field")
-    return ModelSpec(n=n, p=p, **obj)
+    fields = {"n": 4 if n is None else n, "p": 1 if p is None else p, **obj}
+    if "setting" in fields:
+        fields.pop("label", None)
+        return from_setting(fields.pop("setting"), **fields)
+    family = family_of(fields, _FAMILIES, {}, "model")
+    return ModelSpec(family, **read_fields(fields, _KEYS.values(), "model"))
 
 
 def _banded_uniform(rng, p: int, low: float, high: float, band_div: float) -> np.ndarray:
@@ -233,6 +215,15 @@ def _banded_uniform(rng, p: int, low: float, high: float, band_div: float) -> np
     idx = np.arange(p)
     mask = np.abs(idx[:, None] - idx[None, :]) <= width
     return np.where(mask, a, 0.0)
+
+
+def _zero_history(rng, spec: ModelSpec, pad: int) -> np.ndarray:
+    """The burn_in + n innovations below ``pad`` zero rows, the zero state a
+    recursion starts from. The recursion turns each innovation row into its
+    value in place, in time order, so it reads only rows already written."""
+    x = np.zeros((pad + spec.burn_in + spec.n, spec.p))
+    rng.standard_normal(out=x[pad:])
+    return x
 
 
 def generate(spec: ModelSpec) -> ObservationSeries:
@@ -257,54 +248,42 @@ def generate(spec: ModelSpec) -> ObservationSeries:
         data = z / denom
     elif fam == "iid_lognormal":
         data = np.exp(rng.standard_normal((n, p)))
+    elif fam == "nma2":
+        eps = rng.standard_normal((n + 2, p))
+        data = eps[2:] * eps[1:-1] * eps[:-2]
+    elif fam == "var1" and spec.coef_scale is not None:
+        # imported here: scipy.signal takes most of a second to import
+        from scipy.signal import lfilter
+
+        eps = rng.standard_normal((spec.burn_in + n, p))
+        data = lfilter([1.0], [1.0, -spec.coef_scale], eps, axis=0)[-n:]
     elif fam == "var1":
-        if spec.coef_scale is not None:
-            a, c = None, spec.coef_scale
-        else:
-            a, c = _banded_uniform(rng, p, spec.a_low, spec.a_high, spec.band_div), 0.0
-        total = n + spec.burn_in
-        eps = rng.standard_normal((total, p))
-        x = np.zeros(p)
-        data = np.empty((n, p))
-        for t in range(total):
-            x = (c * x if a is None else a @ x) + eps[t]
-            if t >= spec.burn_in:
-                data[t - spec.burn_in] = x
+        a = _banded_uniform(rng, p, spec.a_low, spec.a_high, spec.band_div)
+        x = _zero_history(rng, spec, 1)
+        for prev, row in zip(x, x[1:]):
+            row += a @ prev
+        data = x[-n:]
     elif fam == "svar":
         a = _banded_uniform(rng, p, spec.a_low, spec.a_high, spec.band_div)
         b = _banded_uniform(rng, p, spec.b_low, spec.b_high, spec.band_div)
         ab = a @ b
         lag = spec.seasonal_lag
-        total = n + spec.burn_in
-        eps = rng.standard_normal((total, p))
-        x = np.zeros((total, p))
-        for t in range(total):
-            acc = eps[t].copy()
-            if t >= 1:
-                acc += b @ x[t - 1]
-            if t >= lag:
-                acc += a @ x[t - lag]
-            if t >= lag + 1:
-                acc -= ab @ x[t - lag - 1]
-            x[t] = acc
-        data = x[spec.burn_in :]
-    elif fam == "garch":
+        x = _zero_history(rng, spec, lag + 1)
+        # rows t, t-1, t-lag and t-lag-1 of the history, as views
+        for row, back1, back_lag, back_lag1 in zip(x[lag + 1 :], x[lag:], x[1:], x):
+            row += b @ back1
+            row += a @ back_lag
+            row -= ab @ back_lag1
+        data = x[-n:]
+    else:  # garch
         a_diag = rng.uniform(0.0, spec.garch_a_high, size=p)
         b_diag = rng.uniform(0.0, spec.garch_b_high, size=p)
-        const = np.full(p, spec.garch_const)
-        total = n + spec.burn_in
-        eps = rng.standard_normal((total, p))
-        h2 = const.copy()
-        data = np.empty((n, p))
-        for t in range(total):
-            if t > 0:
-                h2 = const + a_diag * x * x + b_diag * h2
-            x = np.sqrt(h2) * eps[t]
-            if t >= spec.burn_in:
-                data[t - spec.burn_in] = x
-    else:  # nma2
-        eps = rng.standard_normal((n + 2, p))
-        data = eps[2:] * eps[1:-1] * eps[:-2]
+        x = _zero_history(rng, spec, 1)
+        h2 = np.zeros(p)
+        for prev, row in zip(x, x[1:]):
+            h2 = spec.garch_const + a_diag * prev * prev + b_diag * h2
+            row *= np.sqrt(h2)
+        data = x[-n:]
 
     return ObservationSeries("vector", data)
 

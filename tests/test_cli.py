@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from wise.cli import main
-from wise.io import load_matrix_jsonl, load_vector_csv, write_vector_csv
+from wise.io import load_matrix_jsonl, load_vector_csv, write_csv
 from wise.simgen import from_setting, generate
 
 
 @pytest.fixture
 def series_csv(tmp_path):
     path = str(tmp_path / "series.csv")
-    write_vector_csv(path, np.random.default_rng(0).standard_normal((40, 5)))
+    write_csv(path, np.random.default_rng(0).standard_normal((40, 5)))
     return path
 
 
@@ -80,7 +80,7 @@ class TestTestCommand:
 
     def test_constant_series_reports_degenerate_null(self, tmp_path, capsys):
         path = str(tmp_path / "flat.csv")
-        write_vector_csv(path, np.ones((6, 2)))
+        write_csv(path, np.ones((6, 2)))
         assert main(["test", "--input", path, "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["p_value"] == 1.0
@@ -101,7 +101,7 @@ class TestTestCommand:
 
     def test_short_series_is_data_error(self, tmp_path, capsys):
         path = str(tmp_path / "short.csv")
-        write_vector_csv(path, np.zeros((3, 2)))
+        write_csv(path, np.zeros((3, 2)))
         assert main(["test", "--input", path]) == 1
         assert "4" in capsys.readouterr().err
 
@@ -125,7 +125,7 @@ class TestTestCommand:
     def test_curve_kinds_read_csv(self, tmp_path, capsys, kind, similarity):
         # sorted rows are valid observations of either kind
         path = str(tmp_path / "curves.csv")
-        write_vector_csv(path, np.sort(np.random.default_rng(2).standard_normal((30, 9)), axis=1))
+        write_csv(path, np.sort(np.random.default_rng(2).standard_normal((30, 9)), axis=1))
         argv = ["test", "--input", path, "--kind", kind, "--similarity", similarity, "--json"]
         assert main(argv) == 0
         assert 0.0 < json.loads(capsys.readouterr().out)["p_value"] <= 1.0
@@ -196,6 +196,21 @@ class TestBenchCommand:
         path.write_text("{}", encoding="utf-8")
         assert main(["bench", "--plan", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"setting": "setting2.1", "coef_scal": 0.2},  # no family takes it
+            {"setting": "setting1.1", "seasonal_lag": 3},  # this family does not take it
+            {"family": "iid_normal", "n": "ten"},
+        ],
+    )
+    def test_bad_model_is_usage_error(self, tmp_path, capsys, model):
+        plan = {"model": model, "grid": {"n": [16], "p": [2]}, "replications": 100}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        assert main(["bench", "--plan", str(path), "--threads", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestIngestCommand:
     def test_summary_line_and_output(self, checkin_csv, tmp_path, capsys):
@@ -252,7 +267,7 @@ class TestHeatmapCommand:
     def test_quantile_kind(self, tmp_path, capsys):
         src = str(tmp_path / "q.csv")
         out = str(tmp_path / "q_heat.csv")
-        write_vector_csv(src, np.sort(np.random.default_rng(4).standard_normal((12, 5)), axis=1))
+        write_csv(src, np.sort(np.random.default_rng(4).standard_normal((12, 5)), axis=1))
         argv = [
             "heatmap", "--input", src, "--kind", "quantile",
             "--similarity", "wasserstein1_quantile", "--csv-out", out,
@@ -275,7 +290,7 @@ class TestHeatmapCommand:
     def test_iid_heatmap_is_homogeneous_across_lags(self, tmp_path, capsys):
         src = str(tmp_path / "iid.csv")
         out = str(tmp_path / "iid_heat.csv")
-        write_vector_csv(src, np.random.default_rng(6).standard_normal((60, 30)))
+        write_csv(src, np.random.default_rng(6).standard_normal((60, 30)))
         assert main(["heatmap", "--input", src, "--csv-out", out]) == 0
         capsys.readouterr()
         near, far = self._lag_bands(np.abs(np.loadtxt(out, delimiter=",")))
@@ -289,7 +304,7 @@ class TestHeatmapCommand:
         series = generate(from_setting("setting2.1", 40, 100, seed=0, coef_scale=0.5))
         src = str(tmp_path / "var.csv")
         out = str(tmp_path / "var_heat.csv")
-        write_vector_csv(src, series.data)
+        write_csv(src, series.data)
         assert main(["heatmap", "--input", src, "--csv-out", out]) == 0
         capsys.readouterr()
         near, far = self._lag_bands(np.loadtxt(out, delimiter=","))

@@ -7,10 +7,9 @@ from wise.errors import InvalidValue, ShapeMismatch
 from wise.io import (
     load_matrix_jsonl,
     load_vector_csv,
-    write_matrix_csv,
+    write_csv,
     write_matrix_jsonl,
     write_pgm,
-    write_vector_csv,
 )
 
 
@@ -18,7 +17,7 @@ class TestVectorCsv:
     def test_round_trip_is_exact(self, tmp_path):
         path = str(tmp_path / "series.csv")
         data = np.random.default_rng(0).standard_normal((7, 3))
-        write_vector_csv(path, data)
+        write_csv(path, data)
         assert np.array_equal(load_vector_csv(path), data)
 
     def test_header_row_is_skipped(self, tmp_path):
@@ -51,7 +50,7 @@ class TestVectorCsv:
 
     def test_writer_requires_two_dimensions(self, tmp_path):
         with pytest.raises(ShapeMismatch):
-            write_vector_csv(str(tmp_path / "bad.csv"), np.zeros(5))
+            write_csv(str(tmp_path / "bad.csv"), np.zeros(5))
 
 
 class TestMatrixJsonl:
@@ -113,7 +112,7 @@ class TestMatrixJsonl:
 class TestHeatmapOutputs:
     def test_matrix_csv_values(self, tmp_path):
         path = tmp_path / "heat.csv"
-        write_matrix_csv(str(path), np.array([[0.5, 1.5], [2.5, -1.0]]))
+        write_csv(str(path), np.array([[0.5, 1.5], [2.5, -1.0]]))
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert [[float(v) for v in line.split(",")] for line in lines] == [
             [0.5, 1.5],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -311,6 +313,18 @@ def test_knn_equals_inline_construction(base, ties):
     spec = knn_affinity(k, KernelSpec(base))
     assert np.array_equal(pairwise_similarity(spec, series), want)
     assert np.array_equal(knn_affinity_matrix(series, k, KernelSpec(base)).values, want)
+
+
+def test_knn_memory_at_n_2000():
+    n = 2000
+    series = ObservationSeries("vector", np.random.default_rng(3).standard_normal((n, 20)))
+    tracemalloc.start()
+    try:
+        pairwise_similarity(knn_affinity(5, neg_l2()), series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8  # three float64 n x n arrays
 
 
 @pytest.mark.parametrize("base", list(INLINE))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,63 @@ def test_seed_changes_the_draw(name):
     base = from_setting(name, 10, 5, seed=1, burn_in=15)
     other = replicate_spec(base, seed=2)
     assert not np.array_equal(generate(base).data, generate(other).data)
+
+
+# The seed contract: sha256 of generate(from_setting(name, 37, 11, seed=seed,
+# burn_in=burn_in)).data.tobytes() for every preset. burn_in=3 is shorter
+# than the svar lags (4 and 12). A change to generate keeps these bytes.
+GOLDEN = {
+    ("setting1.1", 0, 3): "f8fb73296fefd7f5e6d5b0199c3ac58be40af743011f6297d38503e041d2b9cf",
+    ("setting1.1", 0, 200): "f8fb73296fefd7f5e6d5b0199c3ac58be40af743011f6297d38503e041d2b9cf",
+    ("setting1.1", 1, 3): "43de86c6530af443ebe0ee2007886fa0e424aee56f0897edb550c064be7582c5",
+    ("setting1.1", 1, 200): "43de86c6530af443ebe0ee2007886fa0e424aee56f0897edb550c064be7582c5",
+    ("setting1.2", 0, 3): "9ef26fcfc3774c5dc94180de449bc19b0d650329d5eb151094a24b9579e7305c",
+    ("setting1.2", 0, 200): "9ef26fcfc3774c5dc94180de449bc19b0d650329d5eb151094a24b9579e7305c",
+    ("setting1.2", 1, 3): "fa2d89aa4dcf260b17b63f851fc59cef9ef322b12fa927c7cbb25a158feebdb0",
+    ("setting1.2", 1, 200): "fa2d89aa4dcf260b17b63f851fc59cef9ef322b12fa927c7cbb25a158feebdb0",
+    ("setting1.3", 0, 3): "96cca176ba85adf19e65c1049270c330c43fefcf3a7da09b46db5481868251d6",
+    ("setting1.3", 0, 200): "96cca176ba85adf19e65c1049270c330c43fefcf3a7da09b46db5481868251d6",
+    ("setting1.3", 1, 3): "ce2831180cde2b1ea5d8fcb31f008aef69e16d401a910e7f6ada6f88bde436c6",
+    ("setting1.3", 1, 200): "ce2831180cde2b1ea5d8fcb31f008aef69e16d401a910e7f6ada6f88bde436c6",
+    ("setting1.4", 0, 3): "5c3b610695ec957b0c6f42fc5b474a915e23d458c77ae40a4790988442a56240",
+    ("setting1.4", 0, 200): "5c3b610695ec957b0c6f42fc5b474a915e23d458c77ae40a4790988442a56240",
+    ("setting1.4", 1, 3): "4e8af7d9a6296453488525c642f1062a0d72d7897d9089edaf214c19abd5a29e",
+    ("setting1.4", 1, 200): "4e8af7d9a6296453488525c642f1062a0d72d7897d9089edaf214c19abd5a29e",
+    ("setting2.1", 0, 3): "bdcb0381e574e937766d59c1e423bec81781e0bdee97189b23f043b07d010809",
+    ("setting2.1", 0, 200): "1016e06744be789ffcb9d6f046de0daaebb67407e3079724d8bf952ca42ea09c",
+    ("setting2.1", 1, 3): "0d294836c7f975cb0c794d5764b0f90111d85a5c229ab2690762be3ff7dbc107",
+    ("setting2.1", 1, 200): "5adc6db6e5d4112c22b1467c05157a85084ad7821a9ea2538e609130990566b1",
+    ("setting2.2", 0, 3): "932f908ed3a8a2a51e762219b4ec2e35857ea4bd05913e17bf3b5349b0b88158",
+    ("setting2.2", 0, 200): "cc1fc84a4f4a0f5a6ad7ebc13ed83a1c71f4d38a6fc59514f7647820b84c7f72",
+    ("setting2.2", 1, 3): "d4f3e1df07d274a7990d0d064388fee1bf37578836cfba6714cf9b0229d198bc",
+    ("setting2.2", 1, 200): "58b8c5706479f1e3ac94673f50612d3cee1c0d0b4f1835c809a420ada5203f90",
+    ("setting2.3", 0, 3): "5c1dd3535acf9916e277e60b355dc27722cbf1c0966dac92f8472f227d600bc1",
+    ("setting2.3", 0, 200): "579a8e6bab1bb5a336178a941ccf301cb78d9b81949a5098ed66ec8ac7aa71a3",
+    ("setting2.3", 1, 3): "f3f6f0064f59b9adce06c01a21f445999d1755512c764cc018296131f3d3d337",
+    ("setting2.3", 1, 200): "fe5c539dab537aedb6aee8a44ea7b7ce8440fc5297a55c828cc49d0a01ee89a0",
+    ("setting3.1", 0, 3): "bba21c203a20cb15ca85a9af1711bcbf18156ba09435ec533e4bacb488e012f2",
+    ("setting3.1", 0, 200): "204d6eb886eeb310c806bb9c8b37cce108261260eb57bb47e9eef0b02726f963",
+    ("setting3.1", 1, 3): "a6ad3382876c9e83fad572aea2e37ebf7dec80c0643f2456ccb769fe99cde7fe",
+    ("setting3.1", 1, 200): "e19243d5ba6b5b79d54ccf749eec4219c2d4f7e3a8d016beb80e85e7e4b72acc",
+    ("setting3.2", 0, 3): "a5b0a2c8e3dc3a71a01a11e7add32a8eabc64d41e54aea2d052b3db0ceec40de",
+    ("setting3.2", 0, 200): "5a58301a92ac2b1ddd8e4ecf65e1af97ad6681715b7e5fee1deefff22fad8534",
+    ("setting3.2", 1, 3): "09f4365ff6f89b4e29960c04cf2ec1df7ea7ea817cd0871795bcf9db88ba83a6",
+    ("setting3.2", 1, 200): "37974e4f9d8615a4a8e31bcab6bb9124d0d0a8f4e499e4431eea0c08e1848688",
+    ("setting4", 0, 3): "147b20d2faaf47ad83590369cdd71ec42ac871c00f220441e7aa7483147bad95",
+    ("setting4", 0, 200): "5e05ab72b6518724e5ee6ff457edb2fa3054849e8da372cd2a623e63003d20bd",
+    ("setting4", 1, 3): "bd62e2751d24d67462503ed62925c9a2231697e7d6f1253dee55a4cc459357a3",
+    ("setting4", 1, 200): "94a95cd561b4282e71d479660dd852af8347b6cff478da1a0e8e8ccf4ca16929",
+    ("setting5", 0, 3): "3afad9382bef6a20dcb54a54ccec3b95e4b8f35c1e2affa3c142adf0d28cd2d7",
+    ("setting5", 0, 200): "3afad9382bef6a20dcb54a54ccec3b95e4b8f35c1e2affa3c142adf0d28cd2d7",
+    ("setting5", 1, 3): "6d6acbdae8415e8551914cbef6a1b3c3cda2568aecd021221fd1a9eded73e485",
+    ("setting5", 1, 200): "6d6acbdae8415e8551914cbef6a1b3c3cda2568aecd021221fd1a9eded73e485",
+}
+
+
+@pytest.mark.parametrize("name,seed,burn_in", sorted(GOLDEN))
+def test_seed_contract_is_bit_identical(name, seed, burn_in):
+    data = generate(from_setting(name, 37, 11, seed=seed, burn_in=burn_in)).data
+    assert hashlib.sha256(data.tobytes()).hexdigest() == GOLDEN[name, seed, burn_in]
 
 
 class TestDrawOrder:
@@ -248,6 +307,10 @@ class TestModelSpecValidation:
             },
             {"family": "garch", "garch_a_high": 0.6, "garch_b_high": 0.5},
             {"family": "garch", "garch_const": 0.0},
+            # parameters the family does not take
+            {"family": "iid_normal", "rho": 0.6},
+            {"family": "iid_normal", "seasonal_lag": 3},
+            {"family": "garch", "coef_scale": 0.1},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -258,6 +321,32 @@ class TestModelSpecValidation:
     def test_garch_defaults_filled(self):
         spec = ModelSpec("garch", 10, 5)
         assert (spec.garch_a_high, spec.garch_b_high, spec.garch_const) == (0.15, 0.4, 0.002)
+
+    def test_rho_defaults_only_for_ar_cov(self):
+        assert ModelSpec("iid_normal_ar_cov", 10, 5).rho == 0.6
+        assert ModelSpec("iid_normal", 10, 5).rho is None
+        assert "rho" not in from_setting("setting1.1", 10, 5).to_json_obj()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"setting": "setting2.1", "coef_scal": 0.2},
+            {"family": "iid_normal", "colour": 1},
+            {"setting": "setting1.1", "n": "ten"},
+            {"family": "iid_normal", "p": [3]},
+            {"family": "var1", "coef_scale": "0.3"},
+            {"setting": "setting2.1", "family": "svar"},
+        ],
+    )
+    def test_unknown_key_or_bad_value_is_parse_error(self, obj):
+        with pytest.raises(ParseError):
+            model_spec_from_json_obj(obj)
+
+    def test_overrides_are_read_like_json(self):
+        with pytest.raises(ParseError):
+            from_setting("setting2.1", 10, 5, coef_scal=0.2)
+        with pytest.raises(BadModelParam):
+            from_setting("setting1.1", 10, 5, seasonal_lag=3)
 
 
 class TestPresets:
