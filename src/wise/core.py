@@ -1,8 +1,9 @@
 """Series validation, the similarity matrix, lag weights and moment sums.
 
-Lag weights stay a Toeplitz profile, so their sums cost O(n). S is read
-through one copy centered off the diagonal, which yields every sum the
-permutation moments and regularity ratios need (see MomentSummary).
+Lag weights stay a Toeplitz profile, so their sums cost O(n). S stays
+pdist's condensed vector of the pairs i < j, read in one centered walk over
+blocks of rows, which yields every sum the permutation moments and
+regularity ratios need (see MomentSummary).
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMat
 from .weights import WeightSpec, weight_profile
 
 Kernel = Union[KernelSpec, Callable[[np.ndarray, np.ndarray], float]]
+
+# a walk over the pairs (moment sums, permutation draws) takes about this
+# many at a time
+_BATCH_PAIRS = 1 << 16
 
 
 def validate_series(raw, kind: str) -> ObservationSeries:
@@ -51,7 +56,7 @@ def build_similarity_matrix(series: ObservationSeries, kernel: Kernel) -> Simila
     moment sums exclude it downstream.
     """
     if isinstance(kernel, KernelSpec):
-        return SimilarityMatrix(pairwise_similarity(kernel, series))
+        return pairwise_similarity(kernel, series)
     n = series.n
     raw = np.empty((n, n))
     for i in range(n):
@@ -59,7 +64,7 @@ def build_similarity_matrix(series: ObservationSeries, kernel: Kernel) -> Simila
             raw[i, j] = kernel(series.data[i], series.data[j])
     if not np.isfinite(raw).all():
         raise InvalidValue("user kernel produced NaN or infinite similarity")
-    return SimilarityMatrix((raw + raw.T) / 2.0)
+    return SimilarityMatrix.from_square((raw + raw.T) / 2.0)
 
 
 def build_weight_matrix(n: int, spec: WeightSpec) -> WeightMatrix:
@@ -73,45 +78,68 @@ def moment_summary(S: SimilarityMatrix, W: WeightMatrix) -> MomentSummary:
     """Centered off-diagonal sums feeding the permutation-null moments.
 
     Lag t occurs 2(n-t) times, so with a(t) = w(t) - w_bar (a(0) = 0) and
-    c = cumsum(a), w2 = 2 sum_t (n-t) a(t)^2 and w_row = c + c[::-1]. The
-    S sums come from one centered copy, overwritten by its absolute value
-    for the regularity sums.
+    c = cumsum(a), w2 = 2 sum_t (n-t) a(t)^2 and w_row = c + c[::-1].
+
+    The S sums come from one walk over S.condensed in blocks of
+    _BATCH_PAIRS // n whole rows, so of at most _BATCH_PAIRS pairs. A block
+    is centered by s1 / pairs; each pair i < j adds to the row sums at i and
+    at j, and to the lag sum D_(j-i), so Z - EZ = 2 sum_t a(t) D_t needs no
+    n x n weight. The block's absolute values then give the regularity
+    sums. Nothing n x n is made.
     """
     if S.n != W.n:
         raise ShapeMismatch(f"dimension mismatch: S is {S.n}x{S.n}, W is {W.n}x{W.n}")
     n = S.n
     pairs = n * (n - 1)
-    lag_count = 2.0 * (n - np.arange(n))
+    index = np.arange(n)
+    lag_count = 2.0 * (n - index)
     w1 = float(lag_count @ W.profile)
     a = W.profile - w1 / pairs
     a[0] = 0.0
     c = np.cumsum(a)
     w_row = c + c[::-1]
 
-    sc = S.values.copy()
-    np.fill_diagonal(sc, 0.0)
-    s1 = float(sc.sum())
-    sc -= s1 / pairs
-    np.fill_diagonal(sc, 0.0)
-    s_row = sc.sum(axis=1)
-    # s1 / pairs carries the rounding of a large sum; m is the mean the copy
-    # still holds, and each sum below is corrected to the exact mean
+    s1 = 2.0 * float(S.condensed.sum())
+    m0 = s1 / pairs
+    # row i's pairs (i, i+1..n-1) start at starts[i]; the last row has none
+    starts = index * (2 * n - index - 1) // 2
+    step = max(1, _BATCH_PAIRS // n)
+    s_row, s_abs_row, lag_sums = np.zeros((3, n))
+    s2, s_abs_max = 0.0, 0.0
+    for r0 in range(0, n - 1, step):
+        r1 = min(r0 + step, n - 1)
+        lo, hi = starts[r0], starts[r1]
+        block = S.condensed[lo:hi] - m0
+        heads = starts[r0:r1] - lo
+        lengths = n - 1 - index[r0:r1]
+        lags = np.arange(hi - lo) - np.repeat(heads - 1, lengths)
+        cols = lags + np.repeat(index[r0:r1], lengths)
+        s_row[r0:r1] += np.add.reduceat(block, heads)
+        s_row += np.bincount(cols, block, n)
+        lag_sums += np.bincount(lags, block, n)
+        # einsum sums in numpy: a BLAS dot may thread, which costs more
+        # than it saves on one block and stalls when the cores are busy
+        s2 += float(np.einsum("i,i->", block, block))
+        np.abs(block, out=block)
+        s_abs_row[r0:r1] += np.add.reduceat(block, heads)
+        s_abs_row += np.bincount(cols, block, n)
+        s_abs_max = max(s_abs_max, float(block.max()))
+    # m0 carries the rounding of a large sum; m is the mean the centered
+    # pairs still hold, and s_row and s2 are corrected to the exact mean. zc
+    # needs no correction: A sums to zero, so m drops out of sum A_ij B_ij,
+    # and with a in place of w its terms do not cancel to a small difference
     m = float(s_row.sum()) / pairs
     s_row -= (n - 1) * m
-    s2 = float(np.vdot(sc, sc)) - pairs * m * m
-    zc = float(np.einsum("ij,ij->", W.values, sc)) - w1 * m
-    np.abs(sc, out=sc)
-    s_abs_row = sc.sum(axis=1)
     return MomentSummary(
         w1=w1,
         w2=float(lag_count @ (a * a)),
         w3=float(w_row @ w_row),
         w_row=w_row,
         s1=s1,
-        s2=s2,
+        s2=2.0 * s2 - pairs * m * m,
         s3=float(s_row @ s_row),
         s_row=s_row,
         s_abs_row=s_abs_row,
-        s_abs_max=float(sc.max()),
-        zc=zc,
+        s_abs_max=s_abs_max,
+        zc=2.0 * float(lag_sums @ a),
     )

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 from scipy.special import ndtr
 
-from .core import build_similarity_matrix, build_weight_matrix, moment_summary
+from .core import _BATCH_PAIRS, build_similarity_matrix, build_weight_matrix, moment_summary
 from .errors import (
     DegenerateVariance,
     InvalidValue,
@@ -50,8 +50,6 @@ _DEGENERATE_RMS_REL = 1e-13
 _CLAMP_REL = 1e-9
 # permuted Z - EZ this fraction of its bound from the observed value is a tie
 _TIE_REL = 1e-10
-# one bincount of the permutation draws covers about this many pairs
-_BATCH_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -185,21 +183,21 @@ def enumerate_moments(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, floa
 
 
 def _lag_sum_draws(
-    s_values: np.ndarray, profiles: np.ndarray, B: int, seed: int
+    s_pairs: np.ndarray, profiles: np.ndarray, B: int, seed: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Z - EZ per lag profile, at the identity and at B seeded draws.
 
-    With sigma = pi^-1, Z(pi) - EZ = 2 sum_t w(t) D_t, where D_t sums the
-    centered S_ab over a < b with |sigma_a - sigma_b| = t (Mantel 1967).
-    Draw k is pi = permutation (seed, k). Returns (observed (m,), draws
-    (B, m), bound (m,)), where bound = max|S_ab - s_bar| sum_t 2(n-t)|w(t)|.
+    s_pairs is S.condensed, the pairs a < b. With sigma = pi^-1,
+    Z(pi) - EZ = 2 sum_t w(t) D_t, where D_t sums the centered S_ab over
+    a < b with |sigma_a - sigma_b| = t (Mantel 1967). Draw k is
+    pi = permutation (seed, k). Returns (observed (m,), draws (B, m),
+    bound (m,)), where bound = max|S_ab - s_bar| sum_t 2(n-t)|w(t)|.
     """
-    n = s_values.shape[0]
+    n = profiles.shape[1]
     index = np.arange(n)
     rows, cols = np.triu_indices(n, 1)
-    b = s_values[rows, cols]
     # the mean carries the rounding of a large sum; remove what it leaves
-    b -= b.mean()
+    b = s_pairs - s_pairs.mean()
     b -= b.mean()
     bound = np.abs(b).max() * ((2.0 * (n - index)) @ np.abs(profiles.T))
     # at small n one bincount takes a batch of draws, each on its own n bins
@@ -326,7 +324,7 @@ def run_test(
             # tie Z - EZ exactly, yet each sums in its own order: a draw
             # within _TIE_REL of the bound on |Z - EZ| counts as a tie
             obs, draws, bound = _lag_sum_draws(
-                S.values, W.profile[None], config.permutations, config.seed
+                S.condensed, W.profile[None], config.permutations, config.seed
             )
             tol = _TIE_REL * bound[0]
             count = int(np.sum(orient(draws[:, 0]) >= orient(obs[0]) - tol))
@@ -369,7 +367,7 @@ def mahalanobis_aggregate(
         raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")
     S = build_similarity_matrix(series, kernel)
     profiles = np.stack([build_weight_matrix(n, spec).profile for spec in weight_specs])
-    d_obs, d_perm, _ = _lag_sum_draws(S.values, profiles, B, seed)
+    d_obs, d_perm, _ = _lag_sum_draws(S.condensed, profiles, B, seed)
     sigma = np.cov(d_perm, rowvar=False, ddof=1)
     sigma = sigma + 1e-8 * (np.trace(sigma) / m) * np.eye(m)
     try:

@@ -107,7 +107,7 @@ class _Family(NamedTuple):
         return self.metric is not None and self.transform is None
 
 
-# family -> formula and parameters. The squareform pdist output d becomes S
+# family -> formula and parameters. The condensed pdist output d becomes S
 # in place: negated, or put through ``transform``. knn_affinity has no
 # formula of its own; see _knn_affinity.
 _FAMILIES = {
@@ -169,19 +169,18 @@ def knn_affinity(k: int, base: Optional[KernelSpec] = None) -> KernelSpec:
 
 
 def _distance(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
-    """Fresh n x n pdist matrix of the rows of ``flat`` under the family's metric."""
+    """Fresh condensed pdist vector of the rows of ``flat`` under the family's metric."""
     family = _FAMILIES[spec.family]
     if family.prescale is not None:
         flat = flat * family.prescale(flat.shape[1])
-    d = squareform(pdist(flat, metric=family.metric))
+    d = pdist(flat, metric=family.metric)
     if family.per_column:
         d /= flat.shape[1]
     return d
 
 
-def _similarity(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
-    """S of a family with a formula, made in place from the fresh distances."""
-    d = _distance(spec, flat)
+def _transform(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
+    """S from distances d of a family with a formula, in place."""
     transform = _FAMILIES[spec.family].transform
     return np.negative(d, out=d) if transform is None else transform(d, spec)
 
@@ -196,14 +195,15 @@ def similarity_evaluate(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise KernelMismatch(f"observation shapes differ: {x.shape} vs {y.shape}")
-    return float(_similarity(spec, np.stack((x, y)).reshape(2, -1))[0, 1])
+    return float(_transform(spec, _distance(spec, np.stack((x, y)).reshape(2, -1)))[0])
 
 
-def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> np.ndarray:
-    """Raw n x n kernel matrix, computed via pairwise-distance fast paths.
+def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> SimilarityMatrix:
+    """The kernel's similarity matrix, from pdist's condensed distances.
 
-    All built-in kernels are symmetric, so the result equals its transpose up
-    to the bit and needs no symmetrizing.
+    All built-in kernels are symmetric, so only the pairs i < j are computed.
+    The diagonal is the transform of a zero distance: 1 for ``gaussian``,
+    -0.0 for the negated distances, 0 for knn.
     """
     if series.kind not in spec.accepts():
         raise KernelMismatch(
@@ -211,15 +211,20 @@ def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> np.ndarr
         )
     flat = series.data.reshape(series.n, -1)
     if spec.family == "knn_affinity":
-        return _knn_affinity(flat, spec.k, spec.base)
-    return _similarity(spec, flat)
+        s, diagonal = _knn_affinity(flat, spec.k, spec.base), np.zeros(series.n)
+    else:
+        s = _transform(spec, _distance(spec, flat))
+        diagonal = _transform(spec, np.zeros(series.n))
+    # the fresh vector is handed over read-only, so it is not copied
+    s.flags.writeable = False
+    return SimilarityMatrix(s, diagonal)
 
 
 def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:
     n = flat.shape[0]
     if k >= n:
         raise BadWeightParam(f"knn requires k < n, got k={k}, n={n}")
-    a = _distance(base, flat)
+    a = squareform(_distance(base, flat))
     np.fill_diagonal(a, np.inf)
     # stable argsort on each row: equal distances keep index order; ravel
     # copies the k nearest, so the n x n order is freed at once
@@ -229,7 +234,7 @@ def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:
     rows = np.repeat(np.arange(n), k)
     a[rows, neighbors] += 0.5
     a[neighbors, rows] += 0.5
-    return a
+    return squareform(a, checks=False)
 
 
 def knn_affinity_matrix(
@@ -241,8 +246,7 @@ def knn_affinity_matrix(
     is (A + A^T)/2, so entries are 0, 0.5 or 1. Distance ties are broken by
     the lower time index, which makes the graph reproducible.
     """
-    spec = KernelSpec("knn_affinity", k=k, base=base)
-    return SimilarityMatrix(pairwise_similarity(spec, series))
+    return pairwise_similarity(KernelSpec("knn_affinity", k=k, base=base), series)
 
 
 def parse_kernel_spec(text: str) -> KernelSpec:

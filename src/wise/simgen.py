@@ -226,6 +226,14 @@ def _zero_history(rng, spec: ModelSpec, pad: int) -> np.ndarray:
     return x
 
 
+def _ar1(coef: float, e: np.ndarray, axis: int) -> np.ndarray:
+    """y_k = coef * y_(k-1) + e_k along ``axis``, from y_(-1) = 0."""
+    # imported here: scipy.signal takes most of a second to import
+    from scipy.signal import lfilter
+
+    return lfilter([1.0], [1.0, -coef], e, axis=axis)
+
+
 def generate(spec: ModelSpec) -> ObservationSeries:
     """Draw one series from the model; pure in (spec, seed)."""
     rng = np.random.default_rng(spec.seed)
@@ -237,11 +245,9 @@ def generate(spec: ModelSpec) -> ObservationSeries:
     elif fam == "iid_normal_ar_cov":
         # AR(1) recursion across coordinates gives cov exactly rho^|i-j|
         z = rng.standard_normal((n, p))
-        data = np.empty((n, p))
-        data[:, 0] = z[:, 0]
-        scale = np.sqrt(1.0 - spec.rho**2)
-        for j in range(1, p):
-            data[:, j] = spec.rho * data[:, j - 1] + scale * z[:, j]
+        e = np.sqrt(1.0 - spec.rho**2) * z
+        e[:, 0] = z[:, 0]
+        data = _ar1(spec.rho, e, axis=1)
     elif fam == "iid_t1":
         z = rng.standard_normal((n, p))
         denom = np.sqrt(rng.chisquare(1.0, size=(n, 1)))
@@ -252,11 +258,8 @@ def generate(spec: ModelSpec) -> ObservationSeries:
         eps = rng.standard_normal((n + 2, p))
         data = eps[2:] * eps[1:-1] * eps[:-2]
     elif fam == "var1" and spec.coef_scale is not None:
-        # imported here: scipy.signal takes most of a second to import
-        from scipy.signal import lfilter
-
         eps = rng.standard_normal((spec.burn_in + n, p))
-        data = lfilter([1.0], [1.0, -spec.coef_scale], eps, axis=0)[-n:]
+        data = _ar1(spec.coef_scale, eps, axis=0)[-n:]
     elif fam == "var1":
         a = _banded_uniform(rng, p, spec.a_low, spec.a_high, spec.band_div)
         x = _zero_history(rng, spec, 1)

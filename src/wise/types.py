@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+from scipy.spatial.distance import squareform
 
 from .errors import InvalidValue, NotAQuantile, ShapeMismatch
 
@@ -24,9 +25,11 @@ _KIND_NDIM = {"vector": 2, "matrix": 3, "function": 2, "quantile": 2}
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out is a:
-        out = a.copy()
+    """a as a read-only float64 C array: a itself when it already is one and
+    owns its data (a kernel's fresh output, handed over), else a copy."""
+    if a.dtype == np.float64 and a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
 
@@ -106,23 +109,54 @@ class ObservationSeries:
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric n x n matrix of pairwise observation similarities."""
+    """Pairwise observation similarities S, held as pdist holds them.
 
-    values: np.ndarray
+    ``condensed`` is the strict upper triangle S_ij, i < j, row by row: the
+    order of scipy's pdist and of ``np.triu_indices(n, 1)``. ``diagonal`` is
+    S_ii. The layout is symmetric by construction; build from a square array
+    with :meth:`from_square`.
+    """
+
+    condensed: np.ndarray
+    diagonal: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze(np.asarray(self.values))
-        object.__setattr__(self, "values", arr)
+        for name in ("condensed", "diagonal"):
+            arr = _freeze(np.asarray(getattr(self, name)))
+            object.__setattr__(self, name, arr)
+            if arr.ndim != 1:
+                raise ShapeMismatch(f"similarity {name} must be a vector, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise InvalidValue("similarity matrix contains NaN or infinite entries")
+        n = self.n
+        if self.condensed.shape[0] != n * (n - 1) // 2:
+            raise ShapeMismatch(
+                f"{self.condensed.shape[0]} pairs do not match a diagonal of length {n}"
+            )
+
+    @classmethod
+    def from_square(cls, a) -> "SimilarityMatrix":
+        """From a square array, which must be finite and exactly symmetric."""
+        arr = np.asarray(a, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeMismatch(f"similarity matrix must be square, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise InvalidValue("similarity matrix contains NaN or infinite entries")
         if not np.array_equal(arr, arr.T):
             raise ShapeMismatch("similarity matrix must be exactly symmetric")
+        return cls(squareform(arr, checks=False), arr.diagonal())
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.diagonal.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """A fresh read-only n x n copy, for display and dense oracles."""
+        out = squareform(self.condensed, checks=False)
+        out.flat[:: self.n + 1] = self.diagonal
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -168,6 +202,11 @@ class MomentSummary:
     closed-form permutation moments, none a difference of large raw sums.
     s_abs_row[i] = sum_j |B_ij| and s_abs_max = max |B_ij| feed the
     regularity ratios; zc = sum_ij A_ij B_ij = Z - EZ.
+
+    The B sums come from one walk over the condensed pairs i < j, each of
+    which stands for B_ij and B_ji: it adds to s_row at i and at j, twice
+    to s2, and to the lag sum D_(j-i), so zc = 2 sum_t a(t) D_t with a(t)
+    the centered weight A_ij at lag t = |i - j|.
     """
 
     w1: float

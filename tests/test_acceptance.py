@@ -42,7 +42,7 @@ def rel_err(a: float, b: float) -> float:
 
 def random_sym(rng, n: int) -> SimilarityMatrix:
     a = rng.uniform(-1.0, 1.0, size=(n, n))
-    return SimilarityMatrix((a + a.T) / 2.0)
+    return SimilarityMatrix.from_square((a + a.T) / 2.0)
 
 
 def cell_rate(setting: str, n: int, p: int, R: int, seed: int, **overrides):
@@ -78,7 +78,7 @@ def test_c01_closed_form_moments_match_enumeration(capsys):
 def test_c02_hand_verified_moment_anchor(capsys):
     s = np.zeros((4, 4))
     s[0, 1] = s[1, 0] = 1.0
-    M = moment_summary(SimilarityMatrix(s), build_weight_matrix(4, default_weight()))
+    M = moment_summary(SimilarityMatrix.from_square(s), build_weight_matrix(4, default_weight()))
     ez, var = permutation_moments(M, 4)
     ok = ez == -4.0 / 3.0 and abs(var - 0.1155556) <= 1e-6
     emit(capsys, 2, "hand-verified moment anchor (n=4 single pair)", ok,

@@ -137,7 +137,7 @@ def test_moment_summary_default_weight_n4():
     # w(1..3) = -0.5, -0.8, -0.9 and w_bar = -8/12; centered lags 1/6, -2/15,
     # -7/30 occur 6, 4, 2 times, and the raw row sums -2.2, -1.8, -1.8, -2.2
     # lose 3 w_bar = -2 each
-    S = SimilarityMatrix(np.zeros((4, 4)))
+    S = SimilarityMatrix.from_square(np.zeros((4, 4)))
     W = build_weight_matrix(4, default_weight())
     M = moment_summary(S, W)
     assert M.w1 == -8.0
@@ -150,7 +150,7 @@ def test_moment_summary_single_pair():
     # s_bar = 1/6: the pair becomes 5/6 twice, the other ten entries -1/6
     s = np.zeros((4, 4))
     s[0, 1] = s[1, 0] = 1.0
-    M = moment_summary(SimilarityMatrix(s), build_weight_matrix(4, default_weight()))
+    M = moment_summary(SimilarityMatrix.from_square(s), build_weight_matrix(4, default_weight()))
     assert M.s1 == 2.0
     assert M.s2 == pytest.approx(5.0 / 3.0, rel=1e-15)
     assert M.s3 == pytest.approx(1.0, rel=1e-15)
@@ -160,7 +160,7 @@ def test_moment_summary_single_pair():
 
 
 def test_moment_summary_zero_field():
-    M = moment_summary(SimilarityMatrix(np.zeros((5, 5))), build_weight_matrix(5, default_weight()))
+    M = moment_summary(SimilarityMatrix.from_square(np.zeros((5, 5))), build_weight_matrix(5, default_weight()))
     assert (M.s1, M.s2, M.s3) == (0.0, 0.0, 0.0)
 
 
@@ -185,7 +185,7 @@ def test_moment_summary_row_sum_identities():
     for _ in range(25):
         n = int(rng.integers(4, 12))
         a = rng.uniform(-1, 1, size=(n, n))
-        S = SimilarityMatrix((a + a.T) / 2)
+        S = SimilarityMatrix.from_square((a + a.T) / 2)
         W = build_weight_matrix(n, default_weight())
         M = moment_summary(S, W)
         A, B = centered(np.array(W.values)), centered(S.values)
@@ -199,14 +199,39 @@ def test_moment_summary_row_sum_identities():
 
 def test_moment_summary_dimension_mismatch():
     with pytest.raises(ShapeMismatch):
-        moment_summary(SimilarityMatrix(np.zeros((4, 4))), build_weight_matrix(5, default_weight()))
+        moment_summary(SimilarityMatrix.from_square(np.zeros((4, 4))), build_weight_matrix(5, default_weight()))
 
 
 def test_similarity_matrix_requires_exact_symmetry():
     a = np.zeros((3, 3))
     a[0, 1] = 1e-9
     with pytest.raises(ShapeMismatch):
-        SimilarityMatrix(a)
+        SimilarityMatrix.from_square(a)
+
+
+def test_similarity_matrix_from_square_round_trips():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((7, 7))
+    a = (a + a.T) / 2
+    S = SimilarityMatrix.from_square(a)
+    assert np.array_equal(S.values, a)
+    assert np.array_equal(S.condensed, a[np.triu_indices(7, 1)])
+    assert np.array_equal(S.diagonal, np.diag(a))
+    assert not S.values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "condensed, diagonal, error",
+    [
+        (np.zeros(5), np.zeros(4), ShapeMismatch),  # 4 points have 6 pairs
+        (np.zeros((2, 3)), np.zeros(4), ShapeMismatch),
+        (np.array([0.0, np.nan, 0.0]), np.zeros(3), InvalidValue),
+        (np.zeros(3), np.array([0.0, np.inf, 0.0]), InvalidValue),
+    ],
+)
+def test_similarity_matrix_checks_its_vectors(condensed, diagonal, error):
+    with pytest.raises(error):
+        SimilarityMatrix(condensed, diagonal)
 
 
 def test_weight_matrix_rejects_nonzero_diagonal():

@@ -40,7 +40,7 @@ from wise.weights import (
 
 
 def sim(arr) -> SimilarityMatrix:
-    return SimilarityMatrix(np.asarray(arr, dtype=float))
+    return SimilarityMatrix.from_square(np.asarray(arr, dtype=float))
 
 
 def single_pair(n: int = 4) -> SimilarityMatrix:
@@ -262,10 +262,10 @@ class TestRunTest:
                 res = run_test(series, kernel, weight, cfg)
                 S = build_similarity_matrix(series, kernel).values
                 tol = 1e-10 * np.abs(S[off] - S[off].mean()).max() * w_bound
-                zc = compute_z(SimilarityMatrix(S), W) - res.e_z
+                zc = compute_z(SimilarityMatrix.from_square(S), W) - res.e_z
                 perms = (default_rng(SeedSequence((seed, b))).permutation(n) for b in range(B))
                 zcs = np.array(
-                    [compute_z(SimilarityMatrix(S[np.ix_(pi, pi)]), W) for pi in perms]
+                    [compute_z(SimilarityMatrix.from_square(S[np.ix_(pi, pi)]), W) for pi in perms]
                 ) - res.e_z
                 tail, gap = {
                     "two_sided": (np.abs(zcs) >= abs(zc) - tol, np.abs(zcs) - abs(zc)),
@@ -370,15 +370,45 @@ def dense_centered_moments(S: np.ndarray, W: np.ndarray):
     return z, pairs * w_bar * s_bar, var
 
 
+def long_double_centered_moments(S: np.ndarray, profile: np.ndarray):
+    """Z - EZ and varZ in long double, one row of the centered S and W at a
+    time, as a reference for float64 code."""
+    ld = np.longdouble
+    n = S.shape[0]
+    pairs = n * (n - 1)
+    index = np.arange(n)
+    off = ~np.eye(n, dtype=bool)
+    s_bar = sum(S[i][off[i]].astype(ld).sum() for i in range(n)) / pairs
+    w = profile.astype(ld)
+    w_bar = (2 * (n - index) * w).sum() / pairs
+    zc = a2 = b2 = ld(0)
+    a_row, b_row = np.zeros(n, ld), np.zeros(n, ld)
+    for i in range(n):
+        a = w[np.abs(index - i)] - w_bar
+        b = S[i].astype(ld) - s_bar
+        a[i] = b[i] = 0
+        zc += (a * b).sum()
+        a2 += (a * a).sum()
+        b2 += (b * b).sum()
+        a_row[i], b_row[i] = a.sum(), b.sum()
+    a3, b3 = (a_row * a_row).sum(), (b_row * b_row).sum()
+    n = ld(n)
+    var = (
+        2 * a2 * b2 / (n * (n - 3))
+        + 4 * (n + 1) * a3 * b3 / (n * (n - 1) * (n - 2) * (n - 3))
+        - 4 * (a2 * b3 + a3 * b2) / (n * (n - 2) * (n - 3))
+    )
+    return zc, var
+
+
 class TestLargeN:
     # at n = 2500 the uncentered moment algebra called these nulls degenerate
     n, p = 2500, 100
 
-    def series(self, kind):
-        rng = np.random.default_rng(2500)
-        x = rng.standard_normal((self.n, self.p))
+    def series(self, kind, n=n, p=p):
+        x = np.random.default_rng(n).standard_normal((n, p))
         if kind == "var1":
-            for t in range(1, self.n):
+            for t in range(1, n):
                 x[t] += 0.3 * x[t - 1]
         return ObservationSeries("vector", x)
 
@@ -395,6 +425,30 @@ class TestLargeN:
         assert res.z == pytest.approx(z, rel=1e-9)
         assert res.e_z == pytest.approx(e_z, rel=1e-9)
         assert res.var_z == pytest.approx(var_z, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["iid", "var1"])
+    def test_z_g_matches_long_double_reference(self, kind):
+        # z_g sits near 0 under the null, so a relative check against float64
+        # code proves little; this one measures the error in sd units
+        n = 2000
+        series = self.series(kind, n, 20)
+        res = run_test(series, neg_l1(), default_weight())
+        S = build_similarity_matrix(series, neg_l1())
+        zc, var = long_double_centered_moments(S.values, weight_profile(default_weight(), np.arange(n)))
+        zc_got = np.longdouble(res.z_g) * np.sqrt(np.longdouble(res.var_z))
+        assert abs(zc_got - zc) / np.sqrt(var) < 2e-12
+
+    def test_analytic_memory_at_n_2000(self):
+        # S stays pdist's condensed half; nothing n x n is made on the way
+        n = 2000
+        series = ObservationSeries("vector", np.random.default_rng(7).standard_normal((n, 20)))
+        tracemalloc.start()
+        try:
+            run_test(series, neg_l1(), default_weight())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8  # one and a half float64 n x n arrays
 
     def test_permutation_at_n_2000(self):
         n, B = 2000, 100

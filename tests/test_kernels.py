@@ -135,7 +135,7 @@ def test_knn_element_level_evaluation_is_refused():
 def test_pairwise_matches_elementwise(spec, kind, shape):
     rng = np.random.default_rng(31)
     series = ObservationSeries(kind, rng.standard_normal(shape))
-    fast = pairwise_similarity(spec, series)
+    fast = pairwise_similarity(spec, series).values
     for i in range(series.n):
         for j in range(series.n):
             slow = similarity_evaluate(spec, series.data[i], series.data[j])
@@ -146,7 +146,7 @@ def test_pairwise_matches_elementwise_quantile():
     rng = np.random.default_rng(32)
     data = np.sort(rng.standard_normal((5, 12)), axis=1)
     series = ObservationSeries("quantile", data)
-    fast = pairwise_similarity(wasserstein1_quantile(), series)
+    fast = pairwise_similarity(wasserstein1_quantile(), series).values
     for i in range(5):
         for j in range(5):
             slow = similarity_evaluate(wasserstein1_quantile(), data[i], data[j])
@@ -273,6 +273,13 @@ INLINE = {
 }
 
 
+def assert_layout(S, want):
+    """S holds want's upper triangle in pdist's order, and its square form is
+    want bit for bit (the -0.0 diagonal of the negated distances included)."""
+    assert np.array_equal(S.condensed, want[np.triu_indices(S.n, 1)])
+    assert S.values.tobytes() == want.tobytes()
+
+
 def _series(kind, shape, ties, n=30):
     data = np.random.default_rng(41).standard_normal((n,) + shape)
     if ties:  # coarse values make equal distances, and knn ties to break
@@ -295,7 +302,7 @@ def test_pairwise_equals_inline_formula(family, ties):
         series = _series(kind, shape, ties)
         want = formula(series.data.reshape(series.n, -1))
         spec = KernelSpec(family)
-    assert np.array_equal(pairwise_similarity(spec, series), want)
+    assert_layout(pairwise_similarity(spec, series), want)
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
@@ -311,8 +318,8 @@ def test_knn_equals_inline_construction(base, ties):
         a[i, np.argsort(dist[i], kind="stable")[:k]] = 1.0
     want = (a + a.T) / 2.0
     spec = knn_affinity(k, KernelSpec(base))
-    assert np.array_equal(pairwise_similarity(spec, series), want)
-    assert np.array_equal(knn_affinity_matrix(series, k, KernelSpec(base)).values, want)
+    assert_layout(pairwise_similarity(spec, series), want)
+    assert_layout(knn_affinity_matrix(series, k, KernelSpec(base)), want)
 
 
 def test_knn_memory_at_n_2000():
