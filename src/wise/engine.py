@@ -19,11 +19,13 @@ statistic combines several weight choices into one test.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from itertools import permutations as _all_permutations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import SeedSequence, default_rng
 from scipy.special import ndtr
 
@@ -52,6 +54,17 @@ _CLAMP_REL = 1e-9
 _TIE_REL = 1e-10
 
 
+def _check_seed(seed) -> int:
+    """seed as an int; the permutation streams take 0 <= seed < 2^64."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise InvalidValue(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value < 2**64:
+        raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class TestConfig:
     __test__ = False  # not a pytest class, despite the name
@@ -69,8 +82,7 @@ class TestConfig:
             raise InvalidValue(f"method must be analytic or permutation, got {self.method!r}")
         if self.method == "permutation" and self.permutations < 100:
             raise InvalidValue(f"permutation method needs B >= 100, got {self.permutations}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidValue("seed must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
         if self.sidedness not in SIDES:
             raise InvalidValue(f"sidedness must be one of {SIDES}, got {self.sidedness!r}")
 
@@ -189,35 +201,59 @@ def _lag_sum_draws(
 
     s_pairs is S.condensed, the pairs a < b. With sigma = pi^-1,
     Z(pi) - EZ = 2 sum_t w(t) D_t, where D_t sums the centered S_ab over
-    a < b with |sigma_a - sigma_b| = t (Mantel 1967). Draw k is
+    pairs with |sigma_a - sigma_b| = t (Mantel 1967). Draw k is
     pi = permutation (seed, k). Returns (observed (m,), draws (B, m),
     bound (m,)), where bound = max|S_ab - s_bar| sum_t 2(n-t)|w(t)|.
+
+    The centered pairs are folded once onto n // 2 rows of n: row t-1
+    holds the pairs (i, (i+t) mod n), so a draw reads sigma_(i+t) - sigma_i
+    off the windows [sigma, sigma][t : t+n], with no gather per pair. For
+    even n the second half of the last row repeats its first half and is
+    zeroed. A draw bins the signed difference, shifted by n, on 2n bins,
+    and weighs bin n +- t with w(t), so no absolute value is taken.
     """
     n = profiles.shape[1]
+    h = n // 2
     index = np.arange(n)
-    rows, cols = np.triu_indices(n, 1)
+    # pair (a, a+d) is at starts[a] + d in pdist's order
+    starts = index * (2 * n - index - 1) // 2 - 1
+    fold = np.empty((h, n))
+    for t in range(1, h + 1):
+        fold[t - 1, : n - t] = s_pairs[starts[: n - t] + t]
+        fold[t - 1, n - t :] = s_pairs[starts[:t] + n - t]
+    repeat = fold[-1, h:] if n % 2 == 0 else fold[-1, :0]
     # the mean carries the rounding of a large sum; remove what it leaves
-    b = s_pairs - s_pairs.mean()
-    b -= b.mean()
-    bound = np.abs(b).max() * ((2.0 * (n - index)) @ np.abs(profiles.T))
-    # at small n one bincount takes a batch of draws, each on its own n bins
-    size = max(1, _BATCH_PAIRS // rows.size)
-    b, offset = np.tile(b, size), n * np.arange(size)[:, None]
-    sigma = np.tile(index, (size, 1))
-    lag, other = np.empty((2, size, rows.size), dtype=np.intp)
-    w_cols = 2.0 * profiles.T
+    fold -= s_pairs.mean()
+    repeat[:] = 0.0
+    fold -= fold.sum() / s_pairs.size
+    repeat[:] = 0.0
+    bound = max(fold.max(), -fold.min()) * ((2.0 * (n - index)) @ np.abs(profiles.T))
+    # a block of rows holds at most _BATCH_PAIRS pairs; at small n one
+    # bincount takes a batch of draws, each on its own 2n bins, so each
+    # draw rounds alike in any batch
+    step = max(1, min(h, _BATCH_PAIRS // n))
+    size = max(1, _BATCH_PAIRS // fold.size)
+    weights = np.tile(fold, (size, 1, 1)) if size > 1 else fold[None]
+    # int32 halves the traffic of the subtract; bins stay below 2n * size
+    doubled = np.tile(index.astype(np.int32), (size, 2))
+    sigma = doubled[:, :n]
+    windows = sliding_window_view(doubled, n, axis=1)
+    shift = (n * (1 + 2 * np.arange(size, dtype=np.int32)))[:, None]
+    shifted = np.empty((size, n), dtype=np.int32)
+    bins = np.empty((size, step, n), dtype=np.int32)
+    mirrored = np.concatenate([np.zeros((len(profiles), 1)), profiles[:, :0:-1], profiles], axis=1)
+    w_cols = 2.0 * mirrored.T
 
     def lag_sums():
-        # every row of sigma, so each draw rounds alike in any batch; the
-        # indices are in range, and "clip" skips the copy "raise" makes
-        np.take(sigma, rows, axis=1, out=lag, mode="clip")
-        np.take(sigma, cols, axis=1, out=other, mode="clip")
-        np.subtract(lag, other, out=lag)
-        np.abs(lag, out=lag)
-        if size > 1:
-            np.add(lag, offset, out=lag)
-        d = np.bincount(lag.ravel(), weights=b, minlength=size * n)
-        return d.reshape(size, n) @ w_cols
+        doubled[:, n:] = sigma
+        np.subtract(sigma, shift, out=shifted)
+        d = np.zeros(2 * n * size)
+        for r in range(0, h, step):
+            k = min(step, h - r)
+            block = bins[:, :k]
+            np.subtract(windows[:, r + 1 : r + 1 + k], shifted[:, None], out=block)
+            d += np.bincount(block.ravel(), weights[:, r : r + k].ravel(), 2 * n * size)
+        return d.reshape(size, 2 * n) @ w_cols
 
     observed = lag_sums()[0]
     out = np.empty((B, profiles.shape[0]))
@@ -362,6 +398,7 @@ def mahalanobis_aggregate(
         raise InvalidValue(f"need at least 2 weight specs, got {m}")
     if B < 500:
         raise InvalidValue(f"need at least 500 permutations, got {B}")
+    seed = _check_seed(seed)
     n = series.n
     if n < 4:
         raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")

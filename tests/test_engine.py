@@ -450,6 +450,19 @@ class TestLargeN:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8  # one and a half float64 n x n arrays
 
+    def test_permutation_memory_at_n_2000(self):
+        # the draws read S folded once, beside S's own pairs: about 1 n x n
+        n = 2000
+        series = ObservationSeries("vector", np.random.default_rng(7).standard_normal((n, 20)))
+        cfg = TestConfig(method="permutation", permutations=100, seed=1)
+        tracemalloc.start()
+        try:
+            run_test(series, neg_l1(), default_weight(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8  # one and a quarter float64 n x n arrays
+
     def test_permutation_at_n_2000(self):
         n, B = 2000, 100
         series = ObservationSeries("vector", np.random.default_rng(2000).standard_normal((n, 20)))
@@ -483,6 +496,15 @@ class TestConfigValidation:
     def test_seed_width(self):
         with pytest.raises(InvalidValue):
             TestConfig(seed=2**64)
+
+    # 2**64 is test_seed_width
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
+        with pytest.raises(InvalidValue):
+            TestConfig(method="permutation", seed=seed)
+
+    def test_seed_takes_any_integer_type(self):
+        assert TestConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 class TestDiagnostics:
@@ -590,6 +612,25 @@ class TestLagSumDraws:
         assert np.array_equal(short, long[:150])
         assert np.array_equal(agg_short, agg_long[:500])
 
+    # both parities fold differently; up to n = 256 one bincount takes a
+    # batch of draws, and from n = 363 a draw takes several blocks of rows
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 24, 25, 255, 256, 257, 400, 401])
+    def test_draws_match_dense_reference(self, n):
+        seed, B = 13, 12
+        series = iid_series(np.random.default_rng(n), n, 3)
+        Ws = [build_weight_matrix(n, spec) for spec in (default_weight(), cosine(4.0))]
+        profiles = np.stack([W.profile for W in Ws])
+        for kernel in (neg_l1(), knn_affinity(2, neg_l2())):
+            S = build_similarity_matrix(series, kernel)
+            e_z = [permutation_moments(moment_summary(S, W), n)[0] for W in Ws]
+            observed, draws, bound = engine._lag_sum_draws(S.condensed, profiles, B, seed)
+            perms = [np.arange(n)]
+            perms += [default_rng(SeedSequence((seed, k))).permutation(n) for k in range(B)]
+            for got, pi in zip([observed, *draws], perms):
+                permuted = SimilarityMatrix.from_square(S.values[np.ix_(pi, pi)])
+                want = [compute_z(permuted, W) - ez for W, ez in zip(Ws, e_z)]
+                assert np.all(np.abs(got - want) <= 1e-12 * bound)
+
     def test_memory_does_not_grow_with_B(self):
         n = 300
         series = iid_series(np.random.default_rng(6), n, 10)
@@ -663,6 +704,13 @@ class TestMahalanobis:
     def test_needs_two_specs(self):
         with pytest.raises(InvalidValue):
             mahalanobis_aggregate(pair_series(), neg_l1(), [default_weight()], B=500, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+    def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
+        with pytest.raises(InvalidValue):
+            mahalanobis_aggregate(
+                pair_series(), neg_l1(), [default_weight(), cosine(4.0)], B=500, seed=seed
+            )
 
     def test_needs_enough_permutations(self):
         with pytest.raises(InvalidValue):
