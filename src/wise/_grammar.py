@@ -8,16 +8,31 @@ and JSON forms accept and reject the same keys.
 
 Each family's parameters are :class:`Param` rows in its module's table,
 which also drives validation (:func:`validate`) and the canonical text
-(:func:`to_text`). Simulation models have no text form but read their JSON
-form and validate through the same functions.
+(:func:`to_text`). Simulation models and experiment plans have no text form
+but read their JSON form through the same functions.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadWeightParam, ParseError
+
+
+def real(value):
+    """A real number as given, so a spec writes back the JSON it was read from."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a real number: {value!r}")
+    return value
+
+
+def string(value) -> str:
+    """A string; unlike ``str``, any other value is rejected."""
+    if not isinstance(value, str):
+        raise TypeError(f"not a string: {value!r}")
+    return value
 
 
 class Param(NamedTuple):
@@ -32,7 +47,8 @@ class Param(NamedTuple):
 
     field: str
     read: Callable[[Any], Any] = float
-    show: Callable[[Any], str] = "{:g}".format
+    # repr reads back exactly; a whole number is written without ".0"
+    show: Callable[[Any], str] = lambda value: repr(float(value)).removesuffix(".0")
     low: Optional[float] = None
     high: Optional[float] = None
     text: Optional[str] = None
@@ -72,30 +88,30 @@ def single_group(family: str, groups: List[Dict[str, str]], what: str) -> dict:
     return {"family": family, **(groups[0] if groups else {})}
 
 
-def family_of(obj: Any, families: Mapping, short: Mapping[str, str], what: str) -> str:
-    """The family a JSON object names; ``short`` maps families to text aliases."""
+def family_of(obj: Any, families: Mapping, short: Mapping[str, str], what: str) -> Tuple[str, dict]:
+    """The family a JSON object names and its other keys; ``short`` holds text aliases."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ParseError(f"{what} JSON object needs a 'family' field")
-    name = obj["family"]
+    name, rest = obj["family"], {k: v for k, v in obj.items() if k != "family"}
     for family, alias in short.items():
         if name == alias:
-            return family
+            return family, rest
     if not isinstance(name, str) or name not in families:
         raise ParseError(f"unknown {what} family {name!r}")
-    return name
+    return name, rest
 
 
-def read_fields(obj: Mapping[str, Any], params: Sequence[Param], where: str) -> dict:
-    """Field values read from every key of ``obj`` except ``family``.
+def read_fields(obj: Any, params: Sequence[Param], where: str) -> dict:
+    """Field values read from every key of the JSON object ``obj``.
 
-    A key no parameter has, two keys for one field, a missing required
-    parameter or a value ``Param.read`` rejects is a ParseError.
+    A non-object, a key no parameter has, two keys for one field, a missing
+    required parameter or a value ``Param.read`` rejects is a ParseError.
     """
+    if not isinstance(obj, Mapping):
+        raise ParseError(f"{where} must be a JSON object")
     by_key = {key: p for p in params for key in (p.field, p.key)}
     values = {}
     for key, raw in obj.items():
-        if key == "family":
-            continue
         p = by_key.get(key)
         if p is None:
             raise ParseError(f"{where} has no parameter {key!r}")

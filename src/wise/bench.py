@@ -16,17 +16,20 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple, get_type_hints
 
-from .engine import TestConfig, run_test
+from ._grammar import Param, read_fields, real, string
+from .engine import TestConfig, _check_count, run_test
 from .errors import ExperimentError, InvalidValue, ParseError, WiseError
-from .kernels import KernelSpec, kernel_spec_from_json_obj, parse_kernel_spec
+from .kernels import KernelSpec, read_kernel_spec
 from .simgen import ModelSpec, generate, model_spec_from_json_obj, replicate_spec
-from .weights import WeightSpec, parse_weight_spec, weight_spec_from_json_obj
+from .weights import WeightSpec, read_weight_spec
+
 
 def thread_count() -> int:
     """Worker count: WISE_THREADS if set, else min(4, cpu count)."""
@@ -54,18 +57,20 @@ class ExperimentPlan:
     output_path: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
-        object.__setattr__(self, "p_values", tuple(int(v) for v in self.p_values))
+        object.__setattr__(self, "n_values", tuple(_check_count(v, "n") for v in self.n_values))
+        object.__setattr__(self, "p_values", tuple(_check_count(v, "p") for v in self.p_values))
         if not self.n_values or not self.p_values:
             raise InvalidValue("plan grid must contain at least one n and one p")
-        if self.replications < 100:
+        if _check_count(self.replications, "replications") < 100:
             raise InvalidValue(
                 f"reported rates need at least 100 replications, got {self.replications}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidValue(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.method not in ("analytic", "permutation"):
-            raise InvalidValue(f"method must be analytic or permutation, got {self.method!r}")
+        _check_count(self.master_seed, "master_seed")
+        # alpha, method and B are checked here once, as every replication uses them
+        self.test_config(0)
+
+    def test_config(self, seed: int) -> TestConfig:
+        return TestConfig(self.alpha, self.method, self.permutations, seed)
 
     @property
     def setting(self) -> str:
@@ -122,13 +127,7 @@ def _one_replication(plan: ExperimentPlan, n: int, p: int, rep: int):
     model_seed, test_seed = _rep_seeds(plan.master_seed, plan.setting, n, p, rep)
     spec = replicate_spec(plan.model, model_seed, n=n, p=p)
     series = generate(spec)
-    config = TestConfig(
-        alpha=plan.alpha,
-        method=plan.method,
-        permutations=plan.permutations,
-        seed=test_seed,
-    )
-    return run_test(series, plan.kernel, plan.weight, config).reject
+    return run_test(series, plan.kernel, plan.weight, plan.test_config(test_seed)).reject
 
 
 def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None) -> ExperimentReport:
@@ -180,6 +179,7 @@ def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None) -> Exper
                     seed=plan.master_seed,
                 )
             )
+    # a plan file that reruns the plan; an analytic plan writes B as null
     provenance = {
         "model": plan.model.to_json_obj(),
         "grid": {"n": list(plan.n_values), "p": list(plan.p_values)},
@@ -233,46 +233,38 @@ def export_report(report: ExperimentReport, fmt: str, path: str) -> str:
     return path
 
 
-def _spec_from(value, parse_text, parse_obj, what: str):
-    if isinstance(value, str):
-        return parse_text(value)
-    if isinstance(value, dict):
-        return parse_obj(value)
-    raise ParseError(f"{what} must be a string or JSON object")
+def _read_grid(raw) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    axes = read_fields(raw, (Param("n", read=tuple), Param("p", read=tuple)), "plan grid")
+    return tuple(map(operator.index, axes["n"])), tuple(map(operator.index, axes["p"]))
 
 
-def plan_from_json_obj(obj: dict) -> ExperimentPlan:
-    """Plan files: {"model": {...}, "grid": {"n": [...], "p": [...]},
-    "replications": R, "alpha": A, "kernel": ..., "weight": ...,
-    "method": ..., "permutations": B, "master_seed": S, "output": PATH}."""
-    if not isinstance(obj, dict):
-        raise ParseError("plan JSON must be an object")
-    for field in ("model", "grid", "replications"):
-        if field not in obj:
-            raise ParseError(f"plan JSON is missing the {field!r} field")
-    grid = obj["grid"]
-    if not isinstance(grid, dict) or "n" not in grid or "p" not in grid:
-        raise ParseError("plan grid must be an object with 'n' and 'p' lists")
-    model = model_spec_from_json_obj(obj["model"])
-    kernel = _spec_from(
-        obj.get("kernel", "neg_l1"), parse_kernel_spec, kernel_spec_from_json_obj, "kernel"
-    )
-    weight = _spec_from(
-        obj.get("weight", "default"), parse_weight_spec, weight_spec_from_json_obj, "weight"
-    )
-    return ExperimentPlan(
-        model=model,
-        n_values=tuple(grid["n"]),
-        p_values=tuple(grid["p"]),
-        replications=int(obj["replications"]),
-        alpha=float(obj.get("alpha", 0.05)),
-        kernel=kernel,
-        weight=weight,
-        method=obj.get("method", "analytic"),
-        permutations=int(obj.get("permutations", 1000)),
-        master_seed=int(obj.get("master_seed", 0)),
-        output_path=obj.get("output"),
-    )
+def _read_permutations(raw) -> int:
+    """B, where the null of an analytic plan's provenance reads as the default."""
+    return ExperimentPlan.permutations if raw is None else operator.index(raw)
+
+
+# plan file key -> its reader; a key without a default is required
+_PLAN = (
+    Param("model", read=model_spec_from_json_obj),
+    Param("grid", read=_read_grid),
+    Param("replications", read=operator.index),
+    Param("alpha", read=real, required=False),
+    Param("kernel", read=read_kernel_spec, required=False),
+    Param("weight", read=read_weight_spec, required=False),
+    Param("method", read=string, required=False),
+    Param("permutations", read=_read_permutations, required=False),
+    Param("master_seed", read=operator.index, required=False),
+    Param("output", read=string, required=False),
+)
+
+
+def plan_from_json_obj(obj) -> ExperimentPlan:
+    """A plan file's object, keyed as _PLAN. An unknown, repeated or missing
+    key or a value of the wrong type is a ParseError."""
+    values = read_fields(obj, _PLAN, "plan")
+    n_values, p_values = values.pop("grid")
+    output_path = values.pop("output", None)
+    return ExperimentPlan(n_values=n_values, p_values=p_values, output_path=output_path, **values)
 
 
 def load_plan(path: str) -> ExperimentPlan:

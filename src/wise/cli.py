@@ -227,15 +227,9 @@ def main(argv=None) -> int:
         parser.error("heatmap needs --csv-out and/or --pgm-out")
     try:
         return args.func(args)
-    except (ParseError, BadWeightParam, BadModelParam) as exc:
+    except (WiseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WiseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, BadWeightParam, BadModelParam)) else 1
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ statistic combines several weight choices into one test.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from itertools import permutations as _all_permutations
@@ -54,12 +55,17 @@ _CLAMP_REL = 1e-9
 _TIE_REL = 1e-10
 
 
+def _check_count(value, what: str) -> int:
+    """value as an int; what ``operator.index`` refuses, 2.0 too, is an InvalidValue."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidValue(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed) -> int:
     """seed as an int; the permutation streams take 0 <= seed < 2^64."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise InvalidValue(f"seed must be an integer, got {seed!r}") from None
+    value = _check_count(seed, "seed")
     if not 0 <= value < 2**64:
         raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {value}")
     return value
@@ -76,11 +82,11 @@ class TestConfig:
     sidedness: str = "two_sided"
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidValue(f"alpha must lie in (0,1), got {self.alpha}")
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
+            raise InvalidValue(f"alpha must be a real number in (0,1), got {self.alpha!r}")
         if self.method not in ("analytic", "permutation"):
             raise InvalidValue(f"method must be analytic or permutation, got {self.method!r}")
-        if self.method == "permutation" and self.permutations < 100:
+        if _check_count(self.permutations, "permutations") < 100 and self.method == "permutation":
             raise InvalidValue(f"permutation method needs B >= 100, got {self.permutations}")
         _check_seed(self.seed)
         if self.sidedness not in SIDES:
@@ -396,6 +402,7 @@ def mahalanobis_aggregate(
     m = len(weight_specs)
     if m < 2:
         raise InvalidValue(f"need at least 2 weight specs, got {m}")
+    B = _check_count(B, "B")
     if B < 500:
         raise InvalidValue(f"need at least 500 permutations, got {B}")
     seed = _check_seed(seed)

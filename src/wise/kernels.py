@@ -68,8 +68,8 @@ class KernelSpec:
         return to_text(_name(self.family), params, [[getattr(self, p.field) for p in params]])
 
 
-def _read_base(raw) -> KernelSpec:
-    """A knn base kernel, given as a spec, its text or its JSON object."""
+def read_kernel_spec(raw) -> KernelSpec:
+    """A kernel given as a spec, its text or its JSON object."""
     if isinstance(raw, KernelSpec):
         return raw
     if isinstance(raw, str):
@@ -123,7 +123,7 @@ _FAMILIES = {
     "knn_affinity": _Family(
         params=(
             Param("k", read=int, show=str, low=0),
-            Param("base", read=_read_base, show=KernelSpec.to_string, required=False),
+            Param("base", read=read_kernel_spec, show=KernelSpec.to_string, required=False),
         )
     ),
 }
@@ -261,5 +261,5 @@ def parse_kernel_spec(text: str) -> KernelSpec:
 
 def kernel_spec_from_json_obj(obj: dict) -> KernelSpec:
     """Inverse of :meth:`KernelSpec.to_json_obj` (config-file form)."""
-    family = family_of(obj, _FAMILIES, _SHORT, "kernel")
-    return KernelSpec(family, **read_fields(obj, _FAMILIES[family].params, _name(family)))
+    family, fields = family_of(obj, _FAMILIES, _SHORT, "kernel")
+    return KernelSpec(family, **read_fields(fields, _FAMILIES[family].params, _name(family)))

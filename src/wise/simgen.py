@@ -29,28 +29,20 @@ regardless of thread count, on any platform numpy supports.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from ._grammar import Param, family_of, read_fields, validate
+from ._grammar import Param, family_of, read_fields, real, string, validate
 from .errors import BadModelParam, ParseError
 from .types import ObservationSeries
 
 
-def _real(value):
-    """A real number as given, so a spec writes back the JSON it was read from."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"not a real number: {value!r}")
-    return value
-
-
-_A = (Param("a_low", read=_real), Param("a_high", read=_real))
-_B = (Param("b_low", read=_real), Param("b_high", read=_real))
-_BAND_DIV = Param("band_div", read=_real, low=0.0)
+_A = (Param("a_low", read=real), Param("a_high", read=real))
+_B = (Param("b_low", read=real), Param("b_high", read=real))
+_BAND_DIV = Param("band_div", read=real, low=0.0)
 
 # family -> {parameter: default}. A default of None leaves the parameter
 # unset; a required one must then be given. The checks a row cannot state
@@ -58,17 +50,17 @@ _BAND_DIV = Param("band_div", read=_real, low=0.0)
 # coef_scale or band) are ModelSpec's _check_<family> methods.
 _FAMILIES = {
     "iid_normal": {},
-    "iid_normal_ar_cov": {Param("rho", read=_real, low=-1.0, high=1.0): 0.6},
+    "iid_normal_ar_cov": {Param("rho", read=real, low=-1.0, high=1.0): 0.6},
     "iid_t1": {},
     "iid_lognormal": {},
     "var1": dict.fromkeys(
-        p._replace(required=False) for p in (Param("coef_scale", read=_real), *_A, _BAND_DIV)
+        p._replace(required=False) for p in (Param("coef_scale", read=real), *_A, _BAND_DIV)
     ),
     "svar": dict.fromkeys((*_A, *_B, _BAND_DIV, Param("seasonal_lag", read=operator.index, low=0))),
     "garch": {
-        Param("garch_a_high", read=_real): 0.15,
-        Param("garch_b_high", read=_real): 0.4,
-        Param("garch_const", read=_real, low=0.0): 0.002,
+        Param("garch_a_high", read=real): 0.15,
+        Param("garch_b_high", read=real): 0.4,
+        Param("garch_const", read=real, low=0.0): 0.002,
     },
     "nma2": {},
 }
@@ -76,11 +68,11 @@ FAMILIES = tuple(_FAMILIES)
 
 # the fields of every family; seed and burn_in are closed at 0, checked in code
 _COMMON = (
-    Param("n", read=int, low=0),
-    Param("p", read=int, low=0),
-    Param("seed", read=int),
-    Param("burn_in", read=int),
-    Param("label", read=str),
+    Param("n", read=operator.index, low=0),
+    Param("p", read=operator.index, low=0),
+    Param("seed", read=operator.index),
+    Param("burn_in", read=operator.index),
+    Param("label", read=string),
 )
 # every key of a model's JSON form, and of a preset override
 _KEYS = {p.field: p._replace(required=False) for ps in (_COMMON, *_FAMILIES.values()) for p in ps}
@@ -204,7 +196,7 @@ def model_spec_from_json_obj(obj: dict, n: Optional[int] = None, p: Optional[int
     if "setting" in fields:
         fields.pop("label", None)
         return from_setting(fields.pop("setting"), **fields)
-    family = family_of(fields, _FAMILIES, {}, "model")
+    family, fields = family_of(fields, _FAMILIES, {}, "model")
     return ModelSpec(family, **read_fields(fields, _KEYS.values(), "model"))
 
 
@@ -293,9 +285,5 @@ def generate(spec: ModelSpec) -> ObservationSeries:
 
 def replicate_spec(spec: ModelSpec, seed: int, n: Optional[int] = None, p: Optional[int] = None) -> ModelSpec:
     """Copy of spec with a new seed (and optionally new n, p)."""
-    kwargs = {"seed": int(seed)}
-    if n is not None:
-        kwargs["n"] = int(n)
-    if p is not None:
-        kwargs["p"] = int(p)
-    return replace(spec, **kwargs)
+    sizes = {key: value for key, value in (("n", n), ("p", p)) if value is not None}
+    return replace(spec, seed=seed, **sizes)

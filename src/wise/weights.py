@@ -45,7 +45,17 @@ _FOURIER_SUM_TOL = 1e-12
 
 
 def _read_terms(raw) -> Tuple[Tuple[float, float], ...]:
-    return tuple((float(a), float(l)) for a, l in raw)
+    """Fourier (alpha, l) terms, each in range, the alphas summing to one."""
+    terms = tuple((float(a), float(l)) for a, l in raw)
+    if not terms:
+        raise BadWeightParam("fourier requires at least one (alpha, l) term")
+    for term in terms:
+        for p, value in zip(_TERM, term):
+            check_range(p, value, "fourier term")
+    total = sum(a for a, _ in terms)
+    if abs(total - 1.0) > _FOURIER_SUM_TOL:
+        raise BadWeightParam(f"fourier coefficients must sum to 1, got {total!r}")
+    return terms
 
 
 _ALPHA = Param("alpha", low=0.0, high=1.0)
@@ -93,8 +103,6 @@ class WeightSpec:
         if self.family not in _FAMILIES:
             raise BadWeightParam(f"unknown weight family {self.family!r}")
         validate(self, _FAMILIES[self.family], _name(self.family))
-        if self.terms is not None:
-            _check_terms(self.terms)
 
     def to_json_obj(self) -> dict:
         obj: dict = {"family": self.family}
@@ -110,17 +118,6 @@ class WeightSpec:
             return to_text(self.family, _TERM, self.terms)
         params = _FAMILIES[self.family]
         return to_text(_name(self.family), params, [[getattr(self, p.field) for p in params]])
-
-
-def _check_terms(terms):
-    if not terms:
-        raise BadWeightParam("fourier requires at least one (alpha, l) term")
-    for term in terms:
-        for p, value in zip(_TERM, term):
-            check_range(p, value, "fourier term")
-    total = sum(a for a, _ in terms)
-    if abs(total - 1.0) > _FOURIER_SUM_TOL:
-        raise BadWeightParam(f"fourier coefficients must sum to 1, got {total!r}")
 
 
 def default_weight() -> WeightSpec:
@@ -214,5 +211,10 @@ def parse_weight_spec(text: str) -> WeightSpec:
 
 def weight_spec_from_json_obj(obj: dict) -> WeightSpec:
     """Inverse of :meth:`WeightSpec.to_json_obj` (config-file form)."""
-    family = family_of(obj, _FAMILIES, _SHORT, "weight")
-    return WeightSpec(family, **read_fields(obj, _FAMILIES[family], _name(family)))
+    family, fields = family_of(obj, _FAMILIES, _SHORT, "weight")
+    return WeightSpec(family, **read_fields(fields, _FAMILIES[family], _name(family)))
+
+
+def read_weight_spec(raw) -> WeightSpec:
+    """A weight given as its text or its JSON object."""
+    return parse_weight_spec(raw) if isinstance(raw, str) else weight_spec_from_json_obj(raw)

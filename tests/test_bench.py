@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from wise import weights
 from wise.bench import (
     CSV_COLUMNS,
     ExperimentPlan,
@@ -143,6 +144,69 @@ class TestPlanValidation:
     def test_method_name(self):
         with pytest.raises(InvalidValue):
             tiny_plan(method="jackknife")
+
+
+# each of these differs from a valid plan file in one key
+REJECTED_PLANS = {
+    "unknown key seed": {"seed": 5},
+    "unknown key weights": {"weights": "cosine:l=4"},
+    "unknown key permutation": {"permutation": 500},
+    "fractional replications": {"replications": 150.7},
+    "fractional grid n": {"grid": {"n": [30.9], "p": [2]}},
+    "fractional master_seed": {"master_seed": 1.5},
+    "alpha as a string": {"alpha": "0.1"},
+    "replications as a word": {"replications": "ten"},
+}
+
+
+def plan_obj(**changes) -> dict:
+    obj = {"model": {"setting": "setting1.1"}, "grid": {"n": [16], "p": [2]}, "replications": 100}
+    return {**obj, **changes}
+
+
+class TestPlanRejection:
+    @pytest.mark.parametrize("changes", REJECTED_PLANS.values(), ids=REJECTED_PLANS.keys())
+    def test_plan_file_is_a_spec_error(self, changes):
+        with pytest.raises(ParseError):
+            plan_from_json_obj(plan_obj(**changes))
+
+    def test_permutation_floor_is_checked_when_the_plan_loads(self):
+        with pytest.raises(InvalidValue, match="B >= 100"):
+            plan_from_json_obj(plan_obj(method="permutation", permutations=50))
+        with pytest.raises(InvalidValue, match="B >= 100"):
+            tiny_plan(method="permutation", permutations=50)
+
+    @pytest.mark.parametrize(
+        "changes", [{"replications": 150.7}, {"n_values": (30.9,)}, {"master_seed": 1.5}]
+    )
+    def test_constructor_takes_only_integer_counts(self, changes):
+        with pytest.raises(InvalidValue, match="must be an integer"):
+            tiny_plan(**changes)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {
+            "model": from_setting("setting2.1", 20, 3),
+            "weight": weights.geometric(0.123456789),
+            "method": "permutation",
+            "permutations": 100,
+        },
+    ],
+    ids=["analytic", "permutation"],
+)
+def test_provenance_reruns_the_experiment(overrides):
+    plan = tiny_plan(**overrides)
+    report = run_experiment(plan, threads=1)
+    again = plan_from_json_obj(report.provenance)
+    assert (again.model, again.weight) == (plan.model, plan.weight)
+    rerun = run_experiment(again, threads=1)
+    assert rows_without_seconds(report_to_csv(rerun)) == rows_without_seconds(
+        report_to_csv(report)
+    )
+    assert rerun.provenance == report.provenance
 
 
 class TestSerialization:

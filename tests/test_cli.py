@@ -211,6 +211,27 @@ class TestBenchCommand:
         assert main(["bench", "--plan", str(path), "--threads", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"seed": 5},
+            {"weights": "cosine:l=4"},
+            {"permutation": 500},
+            {"replications": 150.7},
+            {"grid": {"n": [30.9], "p": [2]}},
+            {"master_seed": 1.5},
+            {"alpha": "0.1"},
+            {"replications": "ten"},
+        ],
+        ids=lambda changes: json.dumps(changes),
+    )
+    def test_bad_plan_key_or_type_is_usage_error(self, tmp_path, capsys, changes):
+        plan = {"model": {"setting": "setting1.1"}, "grid": {"n": [16], "p": [2]}}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({**plan, "replications": 100, **changes}), encoding="utf-8")
+        assert main(["bench", "--plan", str(path), "--threads", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestIngestCommand:
     def test_summary_line_and_output(self, checkin_csv, tmp_path, capsys):

@@ -506,6 +506,16 @@ class TestConfigValidation:
     def test_seed_takes_any_integer_type(self):
         assert TestConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("method", ["analytic", "permutation"])
+    def test_permutation_count_must_be_an_integer(self, method):
+        with pytest.raises(InvalidValue, match="permutations must be an integer"):
+            TestConfig(method=method, permutations=150.5)
+
+    @pytest.mark.parametrize("alpha", ["0.1", None, True])
+    def test_alpha_must_be_a_real_number(self, alpha):
+        with pytest.raises(InvalidValue, match="alpha"):
+            TestConfig(alpha=alpha)
+
 
 class TestDiagnostics:
     def test_single_pair_anchor_values(self):
@@ -716,6 +726,12 @@ class TestMahalanobis:
         with pytest.raises(InvalidValue):
             mahalanobis_aggregate(
                 pair_series(), neg_l1(), [default_weight(), cosine(4.0)], B=400, seed=0
+            )
+
+    def test_permutation_count_must_be_an_integer(self):
+        with pytest.raises(InvalidValue, match="B must be an integer"):
+            mahalanobis_aggregate(
+                pair_series(), neg_l1(), [default_weight(), cosine(4.0)], B=600.5, seed=0
             )
 
     def test_size_calibrated_on_iid_data(self):

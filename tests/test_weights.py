@@ -176,6 +176,13 @@ def test_json_round_trip(spec):
     assert weight_spec_from_json_obj(spec.to_json_obj()) == spec
 
 
+@pytest.mark.parametrize(
+    "spec", [geometric(0.123456789), exp_decay(1234567.0), fourier([(1 / 3, 4.0), (2 / 3, 7.25)])]
+)
+def test_string_round_trip_keeps_every_digit(spec):
+    assert parse_weight_spec(spec.to_string()) == spec
+
+
 def test_three_term_fourier_round_trips():
     spec = fourier([(0.2, 4.0), (0.3, 6.0), (0.5, 9.0)])
     assert spec.to_string() == "fourier:alpha=0.2,l=4;alpha=0.3,l=6;alpha=0.5,l=9"
