@@ -2,9 +2,10 @@
 
 Text form: ``family[:key=value,...][;key=value,...]``. Only fourier uses the
 ``;`` groups, one per term. :func:`tokenize` splits the text into the family
-and one dict of raw string values per group; the spec modules turn those
-into the JSON-object form and read it with :func:`read_fields`, so the text
-and JSON forms accept and reject the same keys.
+and one dict of values per group, a value that spells a number read as that
+number; the spec modules turn those into the JSON-object form and read it
+with :func:`read_fields`, so the text and JSON forms accept and reject the
+same keys and values.
 
 Each family's parameters are :class:`Param` rows in its module's table,
 which also drives validation (:func:`validate`) and the canonical text
@@ -28,6 +29,11 @@ def real(value):
     return value
 
 
+def real_float(value) -> float:
+    """A real number as a float; a string or a bool is rejected, as by :func:`real`."""
+    return float(real(value))
+
+
 def string(value) -> str:
     """A string; unlike ``str``, any other value is rejected."""
     if not isinstance(value, str):
@@ -46,7 +52,7 @@ class Param(NamedTuple):
     """
 
     field: str
-    read: Callable[[Any], Any] = float
+    read: Callable[[Any], Any] = real_float
     # repr reads back exactly; a whole number is written without ".0"
     show: Callable[[Any], str] = lambda value: repr(float(value)).removesuffix(".0")
     low: Optional[float] = None
@@ -59,7 +65,17 @@ class Param(NamedTuple):
         return self.text or self.field
 
 
-def tokenize(text: str, what: str) -> Tuple[str, List[Dict[str, str]]]:
+def _number(text: str):
+    """The int or float that ``text`` spells, else the text itself."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
+
+
+def tokenize(text: str, what: str) -> Tuple[str, List[Dict[str, Any]]]:
     """Split a text spec into its family and one key -> value dict per group."""
     text = text.strip()
     if not text:
@@ -67,7 +83,7 @@ def tokenize(text: str, what: str) -> Tuple[str, List[Dict[str, str]]]:
     family, _, rest = text.partition(":")
     groups = []
     for group in rest.split(";") if rest.strip() else ():
-        fields: Dict[str, str] = {}
+        fields: Dict[str, Any] = {}
         for part in group.split(","):
             key, eq, value = part.partition("=")
             key = key.strip()
@@ -76,12 +92,12 @@ def tokenize(text: str, what: str) -> Tuple[str, List[Dict[str, str]]]:
             # the family is named before the colon; "family=" would name it twice
             if key in fields or key == "family":
                 raise ParseError(f"{what} spec repeats key {key!r}")
-            fields[key] = value.strip()
+            fields[key] = _number(value.strip())
         groups.append(fields)
     return family.strip(), groups
 
 
-def single_group(family: str, groups: List[Dict[str, str]], what: str) -> dict:
+def single_group(family: str, groups: List[Dict[str, Any]], what: str) -> dict:
     """The JSON-object form of a tokenized spec that has at most one group."""
     if len(groups) > 1:
         raise ParseError(f"{what} {family!r} takes no ';' groups")

@@ -17,7 +17,6 @@ import hashlib
 import io
 import json
 import operator
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -26,20 +25,9 @@ from typing import Optional, Tuple, get_type_hints
 from ._grammar import Param, read_fields, real, string
 from .engine import TestConfig, _check_count, run_test
 from .errors import ExperimentError, InvalidValue, ParseError, WiseError
-from .kernels import KernelSpec, read_kernel_spec
+from .kernels import KernelSpec, read_kernel_spec, thread_count
 from .simgen import ModelSpec, generate, model_spec_from_json_obj, replicate_spec
 from .weights import WeightSpec, read_weight_spec
-
-
-def thread_count() -> int:
-    """Worker count: WISE_THREADS if set, else min(4, cpu count)."""
-    env = os.environ.get("WISE_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidValue(f"WISE_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,19 @@ when only one direction holds, else 0. See :func:`knn_affinity_matrix`.
 
 from __future__ import annotations
 
+import math
+import operator
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from ._grammar import Param, family_of, read_fields, single_group, to_text, tokenize, validate
-from .errors import BadWeightParam, KernelMismatch
+from .errors import BadWeightParam, InvalidValue, KernelMismatch
 from .types import ObservationSeries, SimilarityMatrix
 
 
@@ -122,7 +127,7 @@ _FAMILIES = {
     "wasserstein1_quantile": _Family(("quantile",), "cityblock", per_column=True),
     "knn_affinity": _Family(
         params=(
-            Param("k", read=int, show=str, low=0),
+            Param("k", read=operator.index, show=str, low=0),
             Param("base", read=read_kernel_spec, show=KernelSpec.to_string, required=False),
         )
     ),
@@ -168,14 +173,111 @@ def knn_affinity(k: int, base: Optional[KernelSpec] = None) -> KernelSpec:
     return KernelSpec("knn_affinity", k=k, base=base)
 
 
+# pair x feature operations in one block of the pairwise kernel; an input no
+# larger is a single pdist call
+_BLOCK_OPS = 2**24
+
+
+def thread_count() -> int:
+    """Worker count of the kernel's pool and of the bench harness:
+    WISE_THREADS if set, else min(4, cpu count)."""
+    env = os.environ.get("WISE_THREADS", "").strip()
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidValue(f"WISE_THREADS must be an integer, got {env!r}") from None
+    return max(1, min(4, os.cpu_count() or 1))
+
+
+# (workers, pool) of the kernel's blocks, made on first use
+_pool: Optional[Tuple[int, ThreadPoolExecutor]] = None
+_pool_lock = threading.Lock()
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            # a pool of the old size is only dropped, since another thread may
+            # still submit to it; its threads exit once it is collected
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="wise-kernel"))
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's pool threads, and the lock may
+    # have been held by a thread that is not there either
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _blocks(n: int, p: int) -> List[int]:
+    """Row bounds of the blocks of the condensed pairs, from 0 to n.
+
+    Each block holds about _BLOCK_OPS pair x feature operations. The last
+    is the tail triangle of the most rows whose pairs fit in one block, so
+    an input that fits is the single block [0, n].
+    """
+    pairs = max(1, _BLOCK_OPS // max(p, 1))
+    # the largest m with m (m - 1) / 2 <= pairs
+    tail = max(0, n - (1 + math.isqrt(1 + 8 * pairs)) // 2)
+    bounds, count = [0], 0
+    for i in range(tail):
+        count += n - 1 - i
+        if count >= pairs:
+            bounds.append(i + 1)
+            count = 0
+    if bounds[-1] != tail:
+        bounds.append(tail)
+    return bounds + [n]
+
+
+def _fill(d: np.ndarray, flat: np.ndarray, metric: str, starts: List[int], a: int, b: int) -> None:
+    """Pairs of rows a to b - 1 into their slice of d, where row i's pairs
+    are d[starts[i]:starts[i + 1]], as pdist orders them."""
+    if b == flat.shape[0]:
+        pdist(flat[a:], metric, out=d[starts[a] :])
+        return
+    for i in range(a, b):
+        cdist(flat[i : i + 1], flat[i + 1 :], metric, out=d[starts[i] : starts[i + 1]].reshape(1, -1))
+
+
 def _distance(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
-    """Fresh condensed pdist vector of the rows of ``flat`` under the family's metric."""
+    """Fresh condensed pdist vector of the rows of ``flat`` under the family's metric.
+
+    An input of more than one block is filled block by block on the pool.
+    Each block writes pdist's own numbers straight into the vector, so the
+    result is byte-identical at any block size and thread count. One thread
+    makes one pdist call, which saves the per-row cdist calls.
+    """
     family = _FAMILIES[spec.family]
+    # one C-ordered copy at most: each row's cdist would otherwise copy the rows after it
+    flat = np.ascontiguousarray(flat, dtype=np.float64)
     if family.prescale is not None:
         flat = flat * family.prescale(flat.shape[1])
-    d = pdist(flat, metric=family.metric)
+    n, p = flat.shape
+    d = np.empty(n * (n - 1) // 2)
+    bounds = _blocks(n, p)
+    workers = thread_count() if len(bounds) > 2 else 1
+    if workers == 1:
+        pdist(flat, family.metric, out=d)
+    else:
+        starts = [i * (2 * n - 1 - i) // 2 for i in range(n + 1)]
+        pool = _executor(workers)
+        futures = [
+            pool.submit(_fill, d, flat, family.metric, starts, a, b)
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        # every block is done before an error is raised, so none still writes into d
+        wait(futures)
+        for future in futures:
+            future.result()
     if family.per_column:
-        d /= flat.shape[1]
+        d /= p
     return d
 
 

@@ -194,7 +194,6 @@ def model_spec_from_json_obj(obj: dict, n: Optional[int] = None, p: Optional[int
         raise ParseError("model JSON must be an object")
     fields = {"n": 4 if n is None else n, "p": 1 if p is None else p, **obj}
     if "setting" in fields:
-        fields.pop("label", None)
         return from_setting(fields.pop("setting"), **fields)
     family, fields = family_of(fields, _FAMILIES, {}, "model")
     return ModelSpec(family, **read_fields(fields, _KEYS.values(), "model"))

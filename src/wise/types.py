@@ -126,7 +126,9 @@ class SimilarityMatrix:
             object.__setattr__(self, name, arr)
             if arr.ndim != 1:
                 raise ShapeMismatch(f"similarity {name} must be a vector, got shape {arr.shape}")
-            if not np.isfinite(arr).all():
+            # a NaN reaches both extremes and an infinity one of them, so
+            # no n(n-1)/2 temporary of flags is needed
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise InvalidValue("similarity matrix contains NaN or infinite entries")
         n = self.n
         if self.condensed.shape[0] != n * (n - 1) // 2:

@@ -33,6 +33,7 @@ from ._grammar import (
     check_range,
     family_of,
     read_fields,
+    real_float,
     single_group,
     to_text,
     tokenize,
@@ -46,7 +47,7 @@ _FOURIER_SUM_TOL = 1e-12
 
 def _read_terms(raw) -> Tuple[Tuple[float, float], ...]:
     """Fourier (alpha, l) terms, each in range, the alphas summing to one."""
-    terms = tuple((float(a), float(l)) for a, l in raw)
+    terms = tuple((real_float(a), real_float(l)) for a, l in raw)
     if not terms:
         raise BadWeightParam("fourier requires at least one (alpha, l) term")
     for term in terms:

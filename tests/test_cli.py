@@ -222,6 +222,8 @@ class TestBenchCommand:
             {"master_seed": 1.5},
             {"alpha": "0.1"},
             {"replications": "ten"},
+            {"kernel": {"family": "knn", "k": 5.7}},
+            {"weight": {"family": "geometric", "rho": "0.5"}},
         ],
         ids=lambda changes: json.dumps(changes),
     )

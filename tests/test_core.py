@@ -234,6 +234,22 @@ def test_similarity_matrix_checks_its_vectors(condensed, diagonal, error):
         SimilarityMatrix(condensed, diagonal)
 
 
+@pytest.mark.parametrize("where", ["condensed", "diagonal"])
+@pytest.mark.parametrize("position", [0, 2, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_similarity_matrix_refuses_a_non_finite_entry_anywhere(where, position, bad):
+    vectors = {"condensed": np.linspace(-3.0, 2.0, 10), "diagonal": np.zeros(5)}
+    vectors[where][position] = bad
+    with pytest.raises(InvalidValue):
+        SimilarityMatrix(**vectors)
+
+
+def test_similarity_matrix_accepts_extreme_finite_values():
+    big = np.finfo(np.float64).max
+    S = SimilarityMatrix(np.array([-big, big, big]), np.zeros(3))
+    assert S.condensed[1] == big
+
+
 def test_weight_matrix_rejects_nonzero_diagonal():
     with pytest.raises(InvalidValue):
         WeightMatrix(np.array([0.5, -0.5, -0.8]), default_weight())

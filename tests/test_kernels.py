@@ -1,9 +1,13 @@
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
+from wise import kernels
 from wise.errors import BadWeightParam, KernelMismatch, ParseError
 from wise.kernels import (
     KernelSpec,
@@ -289,19 +293,38 @@ def _series(kind, shape, ties, n=30):
     return ObservationSeries(kind, data)
 
 
+def _knn(dist, k):
+    """(A + A^T) / 2 of each point's k nearest under the square distances
+    ``dist``, ties to the lower index."""
+    n = dist.shape[0]
+    dist = dist.copy()
+    np.fill_diagonal(dist, np.inf)
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, np.argsort(dist[i], kind="stable")[:k]] = 1.0
+    return (a + a.T) / 2.0
+
+
+def _inline(family, ties, n=30):
+    """A series the family takes, the family's spec and its S by its own
+    scipy formula; knn is built on neg_l1 with k = 3."""
+    if family == "gaussian":
+        series = _series("vector", (5,), ties, n)
+        sq = squareform(pdist(series.data, "sqeuclidean"))
+        return series, gaussian(1.7), np.exp(-sq / (2.0 * 1.7**2))
+    base = "neg_l1" if family == "knn" else family
+    formula, kind, shape = INLINE[base]
+    series = _series(kind, shape, ties, n)
+    want = formula(series.data.reshape(n, -1))
+    if family == "knn":
+        return series, knn_affinity(3, KernelSpec(base)), _knn(-want, 3)
+    return series, KernelSpec(family), want
+
+
 @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
 @pytest.mark.parametrize("family", list(INLINE) + ["gaussian"])
 def test_pairwise_equals_inline_formula(family, ties):
-    if family == "gaussian":
-        series = _series("vector", (5,), ties)
-        sq = squareform(pdist(series.data, "sqeuclidean"))
-        want = np.exp(-sq / (2.0 * 1.7**2))
-        spec = gaussian(1.7)
-    else:
-        formula, kind, shape = INLINE[family]
-        series = _series(kind, shape, ties)
-        want = formula(series.data.reshape(series.n, -1))
-        spec = KernelSpec(family)
+    series, spec, want = _inline(family, ties)
     assert_layout(pairwise_similarity(spec, series), want)
 
 
@@ -310,18 +333,86 @@ def test_pairwise_equals_inline_formula(family, ties):
 def test_knn_equals_inline_construction(base, ties):
     formula, kind, shape = INLINE[base]
     series = _series(kind, shape, ties)
-    k, n = 3, series.n
-    dist = -formula(series.data.reshape(n, -1))
-    np.fill_diagonal(dist, np.inf)
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, np.argsort(dist[i], kind="stable")[:k]] = 1.0
-    want = (a + a.T) / 2.0
+    k = 3
+    want = _knn(-formula(series.data.reshape(series.n, -1)), k)
     spec = knn_affinity(k, KernelSpec(base))
     assert_layout(pairwise_similarity(spec, series), want)
     assert_layout(knn_affinity_matrix(series, k, KernelSpec(base)), want)
 
 
+# the kernel fills S in blocks of this many pair x feature operations: 1 puts
+# every row in a block of its own, 100 a few rows together
+@pytest.mark.parametrize("block_ops", [1, 100])
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("n", [4, 7, 50, 301])
+@pytest.mark.parametrize("family", list(INLINE) + ["gaussian", "knn"])
+def test_blocked_kernel_is_byte_identical_to_pdist(family, n, threads, block_ops, monkeypatch):
+    monkeypatch.setenv("WISE_THREADS", threads)
+    monkeypatch.setattr(kernels, "_BLOCK_OPS", block_ops)
+    series, spec, want = _inline(family, ties=False, n=n)
+    # freed at once, so the kernel's own buffer is likely this one: a pair
+    # no block fills reads NaN, not a value left by an earlier call
+    np.full(n * (n - 1) // 2, np.nan)
+    S = pairwise_similarity(spec, series)
+    assert S.condensed.tobytes() == want[np.triu_indices(n, 1)].tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("layout", ["fortran", "sliced"])
+@pytest.mark.parametrize("spec", [KernelSpec(f) for f in INLINE] + [gaussian(1.7)], ids=str)
+def test_blocked_kernel_reads_any_memory_layout(spec, layout, threads, monkeypatch):
+    wide = np.random.default_rng(5).standard_normal((60, 36))
+    x = wide[:, ::2] if layout == "sliced" else np.asfortranarray(wide)
+    want = kernels._distance(spec, np.ascontiguousarray(x))  # one pdist call
+    monkeypatch.setenv("WISE_THREADS", threads)
+    monkeypatch.setattr(kernels, "_BLOCK_OPS", 100)
+    assert kernels._distance(spec, x).tobytes() == want.tobytes()
+
+
+def _blocked_setup(monkeypatch):
+    """Two threads and small blocks; returns a series and its neg_l1 pairs."""
+    monkeypatch.setenv("WISE_THREADS", "2")
+    monkeypatch.setattr(kernels, "_BLOCK_OPS", 100)
+    series = _series("vector", (5,), False, n=50)
+    return series, -pdist(series.data, "cityblock")
+
+
+def test_an_error_in_a_block_reaches_the_caller(monkeypatch):
+    series, want = _blocked_setup(monkeypatch)
+
+    def broken(*args, **kwargs):
+        raise MemoryError("no room for this block")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "cdist", broken)
+        with pytest.raises(MemoryError, match="no room"):
+            pairwise_similarity(neg_l1(), series)
+    # the pool survives its workers' errors
+    assert pairwise_similarity(neg_l1(), series).condensed.tobytes() == want.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_makes_its_own_pool(monkeypatch):
+    series, want = _blocked_setup(monkeypatch)
+    # the parent's pool exists, and its threads will not exist in the child
+    assert pairwise_similarity(neg_l1(), series).condensed.tobytes() == want.tobytes()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = int(pairwise_similarity(neg_l1(), series).condensed.tobytes() != want.tobytes())
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    done, status = os.waitpid(pid, os.WNOHANG)
+    while not done:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child waited on its parent's pool")
+        time.sleep(0.01)
+        done, status = os.waitpid(pid, os.WNOHANG)
+    assert os.waitstatus_to_exitcode(status) == 0
 def test_knn_memory_at_n_2000():
     n = 2000
     series = ObservationSeries("vector", np.random.default_rng(3).standard_normal((n, 20)))
@@ -361,6 +452,20 @@ def test_canonical_strings():
 def test_text_and_json_reject_the_same_keys(text, obj):
     with pytest.raises(ParseError):
         parse_kernel_spec(text)
+    with pytest.raises(ParseError):
+        kernel_spec_from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"family": "knn", "k": 5.7},
+        {"family": "knn", "k": "5"},
+        {"family": "gaussian", "sigma": "2.5"},
+        {"family": "gaussian", "sigma": True},
+    ],
+)
+def test_json_rejects_values_of_the_wrong_type(obj):
     with pytest.raises(ParseError):
         kernel_spec_from_json_obj(obj)
 

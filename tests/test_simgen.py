@@ -336,6 +336,7 @@ class TestModelSpecValidation:
             {"family": "iid_normal", "p": [3]},
             {"family": "var1", "coef_scale": "0.3"},
             {"setting": "setting2.1", "family": "svar"},
+            {"setting": "setting1.1", "label": "mine"},
         ],
     )
     def test_unknown_key_or_bad_value_is_parse_error(self, obj):

@@ -210,7 +210,10 @@ def test_both_lambda_spellings_accepted(key):
         {"family": "exp_decay", "lam": 1.0, "lambda": 2.0},
         {"family": "geometric"},
         {"family": "geometric", "rho": "abc"},
+        {"family": "geometric", "rho": "0.5"},
+        {"family": "geometric", "rho": True},
         {"family": "fourier", "terms": [[0.5]]},
+        {"family": "fourier", "terms": [["0.5", 4], [0.5, 6]]},
     ],
 )
 def test_json_rejects_bad_keys_and_values(obj):
