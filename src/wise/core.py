@@ -8,6 +8,7 @@ regularity ratios need (see MomentSummary).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -74,6 +75,14 @@ def build_weight_matrix(n: int, spec: WeightSpec) -> WeightMatrix:
     return WeightMatrix(weight_profile(spec, np.arange(n)), spec)
 
 
+@lru_cache(maxsize=8)
+def _upper(rows: int, cols: int) -> np.ndarray:
+    """Read-only mask of the entries (r, c) with c >= r."""
+    mask = np.arange(cols) >= np.arange(rows)[:, None]
+    mask.flags.writeable = False
+    return mask
+
+
 def moment_summary(S: SimilarityMatrix, W: WeightMatrix) -> MomentSummary:
     """Centered off-diagonal sums feeding the permutation-null moments.
 
@@ -82,17 +91,20 @@ def moment_summary(S: SimilarityMatrix, W: WeightMatrix) -> MomentSummary:
 
     The S sums come from one walk over S.condensed in blocks of
     _BATCH_PAIRS // n whole rows, so of at most _BATCH_PAIRS pairs. A block
-    is centered by s1 / pairs; each pair i < j adds to the row sums at i and
-    at j, and to the lag sum D_(j-i), so Z - EZ = 2 sum_t a(t) D_t needs no
-    n x n weight. The block's absolute values then give the regularity
-    sums. Nothing n x n is made.
+    is centered by s1 / pairs and scattered into a zero grid of row stride
+    n - 1: row r holds pair (r0 + r, r0 + 1 + c) at column c >= r. Each pair
+    i < j adds to the row sums at i and at j, which are the grid's row and
+    column sums, and to the lag sum D_(j-i), the column sums of the same
+    grid read with row stride n, so Z - EZ = 2 sum_t a(t) D_t needs no
+    n x n weight. The grid's absolute values then give the regularity sums.
+    Nothing n x n is made, and every sum is taken on the calling thread in
+    the same order whatever the thread count.
     """
     if S.n != W.n:
         raise ShapeMismatch(f"dimension mismatch: S is {S.n}x{S.n}, W is {W.n}x{W.n}")
     n = S.n
     pairs = n * (n - 1)
-    index = np.arange(n)
-    lag_count = 2.0 * (n - index)
+    lag_count = 2.0 * (n - np.arange(n))
     w1 = float(lag_count @ W.profile)
     a = W.profile - w1 / pairs
     a[0] = 0.0
@@ -101,29 +113,37 @@ def moment_summary(S: SimilarityMatrix, W: WeightMatrix) -> MomentSummary:
 
     s1 = 2.0 * float(S.condensed.sum())
     m0 = s1 / pairs
-    # row i's pairs (i, i+1..n-1) start at starts[i]; the last row has none
-    starts = index * (2 * n - index - 1) // 2
-    step = max(1, _BATCH_PAIRS // n)
+    width = n - 1
+    step = min(width, max(1, _BATCH_PAIRS // n))
+    # one spare zero row: the lag view of the last row runs into it. Row r's
+    # lags past the block's width read zeros, in row r to the right of the
+    # pairs or in row r + 1 left of column r + 1
+    grid = np.zeros((step + 1, width))
+    lag_rows = grid.reshape(-1)[: step * n].reshape(step, n)
+    upper = _upper(step, width)
+    centered = np.empty(step * width)
     s_row, s_abs_row, lag_sums = np.zeros((3, n))
-    s2, s_abs_max = 0.0, 0.0
-    for r0 in range(0, n - 1, step):
-        r1 = min(r0 + step, n - 1)
-        lo, hi = starts[r0], starts[r1]
-        block = S.condensed[lo:hi] - m0
-        heads = starts[r0:r1] - lo
-        lengths = n - 1 - index[r0:r1]
-        lags = np.arange(hi - lo) - np.repeat(heads - 1, lengths)
-        cols = lags + np.repeat(index[r0:r1], lengths)
-        s_row[r0:r1] += np.add.reduceat(block, heads)
-        s_row += np.bincount(cols, block, n)
-        lag_sums += np.bincount(lags, block, n)
+    s2, s_abs_max, lo = 0.0, 0.0, 0
+    for r0 in range(0, width, step):
+        cols = width - r0
+        k = min(step, cols)
+        hi = lo + k * cols - k * (k - 1) // 2
+        block = np.subtract(S.condensed[lo:hi], m0, out=centered[: hi - lo])
+        lo = hi
         # einsum sums in numpy: a BLAS dot may thread, which costs more
         # than it saves on one block and stalls when the cores are busy
         s2 += float(np.einsum("i,i->", block, block))
-        np.abs(block, out=block)
-        s_abs_row[r0:r1] += np.add.reduceat(block, heads)
-        s_abs_row += np.bincount(cols, block, n)
-        s_abs_max = max(s_abs_max, float(block.max()))
+        # the columns the last block held past this one's width
+        grid[:, cols : cols + step] = 0.0
+        rows = grid[:k, :cols]
+        rows[upper[:k, :cols]] = block
+        s_row[r0 : r0 + k] += rows.sum(1)
+        s_row[r0 + 1 :] += rows.sum(0)
+        lag_sums[1 : cols + 1] += lag_rows[:k, :cols].sum(0)
+        np.abs(rows, out=rows)
+        s_abs_row[r0 : r0 + k] += rows.sum(1)
+        s_abs_row[r0 + 1 :] += rows.sum(0)
+        s_abs_max = max(s_abs_max, float(rows.max()))
     # m0 carries the rounding of a large sum; m is the mean the centered
     # pairs still hold, and s_row and s2 are corrected to the exact mean. zc
     # needs no correction: A sums to zero, so m drops out of sum A_ij B_ij,

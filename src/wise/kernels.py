@@ -176,6 +176,9 @@ def knn_affinity(k: int, base: Optional[KernelSpec] = None) -> KernelSpec:
 # pair x feature operations in one block of the pairwise kernel; an input no
 # larger is a single pdist call
 _BLOCK_OPS = 2**24
+# pairs in one cdist call of a block, whatever the row length: the call's
+# rectangle is the one buffer each worker adds
+_TILE_PAIRS = 2**15
 
 
 def thread_count() -> int:
@@ -238,24 +241,37 @@ def _blocks(n: int, p: int) -> List[int]:
 
 def _fill(d: np.ndarray, flat: np.ndarray, metric: str, starts: List[int], a: int, b: int) -> None:
     """Pairs of rows a to b - 1 into their slice of d, where row i's pairs
-    are d[starts[i]:starts[i + 1]], as pdist orders them."""
-    if b == flat.shape[0]:
+    are d[starts[i]:starts[i + 1]], as pdist orders them.
+
+    Rows go in tiles of at most _TILE_PAIRS pairs, one cdist call each: the
+    tile [t, u) against rows t + 1 on fills a rectangle whose row i - t
+    holds row i's pairs from column i - t on.
+    """
+    n = flat.shape[0]
+    if b == n:
         pdist(flat[a:], metric, out=d[starts[a] :])
         return
-    for i in range(a, b):
-        cdist(flat[i : i + 1], flat[i + 1 :], metric, out=d[starts[i] : starts[i + 1]].reshape(1, -1))
+    rows = max(1, _TILE_PAIRS // (n - 1 - a))
+    buffer = np.empty(min(rows, b - a) * (n - 1 - a))
+    for t in range(a, b, rows):
+        u = min(t + rows, b)
+        rect = buffer[: (u - t) * (n - 1 - t)].reshape(u - t, n - 1 - t)
+        cdist(flat[t:u], flat[t + 1 :], metric, out=rect)
+        for i in range(t, u):
+            d[starts[i] : starts[i + 1]] = rect[i - t, i - t :]
 
 
 def _distance(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
     """Fresh condensed pdist vector of the rows of ``flat`` under the family's metric.
 
     An input of more than one block is filled block by block on the pool.
-    Each block writes pdist's own numbers straight into the vector, so the
-    result is byte-identical at any block size and thread count. One thread
-    makes one pdist call, which saves the per-row cdist calls.
+    Each block writes pdist's own numbers for its pairs into the vector, so
+    the result is byte-identical at any block size and thread count. One
+    thread makes one pdist call, which saves the tiles' cdist calls and
+    copies.
     """
     family = _FAMILIES[spec.family]
-    # one C-ordered copy at most: each row's cdist would otherwise copy the rows after it
+    # one C-ordered copy at most: each tile's cdist would otherwise copy the rows after it
     flat = np.ascontiguousarray(flat, dtype=np.float64)
     if family.prescale is not None:
         flat = flat * family.prescale(flat.shape[1])

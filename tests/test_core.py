@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wise import core
 from wise.core import (
     build_similarity_matrix,
     build_weight_matrix,
@@ -15,7 +16,7 @@ from wise.errors import (
 )
 from wise.kernels import gaussian, neg_l1
 from wise.types import ObservationSeries, SimilarityMatrix, WeightMatrix
-from wise.weights import cosine, default_weight, fourier, geometric, mixed
+from wise.weights import cosine, default_weight, fourier, geometric, mixed, parse_weight_spec
 
 
 def test_validate_series_well_formed():
@@ -195,6 +196,41 @@ def test_moment_summary_row_sum_identities():
         assert M.w3 == pytest.approx((M.w_row**2).sum(), rel=1e-12)
         assert M.s3 == pytest.approx((M.s_row**2).sum(), rel=1e-12)
         assert M.s_abs_row == pytest.approx(np.abs(B).sum(axis=1), rel=1e-12)
+
+
+# _BATCH_PAIRS = 1 and 7 put one row in each block at these n, 64 several
+# rows at small n with a ragged last block, 3000 a run of blocks of many
+# rows at n = 64 to 257, and 2^16 every row in one block up to n = 65
+@pytest.mark.parametrize("weight", ["default", "geometric:rho=0.5", "cosine:l=4"])
+@pytest.mark.parametrize("n", [4, 5, 9, 64, 65, 257])
+@pytest.mark.parametrize("batch", [1, 7, 64, 3000, 1 << 16])
+def test_moment_walk_matches_dense_reference_at_any_block_size(batch, n, weight, monkeypatch):
+    monkeypatch.setattr(core, "_BATCH_PAIRS", batch)
+    series = ObservationSeries("vector", np.random.default_rng(n).standard_normal((n, 3)))
+    S = build_similarity_matrix(series, neg_l1())
+    W = build_weight_matrix(n, parse_weight_spec(weight))
+    M = moment_summary(S, W)
+
+    pairs = n * (n - 1)
+    off = ~np.eye(n, dtype=bool)
+    w, s = np.array(W.values), S.values
+    A = np.where(off, w - w[off].mean(), 0.0)
+    B = np.where(off, s - s[off].mean(), 0.0)
+
+    def sums(w, s, A, B):
+        return {
+            "w1": w[off].sum(), "w2": (A * A).sum(), "w3": (A.sum(1) ** 2).sum(), "w_row": A.sum(1),
+            "s1": s[off].sum(), "s2": (B * B).sum(), "s3": (B.sum(1) ** 2).sum(), "s_row": B.sum(1),
+            "s_abs_row": np.abs(B).sum(1), "zc": (A * B).sum(),
+        }
+
+    # relative to the same sum of absolute values, the scale of its rounding:
+    # centered sums such as zc or cosine's row sums can land near zero
+    scale = sums(np.abs(w), np.abs(s), np.abs(A), np.abs(B))
+    for name, want in sums(w, s, A, B).items():
+        assert np.abs(getattr(M, name) - want).max() <= 1e-12 * scale[name].max(), name
+    # the walk centers by the same float m0 = s1 / pairs
+    assert M.s_abs_max == np.abs(S.condensed - M.s1 / pairs).max()
 
 
 def test_moment_summary_dimension_mismatch():

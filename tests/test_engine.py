@@ -8,7 +8,7 @@ from numpy.random import SeedSequence, default_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wise import engine
+from wise import engine, kernels
 from wise.core import build_similarity_matrix, build_weight_matrix, moment_summary
 from wise.engine import (
     TestConfig,
@@ -471,6 +471,19 @@ class TestLargeN:
         analytic = run_test(series, neg_l1(), default_weight())
         assert perm.p_value in {(1 + c) / (B + 1) for c in range(B + 1)}
         assert (perm.z, perm.e_z, perm.var_z) == (analytic.z, analytic.e_z, analytic.var_z)
+
+    def test_analytic_result_does_not_depend_on_the_thread_count(self, monkeypatch):
+        # small blocks put the kernel on the pool; the walk after it stays on
+        # the calling thread, so every reported number is the same
+        monkeypatch.setattr(kernels, "_BLOCK_OPS", 100)
+        series = self.series("var1", 600, 40)
+        seen = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("WISE_THREADS", threads)
+            r = run_test(series, neg_l1(), default_weight())
+            d = r.diagnostics
+            seen.add(repr((r.z, r.e_z, r.var_z, r.z_g, r.p_value, d.ratio1, d.ratio2, d.ratio3)))
+        assert len(seen) == 1
 
 
 class TestConfigValidation:

@@ -341,14 +341,18 @@ def test_knn_equals_inline_construction(base, ties):
 
 
 # the kernel fills S in blocks of this many pair x feature operations: 1 puts
-# every row in a block of its own, 100 a few rows together
-@pytest.mark.parametrize("block_ops", [1, 100])
+# every row in a block of its own, 100 a few rows together and 10^4 tens of
+# rows. A block's cdist calls take tiles of 1 row, of at least 2 rows (a cap
+# of 2n pairs) or of the whole block
+@pytest.mark.parametrize("tile", ["1 row", "2 rows", "many rows"])
+@pytest.mark.parametrize("block_ops", [1, 100, 10**4])
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("n", [4, 7, 50, 301])
 @pytest.mark.parametrize("family", list(INLINE) + ["gaussian", "knn"])
-def test_blocked_kernel_is_byte_identical_to_pdist(family, n, threads, block_ops, monkeypatch):
+def test_blocked_kernel_is_byte_identical_to_pdist(family, n, threads, block_ops, tile, monkeypatch):
     monkeypatch.setenv("WISE_THREADS", threads)
     monkeypatch.setattr(kernels, "_BLOCK_OPS", block_ops)
+    monkeypatch.setattr(kernels, "_TILE_PAIRS", {"1 row": 1, "2 rows": 2 * n, "many rows": 2**16}[tile])
     series, spec, want = _inline(family, ties=False, n=n)
     # freed at once, so the kernel's own buffer is likely this one: a pair
     # no block fills reads NaN, not a value left by an earlier call
@@ -413,6 +417,25 @@ def test_a_forked_child_makes_its_own_pool(monkeypatch):
         time.sleep(0.01)
         done, status = os.waitpid(pid, os.WNOHANG)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_blocked_kernel_memory_at_n_2000(monkeypatch):
+    # p = 2 gives the widest tiles: blocks of 2^21 operations make rows 0 to
+    # 551 one block of 951 000 pairs and the rest the tail, whose pdist
+    # writes into S. Only the block's tile is extra, capped at 2^15 pairs
+    n = 2000
+    monkeypatch.setenv("WISE_THREADS", "2")
+    monkeypatch.setattr(kernels, "_BLOCK_OPS", 2**21)
+    series = ObservationSeries("vector", np.random.default_rng(3).standard_normal((n, 2)))
+    tracemalloc.start()
+    try:
+        pairwise_similarity(neg_l1(), series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * (n - 1) // 2 * 8  # S's pairs and a quarter more
+
+
 def test_knn_memory_at_n_2000():
     n = 2000
     series = ObservationSeries("vector", np.random.default_rng(3).standard_normal((n, 20)))
