@@ -19,11 +19,16 @@ statistic combines several weight choices into one test.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 import operator
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass, replace
 from itertools import permutations as _all_permutations
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +43,7 @@ from .errors import (
     TooFewObservations,
     TooLarge,
 )
+from .kernels import thread_count
 from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
 
 # each side as the statistic whose upper tail rejects
@@ -53,6 +59,9 @@ _DEGENERATE_RMS_REL = 1e-13
 _CLAMP_REL = 1e-9
 # permuted Z - EZ this fraction of its bound from the observed value is a tie
 _TIE_REL = 1e-10
+# draws x folded pairs from which the draws are split across forked
+# processes; below it a fork's round trip (about 4 ms) outweighs the work
+_FORK_PAIR_DRAWS = 2**26
 
 
 def _check_count(value, what: str) -> int:
@@ -200,6 +209,60 @@ def enumerate_moments(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, floa
     return float(zs.mean()), float(zs.var())
 
 
+def _fill_in_forks(
+    fill: Callable[[np.ndarray, int, int], None], out: np.ndarray, bounds: Sequence[int]
+) -> None:
+    """fill(out, a, b) fills rows a to b - 1 of out, for each pair of
+    consecutive bounds.
+
+    The first range runs here and each other range in a forked child,
+    which fills its rows of one anonymous shared mapping and leaves through
+    os._exit. A child that fails, or cannot be forked, has its range filled
+    here afterwards, so out is the same whichever children succeed. Every
+    child is reaped before this returns or raises; on any exception the
+    children still running are killed first. Off Linux, or off the main
+    thread, every range is filled here.
+    """
+    ranges = list(zip(bounds, bounds[1:]))
+    forkable = sys.platform == "linux" and threading.current_thread() is threading.main_thread()
+    if len(ranges) == 1 or not forkable:
+        for a, b in ranges:
+            fill(out, a, b)
+        return
+    shared = np.frombuffer(mmap.mmap(-1, out.nbytes), out.dtype).reshape(out.shape)
+    children, again = {}, []
+    try:
+        for a, b in ranges[1:]:
+            try:
+                pid = os.fork()
+            except OSError:
+                again.append((a, b))
+                continue
+            if pid == 0:
+                try:
+                    fill(shared, a, b)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[pid] = (a, b)
+        fill(out, *ranges[0])
+        while children:
+            pid = next(iter(children))
+            status = os.waitpid(pid, 0)[1]
+            a, b = children.pop(pid)
+            if status == 0:
+                out[a:b] = shared[a:b]
+            else:
+                again.append((a, b))
+    finally:
+        for pid in children:
+            # an unreaped child exists, if only as a zombie, so kill finds it
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for a, b in again:
+        fill(out, a, b)
+
+
 def _lag_sum_draws(
     s_pairs: np.ndarray, profiles: np.ndarray, B: int, seed: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,6 +280,12 @@ def _lag_sum_draws(
     even n the second half of the last row repeats its first half and is
     zeroed. A draw bins the signed difference, shifted by n, on 2n bins,
     and weighs bin n +- t with w(t), so no absolute value is taken.
+
+    From _FORK_PAIR_DRAWS draws x folded pairs on, the B draws are cut into
+    thread_count() ranges of whole batches, filled side by side in forked
+    processes (see _fill_in_forks). Each draw then sits at its place in the
+    same batch as in one run, so the draws are byte-identical at any
+    worker count.
     """
     n = profiles.shape[1]
     h = n // 2
@@ -261,12 +330,19 @@ def _lag_sum_draws(
             d += np.bincount(block.ravel(), weights[:, r : r + k].ravel(), 2 * n * size)
         return d.reshape(size, 2 * n) @ w_cols
 
+    def fill(out, a, b):
+        for start in range(a, b, size):
+            k = min(size, b - start)
+            for j in range(k):
+                sigma[j, default_rng(SeedSequence((seed, start + j))).permutation(n)] = index
+            out[start : start + k] = lag_sums()[:k]
+
     observed = lag_sums()[0]
     out = np.empty((B, profiles.shape[0]))
-    for start in range(0, B, size):
-        for j in range(min(size, B - start)):
-            sigma[j, default_rng(SeedSequence((seed, start + j))).permutation(n)] = index
-        out[start : start + size] = lag_sums()[: B - start]
+    batches = -(-B // size)
+    workers = min(thread_count(), batches) if B * fold.size >= _FORK_PAIR_DRAWS else 1
+    bounds = [min(B, size * (batches * r // workers)) for r in range(workers + 1)]
+    _fill_in_forks(fill, out, bounds)
     return observed, out, bound
 
 

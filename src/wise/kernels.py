@@ -182,8 +182,8 @@ _TILE_PAIRS = 2**15
 
 
 def thread_count() -> int:
-    """Worker count of the kernel's pool and of the bench harness:
-    WISE_THREADS if set, else min(4, cpu count)."""
+    """Worker count of the kernel pool, bench harness and permutation draw
+    processes: WISE_THREADS if set, else min(4, cpu count)."""
     env = os.environ.get("WISE_THREADS", "").strip()
     if env:
         try:

@@ -1,5 +1,8 @@
 import math
+import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations as all_permutations
 
 import numpy as np
@@ -606,6 +609,32 @@ class TestRearrangementBounds:
             rearrangement_bounds(off_diag_ones(4), build_weight_matrix(5, default_weight()))
 
 
+def assert_no_child_left():
+    # every forked worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def draw_inputs(n: int, m: int):
+    """Random condensed pairs of an n-point field and m lag profiles."""
+    s_pairs = np.random.default_rng(n).standard_normal(n * (n - 1) // 2)
+    specs = (default_weight(), cosine(4.0), geometric(0.5))[:m]
+    return s_pairs, np.stack([build_weight_matrix(n, spec).profile for spec in specs])
+
+
+def count_forks(monkeypatch):
+    """A list that gains one entry per os.fork call; the fork still happens."""
+    forks = []
+    real = os.fork
+
+    def spy():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
 class TestLagSumDraws:
     def spy_draws(self, monkeypatch):
         # records the (B, m) draws of every call to the shared draw routine
@@ -614,6 +643,7 @@ class TestLagSumDraws:
 
         def spy(*args):
             out = real(*args)
+            assert_no_child_left()
             seen.append(out[1])
             return out
 
@@ -622,6 +652,11 @@ class TestLagSumDraws:
 
     def test_draws_are_a_prefix_of_a_longer_stream(self, monkeypatch):
         seen = self.spy_draws(monkeypatch)
+        # at n = 40 the draws fold 800 pairs: 150 draws run in one process,
+        # 400 and more are split across two
+        monkeypatch.setattr(engine, "_FORK_PAIR_DRAWS", 300 * 800)
+        monkeypatch.setenv("WISE_THREADS", "2")
+        forks = count_forks(monkeypatch)
         series = iid_series(np.random.default_rng(5), 40, 3)
         for B in (150, 400):
             cfg = TestConfig(method="permutation", permutations=B, seed=7)
@@ -634,6 +669,82 @@ class TestLagSumDraws:
         assert short.shape == (150, 1) and agg_short.shape == (500, 2)
         assert np.array_equal(short, long[:150])
         assert np.array_equal(agg_short, agg_long[:500])
+        assert len(forks) == 3
+
+    # n = 4 and 7 hold every draw in one batch, so they never fork; up to
+    # n = 256 a batch holds several draws and the last one is ragged
+    @pytest.mark.parametrize("n", [4, 7, 24, 25, 256, 257, 400])
+    def test_draws_do_not_depend_on_the_worker_count(self, monkeypatch, n):
+        monkeypatch.setattr(engine, "_FORK_PAIR_DRAWS", 0)
+        forks = count_forks(monkeypatch)
+        for m in (1, 3):
+            s_pairs, profiles = draw_inputs(n, m)
+            for B in (100, 501, 1000):
+                monkeypatch.setenv("WISE_THREADS", "1")
+                want = engine._lag_sum_draws(s_pairs, profiles, B, 11)
+                for threads in ("1", "2", "3"):
+                    monkeypatch.setenv("WISE_THREADS", threads)
+                    got = engine._lag_sum_draws(s_pairs, profiles, B, 11)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                    assert_no_child_left()
+        assert (len(forks) > 0) == (n > 7)
+
+    def test_a_failing_worker_is_redone_in_process(self, monkeypatch):
+        s_pairs, profiles = draw_inputs(64, 3)
+        monkeypatch.setenv("WISE_THREADS", "1")
+        want = engine._lag_sum_draws(s_pairs, profiles, 300, 2)
+        parent, real = os.getpid(), engine.default_rng
+
+        def fails_in_a_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return real(*args)
+
+        monkeypatch.setattr(engine, "default_rng", fails_in_a_child)
+        monkeypatch.setattr(engine, "_FORK_PAIR_DRAWS", 0)
+        monkeypatch.setenv("WISE_THREADS", "3")
+        forks = count_forks(monkeypatch)
+        got = engine._lag_sum_draws(s_pairs, profiles, 300, 2)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_an_interrupt_in_the_caller_reaps_every_worker(self, monkeypatch):
+        s_pairs, profiles = draw_inputs(64, 1)
+        parent, real = os.getpid(), engine.default_rng
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(engine, "default_rng", interrupted)
+        monkeypatch.setattr(engine, "_FORK_PAIR_DRAWS", 0)
+        monkeypatch.setenv("WISE_THREADS", "3")
+        forks = count_forks(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            engine._lag_sum_draws(s_pairs, profiles, 5000, 2)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["off the main thread", "off Linux"])
+    def test_a_call_that_cannot_fork_fills_every_range_itself(self, monkeypatch, where):
+        s_pairs, profiles = draw_inputs(64, 3)
+        monkeypatch.setenv("WISE_THREADS", "1")
+        want = engine._lag_sum_draws(s_pairs, profiles, 300, 4)
+        # on the main thread on Linux these settings fork twice, as in
+        # test_a_failing_worker_is_redone_in_process
+        monkeypatch.setattr(engine, "_FORK_PAIR_DRAWS", 0)
+        monkeypatch.setenv("WISE_THREADS", "3")
+        forks = count_forks(monkeypatch)
+        if where == "off Linux":
+            monkeypatch.setattr(sys, "platform", "darwin")
+            got = engine._lag_sum_draws(s_pairs, profiles, 300, 4)
+        else:
+            with ThreadPoolExecutor(1) as pool:
+                got = pool.submit(engine._lag_sum_draws, s_pairs, profiles, 300, 4).result()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert forks == []
 
     # both parities fold differently; up to n = 256 one bincount takes a
     # batch of draws, and from n = 363 a draw takes several blocks of rows
