@@ -5,9 +5,13 @@ test configuration. Each replication generates a fresh series and runs the
 test once; the cell's rejection rate estimates size (null model) or power
 (alternative). Per-replication seeds are derived by hashing
 (master_seed, setting, n, p, replication index), so every cell is
-reproducible in isolation and results do not depend on thread count or
-scheduling. Wall-clock seconds are recorded but excluded from the
-determinism contract.
+reproducible in isolation. The replications of a cell are cut into one
+range per worker: the calling process runs the first and a forked process
+each other (see kernels._fill_in_forks). WISE_THREADS, or ``threads``,
+caps those processes and the kernel threads and draw processes inside
+them together, and the rates are identical at any worker count.
+Wall-clock seconds are recorded but excluded from the determinism
+contract.
 """
 
 from __future__ import annotations
@@ -18,14 +22,16 @@ import io
 import json
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Optional, Tuple, get_type_hints
+
+import numpy as np
 
 from ._grammar import Param, read_fields, real, string
 from .engine import TestConfig, _check_count, run_test
 from .errors import ExperimentError, InvalidValue, ParseError, WiseError
-from .kernels import KernelSpec, read_kernel_spec, thread_count
+from .kernels import KernelSpec, _fill_in_forks, read_kernel_spec, thread_count
 from .simgen import ModelSpec, generate, model_spec_from_json_obj, replicate_spec
 from .weights import WeightSpec, read_weight_spec
 
@@ -118,41 +124,52 @@ def _one_replication(plan: ExperimentPlan, n: int, p: int, rep: int):
     return run_test(series, plan.kernel, plan.weight, plan.test_config(test_seed)).reject
 
 
+def _fill_outcomes(plan: ExperimentPlan, n: int, p: int, out: np.ndarray, a: int, b: int) -> None:
+    """out[rep] for replications a to b - 1: 1.0 for a reject, 0.0 for an
+    accept and NaN for a replication that raised a WiseError."""
+    for rep in range(a, b):
+        try:
+            out[rep] = _one_replication(plan, n, p, rep)
+        except WiseError:
+            out[rep] = np.nan
+
+
 def run_experiment(plan: ExperimentPlan, threads: Optional[int] = None) -> ExperimentReport:
     """Run every (n, p) cell of the plan; deterministic for a fixed seed.
 
-    A cell aborts with ExperimentError when more than 1% of its
-    replications raise; rarer failures are dropped from the denominator.
+    ``threads`` worker processes, default thread_count(), share each
+    cell's replications. A cell aborts with ExperimentError when more than
+    1% of its replications raise; rarer failures are dropped from the
+    denominator.
     """
-    workers = threads if threads is not None else thread_count()
+    workers = thread_count() if threads is None else _check_count(threads, "threads")
+    if workers < 1:
+        raise InvalidValue(f"threads must be at least 1, got {workers}")
+    reps = plan.replications
+    workers = min(workers, reps)
+    bounds = [reps * r // workers for r in range(workers + 1)]
     cells = []
     for n in plan.n_values:
         for p in plan.p_values:
             start = time.perf_counter()
-            outcomes = []
-            errors = []
-
-            def job(rep, n=n, p=p):
+            outcomes = np.empty(reps)
+            _fill_in_forks(partial(_fill_outcomes, plan, n, p), outcomes, bounds)
+            failed = np.flatnonzero(np.isnan(outcomes))
+            if failed.size > 0.01 * reps:
+                # a replication is a pure function of (plan, n, p, rep), so
+                # rerunning the first failure raises its error again
+                first = None
                 try:
-                    return _one_replication(plan, n, p, rep)
+                    _one_replication(plan, n, p, int(failed[0]))
                 except WiseError as exc:
-                    return exc
-
-            if workers == 1:
-                results = [job(rep) for rep in range(plan.replications)]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(job, range(plan.replications)))
-            for res in results:
-                (errors if isinstance(res, WiseError) else outcomes).append(res)
-            if len(errors) > 0.01 * plan.replications:
+                    first = exc
                 raise ExperimentError(
                     f"cell (setting={plan.setting}, n={n}, p={p}): "
-                    f"{len(errors)} of {plan.replications} replications failed; "
-                    f"first error: {errors[0]}"
+                    f"{failed.size} of {reps} replications failed; "
+                    f"first error: {first}"
                 )
-            count = len(outcomes)
-            rate = sum(outcomes) / count
+            count = reps - failed.size
+            rate = int(np.count_nonzero(outcomes == 1.0)) / count
             mc_se = (rate * (1.0 - rate) / count) ** 0.5
             cells.append(
                 CellResult(

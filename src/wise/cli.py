@@ -192,7 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--plan", required=True, help="JSON plan file")
     b.add_argument("--out", help="report path (default: plan's output, else stdout)")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
-    b.add_argument("--threads", type=int, default=None, help="override WISE_THREADS")
+    b.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker processes for the replications (default: WISE_THREADS, which "
+        "caps bench processes, draw processes and kernel threads together)",
+    )
     b.set_defaults(func=cmd_bench)
 
     g = sub.add_parser("ingest", help="grid-bin a check-in log into a matrix series")

@@ -19,16 +19,11 @@ statistic combines several weight choices into one test.
 from __future__ import annotations
 
 import math
-import mmap
 import numbers
 import operator
-import os
-import signal
-import sys
-import threading
 from dataclasses import dataclass, replace
 from itertools import permutations as _all_permutations
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,7 +38,7 @@ from .errors import (
     TooFewObservations,
     TooLarge,
 )
-from .kernels import thread_count
+from .kernels import _fill_in_forks, thread_count
 from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
 
 # each side as the statistic whose upper tail rejects
@@ -207,60 +202,6 @@ def enumerate_moments(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, floa
     gathered = S.values[perms[:, :, None], perms[:, None, :]]
     zs = np.einsum("ij,bij->b", W.values, gathered)
     return float(zs.mean()), float(zs.var())
-
-
-def _fill_in_forks(
-    fill: Callable[[np.ndarray, int, int], None], out: np.ndarray, bounds: Sequence[int]
-) -> None:
-    """fill(out, a, b) fills rows a to b - 1 of out, for each pair of
-    consecutive bounds.
-
-    The first range runs here and each other range in a forked child,
-    which fills its rows of one anonymous shared mapping and leaves through
-    os._exit. A child that fails, or cannot be forked, has its range filled
-    here afterwards, so out is the same whichever children succeed. Every
-    child is reaped before this returns or raises; on any exception the
-    children still running are killed first. Off Linux, or off the main
-    thread, every range is filled here.
-    """
-    ranges = list(zip(bounds, bounds[1:]))
-    forkable = sys.platform == "linux" and threading.current_thread() is threading.main_thread()
-    if len(ranges) == 1 or not forkable:
-        for a, b in ranges:
-            fill(out, a, b)
-        return
-    shared = np.frombuffer(mmap.mmap(-1, out.nbytes), out.dtype).reshape(out.shape)
-    children, again = {}, []
-    try:
-        for a, b in ranges[1:]:
-            try:
-                pid = os.fork()
-            except OSError:
-                again.append((a, b))
-                continue
-            if pid == 0:
-                try:
-                    fill(shared, a, b)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            children[pid] = (a, b)
-        fill(out, *ranges[0])
-        while children:
-            pid = next(iter(children))
-            status = os.waitpid(pid, 0)[1]
-            a, b = children.pop(pid)
-            if status == 0:
-                out[a:b] = shared[a:b]
-            else:
-                again.append((a, b))
-    finally:
-        for pid in children:
-            # an unreaped child exists, if only as a zombie, so kill finds it
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for a, b in again:
-        fill(out, a, b)
 
 
 def _lag_sum_draws(

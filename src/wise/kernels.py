@@ -25,12 +25,15 @@ when only one direction holds, else 0. See :func:`knn_affinity_matrix`.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
 import os
+import signal
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -181,9 +184,20 @@ _BLOCK_OPS = 2**24
 _TILE_PAIRS = 2**15
 
 
+# set while this process fills one range of a fan-out beside other ranges
+_in_range = False
+
+
 def thread_count() -> int:
-    """Worker count of the kernel pool, bench harness and permutation draw
-    processes: WISE_THREADS if set, else min(4, cpu count)."""
+    """Worker count of the kernel pool, the bench processes and the
+    permutation draw processes: WISE_THREADS if set, else min(4, cpu count).
+
+    While a process fills one range of _fill_in_forks beside other ranges
+    it is 1, so no worker starts workers of its own, and one count caps
+    bench processes, draw processes and kernel threads together.
+    """
+    if _in_range:
+        return 1
     env = os.environ.get("WISE_THREADS", "").strip()
     if env:
         try:
@@ -216,6 +230,66 @@ def _forget_pool() -> None:
 
 
 os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _fill_in_forks(
+    fill: Callable[[np.ndarray, int, int], None], out: np.ndarray, bounds: Sequence[int]
+) -> None:
+    """fill(out, a, b) fills rows a to b - 1 of out, for each pair of
+    consecutive bounds.
+
+    The first range runs here and each other range in a forked child,
+    which fills its rows of one anonymous shared mapping and leaves through
+    os._exit. A child that fails, or cannot be forked, has its range filled
+    here afterwards, so out is the same whichever children succeed. Every
+    child is reaped before this returns or raises; on any exception the
+    children still running are killed first. While the ranges are filled,
+    thread_count() is 1 here and in every child, so a range runs no kernel
+    threads, and a call made inside a range fills all its own ranges in
+    that process. Off Linux, or off the main thread, every range is filled
+    here.
+    """
+    global _in_range
+    ranges = list(zip(bounds, bounds[1:]))
+    forkable = sys.platform == "linux" and threading.current_thread() is threading.main_thread()
+    if len(ranges) == 1 or not forkable or _in_range:
+        for a, b in ranges:
+            fill(out, a, b)
+        return
+    shared = np.frombuffer(mmap.mmap(-1, out.nbytes), out.dtype).reshape(out.shape)
+    children, again = {}, []
+    _in_range = True
+    try:
+        for a, b in ranges[1:]:
+            try:
+                pid = os.fork()
+            except OSError:
+                again.append((a, b))
+                continue
+            if pid == 0:
+                try:
+                    fill(shared, a, b)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[pid] = (a, b)
+        fill(out, *ranges[0])
+        while children:
+            pid = next(iter(children))
+            status = os.waitpid(pid, 0)[1]
+            a, b = children.pop(pid)
+            if status == 0:
+                out[a:b] = shared[a:b]
+            else:
+                again.append((a, b))
+        for a, b in again:
+            fill(out, a, b)
+    finally:
+        _in_range = False
+        for pid in children:
+            # an unreaped child exists, if only as a zombie, so kill finds it
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _blocks(n: int, p: int) -> List[int]:

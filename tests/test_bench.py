@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from wise import weights
+from forks import assert_no_child_left
+from wise import bench, weights
 from wise.bench import (
     CSV_COLUMNS,
     ExperimentPlan,
@@ -17,7 +18,7 @@ from wise.bench import (
     run_experiment,
     thread_count,
 )
-from wise.errors import ExperimentError, InvalidValue, ParseError
+from wise.errors import ExperimentError, InvalidValue, ParseError, TooFewObservations
 from wise.kernels import parse_kernel_spec
 from wise.simgen import from_setting
 from wise.weights import parse_weight_spec
@@ -117,6 +118,11 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError):
             run_experiment(plan, threads=2)
 
+    @pytest.mark.parametrize("threads", [0, -1, 2.5])
+    def test_threads_below_one_or_not_an_integer_is_invalid(self, threads):
+        with pytest.raises(InvalidValue, match="threads"):
+            run_experiment(tiny_plan(), threads=threads)
+
     def test_provenance_records_inputs(self):
         report = run_experiment(tiny_plan(), threads=1)
         prov = report.provenance
@@ -126,6 +132,44 @@ class TestRunExperiment:
         assert prov["grid"] == {"n": [20], "p": [3]}
         assert prov["master_seed"] == 7
         assert prov["permutations"] is None  # analytic runs ignore B
+
+
+def fail_at(monkeypatch, reps, error=TooFewObservations):
+    """Replications in reps raise error; the forked workers inherit the patch."""
+    real = bench._one_replication
+
+    def replication(plan, n, p, rep):
+        if rep in reps:
+            raise error(f"replication {rep} failed")
+        return real(plan, n, p, rep)
+
+    monkeypatch.setattr(bench, "_one_replication", replication)
+
+
+class TestFailedReplications:
+    # at two workers the caller runs replications 0-59 and a child 60-119
+    def test_a_single_failure_is_dropped_from_the_count(self, monkeypatch):
+        fail_at(monkeypatch, {90})
+        reports = [run_experiment(tiny_plan(), threads=t) for t in (1, 2)]
+        assert [r.cells[0].replications for r in reports] == [119, 119]
+        serial, forked = (rows_without_seconds(report_to_csv(r)) for r in reports)
+        assert serial == forked
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_two_failures_abort_with_the_first_error(self, monkeypatch, threads):
+        fail_at(monkeypatch, {100, 70})
+        with pytest.raises(ExperimentError, match="2 of 120 .* replication 70 failed"):
+            run_experiment(tiny_plan(), threads=threads)
+        assert_no_child_left()
+
+    def test_an_error_that_is_no_wise_error_propagates_from_a_worker(self, monkeypatch):
+        monkeypatch.setenv("WISE_THREADS", "2")
+        fail_at(monkeypatch, {100}, RuntimeError)
+        with pytest.raises(RuntimeError, match="replication 100 failed"):
+            run_experiment(tiny_plan())
+        assert thread_count() == 2
+        assert_no_child_left()
 
 
 class TestPlanValidation:

@@ -188,6 +188,11 @@ class TestBenchCommand:
         capsys.readouterr()
         assert open(out, encoding="utf-8").readline().startswith("setting,")
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_data_error(self, plan_file, capsys, threads):
+        assert main(["bench", "--plan", plan_file, "--threads", threads]) == 1
+        assert capsys.readouterr().err.startswith("error: threads must be at least 1")
+
     def test_missing_plan_is_data_error(self, tmp_path):
         assert main(["bench", "--plan", str(tmp_path / "none.json")]) == 1
 

@@ -11,6 +11,7 @@ from numpy.random import SeedSequence, default_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forks import assert_no_child_left, count_forks
 from wise import engine, kernels
 from wise.core import build_similarity_matrix, build_weight_matrix, moment_summary
 from wise.engine import (
@@ -609,30 +610,11 @@ class TestRearrangementBounds:
             rearrangement_bounds(off_diag_ones(4), build_weight_matrix(5, default_weight()))
 
 
-def assert_no_child_left():
-    # every forked worker has been reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def draw_inputs(n: int, m: int):
     """Random condensed pairs of an n-point field and m lag profiles."""
     s_pairs = np.random.default_rng(n).standard_normal(n * (n - 1) // 2)
     specs = (default_weight(), cosine(4.0), geometric(0.5))[:m]
     return s_pairs, np.stack([build_weight_matrix(n, spec).profile for spec in specs])
-
-
-def count_forks(monkeypatch):
-    """A list that gains one entry per os.fork call; the fork still happens."""
-    forks = []
-    real = os.fork
-
-    def spy():
-        forks.append(os.getpid())
-        return real()
-
-    monkeypatch.setattr(os, "fork", spy)
-    return forks
 
 
 class TestLagSumDraws:

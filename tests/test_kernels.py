@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
+from forks import assert_no_child_left, count_forks
 from wise import kernels
 from wise.errors import BadWeightParam, KernelMismatch, ParseError
 from wise.kernels import (
@@ -417,6 +418,62 @@ def test_a_forked_child_makes_its_own_pool(monkeypatch):
         time.sleep(0.01)
         done, status = os.waitpid(pid, os.WNOHANG)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _write(value):
+    """A fill that writes value() into each row of its range."""
+
+    def fill(out, a, b):
+        out[a:b] = value()
+
+    return fill
+
+
+def test_every_range_of_a_fan_out_runs_on_one_worker(monkeypatch):
+    monkeypatch.setenv("WISE_THREADS", "3")
+    forks = count_forks(monkeypatch)
+    out = np.zeros(3)
+    kernels._fill_in_forks(_write(kernels.thread_count), out, [0, 1, 2, 3])
+    assert out.tolist() == [1.0, 1.0, 1.0]
+    assert len(forks) == 2
+    assert kernels.thread_count() == 3
+    assert_no_child_left()
+
+
+def test_the_worker_count_returns_after_an_error_in_the_callers_range(monkeypatch):
+    monkeypatch.setenv("WISE_THREADS", "3")
+    parent = os.getpid()
+
+    def fill(out, a, b):
+        if os.getpid() == parent:
+            raise RuntimeError("caller's range failed")
+        out[a:b] = 1.0
+
+    with pytest.raises(RuntimeError, match="caller's range"):
+        kernels._fill_in_forks(fill, np.zeros(3), [0, 1, 2, 3])
+    assert kernels.thread_count() == 3
+    assert_no_child_left()
+
+
+def test_a_fan_out_inside_a_range_forks_no_further(monkeypatch):
+    monkeypatch.setenv("WISE_THREADS", "3")
+    forks = count_forks(monkeypatch)
+
+    def fill(out, a, b):
+        # each row: the pid that fills the range, then the pids that fill
+        # the two ranges of a fan-out nested in it
+        for row in range(a, b):
+            inner = np.zeros(2)
+            kernels._fill_in_forks(_write(os.getpid), inner, [0, 1, 2])
+            out[row] = [os.getpid(), *inner]
+
+    out = np.zeros((3, 3))
+    kernels._fill_in_forks(fill, out, [0, 1, 2, 3])
+    assert all(len(set(row)) == 1 for row in out.tolist())
+    assert out[0, 0] == os.getpid() and len(set(out[:, 0])) == 3
+    # the caller forked the outer ranges' two children and nothing more
+    assert forks == [os.getpid()] * 2
+    assert_no_child_left()
 
 
 def test_blocked_kernel_memory_at_n_2000(monkeypatch):
