@@ -9,16 +9,16 @@ regularity ratios need (see MomentSummary).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import InvalidValue, ShapeMismatch, TooFewObservations
 from .kernels import KernelSpec, pairwise_similarity
-from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
+from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix, _real_array
 from .weights import WeightSpec, weight_profile
 
-Kernel = Union[KernelSpec, Callable[[np.ndarray, np.ndarray], float]]
+Kernel = Union[KernelSpec, SimilarityMatrix]
 
 # a walk over the pairs (moment sums, permutation draws) takes about this
 # many at a time
@@ -32,15 +32,7 @@ def validate_series(raw, kind: str) -> ObservationSeries:
     (n, rows, cols) for matrix kind, (n, grid_len) for function/quantile.
     Requires n >= 4, the minimum the analytic test supports.
     """
-    try:
-        arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        # ragged rows raise ValueError on conversion in recent numpy
-        if "inhomogeneous" in str(exc) or "sequence" in str(exc):
-            raise ShapeMismatch(f"rows have inconsistent shapes: {exc}") from None
-        raise InvalidValue(f"input is not numeric: {exc}") from None
-    if arr.dtype == object:
-        raise ShapeMismatch("rows have inconsistent shapes")
+    arr = _real_array(raw, "input")
     if arr.ndim >= 1 and arr.shape[0] < 4:
         raise TooFewObservations(
             f"need at least 4 observations, got {arr.shape[0] if arr.ndim else 0}"
@@ -51,25 +43,26 @@ def validate_series(raw, kind: str) -> ObservationSeries:
 def build_similarity_matrix(series: ObservationSeries, kernel: Kernel) -> SimilarityMatrix:
     """Pairwise similarity matrix.
 
-    ``kernel`` is either a KernelSpec, exactly symmetric already, or a
-    callable s(x, y) -> float, which need not be and is symmetrized as
-    (s(i,j) + s(j,i)) / 2. The diagonal holds the kernel's self-similarity;
-    moment sums exclude it downstream.
+    ``kernel`` is either a KernelSpec, whose matrix is computed here, or a
+    precomputed SimilarityMatrix of the series' n observations, returned as
+    it is. The diagonal holds the kernel's self-similarity; moment sums
+    exclude it downstream.
     """
     if isinstance(kernel, KernelSpec):
         return pairwise_similarity(kernel, series)
-    n = series.n
-    raw = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            raw[i, j] = kernel(series.data[i], series.data[j])
-    if not np.isfinite(raw).all():
-        raise InvalidValue("user kernel produced NaN or infinite similarity")
-    return SimilarityMatrix.from_square((raw + raw.T) / 2.0)
+    if not isinstance(kernel, SimilarityMatrix):
+        raise InvalidValue(
+            f"kernel must be a KernelSpec or a SimilarityMatrix, got {type(kernel).__name__}"
+        )
+    if kernel.n != series.n:
+        raise ShapeMismatch(f"S is {kernel.n}x{kernel.n}, but the series has n={series.n}")
+    return kernel
 
 
 def build_weight_matrix(n: int, spec: WeightSpec) -> WeightMatrix:
     """Lag weights w(|i-j|) for n observations, held as the profile w(0..n-1)."""
+    if not isinstance(spec, WeightSpec):
+        raise InvalidValue(f"weight must be a WeightSpec, got {type(spec).__name__}")
     if n < 2:
         raise TooFewObservations(f"weight matrix needs n >= 2, got {n}")
     return WeightMatrix(weight_profile(spec, np.arange(n)), spec)

@@ -344,6 +344,12 @@ def run_test(
 ) -> TestResult:
     """Full test: similarity matrix, null moments, p-value, diagnostics.
 
+    ``kernel`` is a KernelSpec or a precomputed SimilarityMatrix of the
+    series' n observations, and ``weight_spec`` a WeightSpec (see
+    build_similarity_matrix and build_weight_matrix). A precomputed S gives
+    what the spec that made it gives, since only S.condensed and S.diagonal
+    are read.
+
     With a degenerate null (constant similarity field) the result carries
     p = 1 and a warning instead of raising: a field with no variation holds
     no evidence against independence.
@@ -411,10 +417,12 @@ def mahalanobis_aggregate(
 ) -> Tuple[float, float]:
     """Combine several weight choices into one Mahalanobis-type statistic.
 
-    The coordinates Z_k - EZ_k share one similarity matrix, centered once;
-    their covariance comes from B shared random permutations (the same
-    permutation is applied to every coordinate). The p-value is the
-    permutation tail of M over those draws.
+    ``kernel`` is a KernelSpec or a precomputed SimilarityMatrix, as in
+    run_test, and each of ``weight_specs`` a WeightSpec. The coordinates
+    Z_k - EZ_k share one similarity matrix, centered once; their covariance
+    comes from B shared random permutations (the same permutation is
+    applied to every coordinate). The p-value is the permutation tail of M
+    over those draws.
     """
     m = len(weight_specs)
     if m < 2:

@@ -31,7 +31,7 @@ import os
 import signal
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -207,31 +207,6 @@ def thread_count() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
-# (workers, pool) of the kernel's blocks, made on first use
-_pool: Optional[Tuple[int, ThreadPoolExecutor]] = None
-_pool_lock = threading.Lock()
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != workers:
-            # a pool of the old size is only dropped, since another thread may
-            # still submit to it; its threads exit once it is collected
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="wise-kernel"))
-        return _pool[1]
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's pool threads, and the lock may
-    # have been held by a thread that is not there either
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _fill_in_forks(
     fill: Callable[[np.ndarray, int, int], None], out: np.ndarray, bounds: Sequence[int]
 ) -> None:
@@ -338,11 +313,11 @@ def _fill(d: np.ndarray, flat: np.ndarray, metric: str, starts: List[int], a: in
 def _distance(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
     """Fresh condensed pdist vector of the rows of ``flat`` under the family's metric.
 
-    An input of more than one block is filled block by block on the pool.
-    Each block writes pdist's own numbers for its pairs into the vector, so
-    the result is byte-identical at any block size and thread count. One
-    thread makes one pdist call, which saves the tiles' cdist calls and
-    copies.
+    An input of more than one block is filled block by block on a thread
+    pool made for the call. Each block writes pdist's own numbers for its
+    pairs into the vector, so the result is byte-identical at any block size
+    and thread count. One thread makes one pdist call, which saves the
+    tiles' cdist calls and copies.
     """
     family = _FAMILIES[spec.family]
     # one C-ordered copy at most: each tile's cdist would otherwise copy the rows after it
@@ -357,13 +332,13 @@ def _distance(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
         pdist(flat, family.metric, out=d)
     else:
         starts = [i * (2 * n - 1 - i) // 2 for i in range(n + 1)]
-        pool = _executor(workers)
-        futures = [
-            pool.submit(_fill, d, flat, family.metric, starts, a, b)
-            for a, b in zip(bounds, bounds[1:])
-        ]
-        # every block is done before an error is raised, so none still writes into d
-        wait(futures)
+        with ThreadPoolExecutor(workers, thread_name_prefix="wise-kernel") as pool:
+            futures = [
+                pool.submit(_fill, d, flat, family.metric, starts, a, b)
+                for a, b in zip(bounds, bounds[1:])
+            ]
+        # the pool has waited for every block, so none still writes into d
+        # when an error is raised
         for future in futures:
             future.result()
     if family.per_column:

@@ -24,6 +24,21 @@ SERIES_KINDS = ("vector", "matrix", "function", "quantile")
 _KIND_NDIM = {"vector": 2, "matrix": 3, "function": 2, "quantile": 2}
 
 
+def _real_array(raw, what: str) -> np.ndarray:
+    """raw as a float64 array. Ragged rows are a ShapeMismatch; text and
+    complex entries, whose imaginary part a cast would drop, an InvalidValue."""
+    try:
+        arr = np.asarray(raw)
+        if arr.dtype.kind == "c":
+            raise InvalidValue(f"{what} holds complex values")
+        return arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        # ragged rows raise ValueError on conversion in recent numpy
+        if "inhomogeneous" in str(exc) or "sequence" in str(exc):
+            raise ShapeMismatch(f"{what} rows have inconsistent shapes: {exc}") from None
+        raise InvalidValue(f"{what} is not numeric: {exc}") from None
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     """a as a read-only float64 C array: a itself when it already is one and
     owns its data (a kernel's fresh output, handed over), else a copy."""
@@ -138,8 +153,8 @@ class SimilarityMatrix:
 
     @classmethod
     def from_square(cls, a) -> "SimilarityMatrix":
-        """From a square array, which must be finite and exactly symmetric."""
-        arr = np.asarray(a, dtype=np.float64)
+        """From a square array of reals, which must be finite and exactly symmetric."""
+        arr = _real_array(a, "similarity matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeMismatch(f"similarity matrix must be square, got {arr.shape}")
         if not np.isfinite(arr).all():

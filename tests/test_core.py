@@ -63,19 +63,6 @@ def test_similarity_two_point_example():
     assert S.values[0, 0] == 0.0
 
 
-def test_similarity_symmetrizes_user_kernel():
-    rng = np.random.default_rng(1)
-    series = ObservationSeries("vector", rng.standard_normal((6, 3)))
-
-    def lopsided(x, y):
-        return float(x[0] - 2.0 * y[0])
-
-    S = build_similarity_matrix(series, lopsided)
-    assert np.array_equal(S.values, S.values.T)
-    want01 = (lopsided(series.data[0], series.data[1]) + lopsided(series.data[1], series.data[0])) / 2
-    assert S.values[0, 1] == pytest.approx(want01, rel=1e-15)
-
-
 def test_similarity_identical_observations():
     series = ObservationSeries("vector", np.ones((5, 3)))
     S = build_similarity_matrix(series, neg_l1())
@@ -243,6 +230,20 @@ def test_similarity_matrix_requires_exact_symmetry():
     a[0, 1] = 1e-9
     with pytest.raises(ShapeMismatch):
         SimilarityMatrix.from_square(a)
+
+
+@pytest.mark.parametrize(
+    "square, error",
+    [
+        ([["a", "b"], ["b", "a"]], InvalidValue),
+        ([[0.0, 1.0], [1.0]], ShapeMismatch),
+        ([[0.0, 1j], [1j, 0.0]], InvalidValue),
+    ],
+    ids=["text", "ragged", "complex"],
+)
+def test_similarity_matrix_rejects_what_is_not_a_real_square(square, error):
+    with pytest.raises(error):
+        SimilarityMatrix.from_square(square)
 
 
 def test_similarity_matrix_from_square_round_trips():

@@ -31,7 +31,7 @@ from wise.errors import (
     TooFewObservations,
     TooLarge,
 )
-from wise.kernels import knn_affinity, neg_l1, neg_l2
+from wise.kernels import knn_affinity, neg_l1, neg_l2, pairwise_similarity, parse_kernel_spec
 from wise.types import ObservationSeries, SimilarityMatrix
 from wise.weights import (
     abs_cosine,
@@ -81,13 +81,22 @@ def iid_series(rng, n: int, p: int) -> ObservationSeries:
     return ObservationSeries("vector", rng.standard_normal((n, p)))
 
 
-# the 4-point series whose similarity field is a single unit pair (0,1)
+def iid_or_var1(kind: str, n: int, p: int) -> ObservationSeries:
+    """N(0, I_p) rows seeded by n, or for kind var1 a VAR(1) of coefficient 0.3 on them."""
+    x = np.random.default_rng(n).standard_normal((n, p))
+    if kind == "var1":
+        for t in range(1, n):
+            x[t] += 0.3 * x[t - 1]
+    return ObservationSeries("vector", x)
+
+
+# a 4-point series, and a similarity field for it that is a single unit pair (0,1)
 def pair_series() -> ObservationSeries:
     return ObservationSeries("vector", np.array([[0.0], [1.0], [2.0], [3.0]]))
 
 
-def pair_kernel(x, y) -> float:
-    return 1.0 if {float(x[0]), float(y[0])} == {0.0, 1.0} else 0.0
+def pair_similarity() -> SimilarityMatrix:
+    return single_pair(4)
 
 
 class TestComputeZ:
@@ -182,7 +191,7 @@ class TestEnumerateMoments:
 
 class TestRunTest:
     def test_single_pair_anchor(self):
-        res = run_test(pair_series(), pair_kernel, default_weight())
+        res = run_test(pair_series(), pair_similarity(), default_weight())
         assert res.z == pytest.approx(-1.0, rel=1e-12)
         assert res.z_g == pytest.approx(0.98058, abs=1e-4)
         assert res.p_value == pytest.approx(0.3268, abs=1e-3)
@@ -190,7 +199,7 @@ class TestRunTest:
         assert not res.reject
 
     def test_constant_similarity_is_degenerate(self):
-        res = run_test(pair_series(), lambda x, y: 1.0, default_weight())
+        res = run_test(pair_series(), sim(np.ones((4, 4))), default_weight())
         assert res.p_value == 1.0
         assert res.z_g == 0.0
         assert res.var_z == 0.0
@@ -212,12 +221,12 @@ class TestRunTest:
 
     def test_analytic_sidedness_relations(self):
         series = pair_series()
-        p_two = run_test(series, pair_kernel, default_weight()).p_value
+        p_two = run_test(series, pair_similarity(), default_weight()).p_value
         p_up = run_test(
-            series, pair_kernel, default_weight(), TestConfig(sidedness="upper")
+            series, pair_similarity(), default_weight(), TestConfig(sidedness="upper")
         ).p_value
         p_low = run_test(
-            series, pair_kernel, default_weight(), TestConfig(sidedness="lower")
+            series, pair_similarity(), default_weight(), TestConfig(sidedness="lower")
         ).p_value
         assert p_up + p_low == pytest.approx(1.0, rel=1e-12)
         assert p_two == pytest.approx(2.0 * min(p_up, p_low), rel=1e-12)
@@ -226,7 +235,7 @@ class TestRunTest:
         # Z takes values -1.0, -1.6, -1.8 with probabilities 1/2, 1/3, 1/6
         # under re-indexing; |Z_b - EZ| >= |Z_obs - EZ| has probability 2/3.
         cfg = TestConfig(method="permutation", permutations=2000, seed=42)
-        res = run_test(pair_series(), pair_kernel, default_weight(), cfg)
+        res = run_test(pair_series(), pair_similarity(), default_weight(), cfg)
         assert res.method == "permutation"
         assert res.p_value == pytest.approx(2.0 / 3.0, abs=0.04)
 
@@ -306,11 +315,8 @@ class TestRunTest:
         preimage = (T - b * off) / a
 
         def z_g_of(values):
-            # the series is the time index, so the kernel looks S up
             return run_test(
-                ObservationSeries("vector", np.arange(float(n))[:, None]),
-                lambda x, y: values[int(x[0]), int(y[0])],
-                default_weight(),
+                ObservationSeries("vector", np.arange(float(n))[:, None]), sim(values), default_weight()
             ).z_g
 
         base = z_g_of(preimage)
@@ -333,7 +339,7 @@ class TestRunTest:
             assert hit <= alpha + 2.0 / B + 2.58 * se
 
     def test_result_json_shape(self):
-        res = run_test(pair_series(), pair_kernel, default_weight())
+        res = run_test(pair_series(), pair_similarity(), default_weight())
         obj = res.to_json_obj()
         assert set(obj) == {
             "z", "e_z", "var_z", "z_g", "p_value", "reject", "alpha", "method", "diagnostics",
@@ -347,6 +353,60 @@ class TestRunTest:
         obj = run_test(series, neg_l1(), default_weight()).to_json_obj()
         assert obj["diagnostics"]["ratio1"] is None
         assert obj["p_value"] == 1.0
+
+
+class TestPrecomputedSimilarity:
+    """S as the kernel: the spec's own matrix, or that matrix read back from
+    its square, gives every number the spec gives."""
+
+    WEIGHTS = [default_weight(), cosine(4.0)]
+
+    @pytest.mark.parametrize("square", [False, True], ids=["pairwise", "from_square"])
+    @pytest.mark.parametrize("kind", ["iid", "var1"])
+    @pytest.mark.parametrize("text", ["neg_l1", "gaussian:sigma=2", "knn:k=3,base=neg_l2"])
+    def test_matches_the_spec(self, text, kind, square):
+        spec, series = parse_kernel_spec(text), iid_or_var1(kind, 40, 6)
+        S = pairwise_similarity(spec, series)
+        if square:
+            S = SimilarityMatrix.from_square(S.values)
+        configs = [TestConfig()] + [
+            TestConfig(method="permutation", permutations=200, seed=3, sidedness=side)
+            for side in ("two_sided", "upper", "lower")
+        ]
+        for cfg in configs:
+            assert run_test(series, S, default_weight(), cfg) == run_test(
+                series, spec, default_weight(), cfg
+            )
+        assert mahalanobis_aggregate(series, S, self.WEIGHTS, B=500, seed=4) == (
+            mahalanobis_aggregate(series, spec, self.WEIGHTS, B=500, seed=4)
+        )
+
+    def test_s_of_another_n_is_a_shape_mismatch(self):
+        S = pairwise_similarity(neg_l1(), iid_or_var1("iid", 40, 6))
+        short = iid_or_var1("iid", 39, 6)
+        with pytest.raises(ShapeMismatch):
+            run_test(short, S, default_weight())
+        with pytest.raises(ShapeMismatch):
+            mahalanobis_aggregate(short, S, self.WEIGHTS, B=500, seed=0)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [lambda x, y: 1.0, "neg_l1", {"family": "neg_l1"}],
+        ids=["callable", "text", "json"],
+    )
+    def test_any_other_kernel_is_an_invalid_value(self, kernel):
+        series = iid_or_var1("iid", 40, 6)
+        with pytest.raises(InvalidValue, match="KernelSpec or a SimilarityMatrix"):
+            run_test(series, kernel, default_weight())
+        with pytest.raises(InvalidValue, match="KernelSpec or a SimilarityMatrix"):
+            mahalanobis_aggregate(series, kernel, self.WEIGHTS, B=500, seed=0)
+
+    def test_a_weight_that_is_not_a_spec_is_an_invalid_value(self):
+        series = iid_or_var1("iid", 40, 6)
+        with pytest.raises(InvalidValue, match="WeightSpec"):
+            run_test(series, neg_l1(), "default")
+        with pytest.raises(InvalidValue, match="WeightSpec"):
+            mahalanobis_aggregate(series, neg_l1(), ["default", cosine(4.0)], B=500, seed=0)
 
 
 def dense_centered_moments(S: np.ndarray, W: np.ndarray):
@@ -409,16 +469,9 @@ class TestLargeN:
     # at n = 2500 the uncentered moment algebra called these nulls degenerate
     n, p = 2500, 100
 
-    def series(self, kind, n=n, p=p):
-        x = np.random.default_rng(n).standard_normal((n, p))
-        if kind == "var1":
-            for t in range(1, n):
-                x[t] += 0.3 * x[t - 1]
-        return ObservationSeries("vector", x)
-
     @pytest.mark.parametrize("kind", ["iid", "var1"])
     def test_analytic_matches_dense_centered_reference(self, kind):
-        series = self.series(kind)
+        series = iid_or_var1(kind, self.n, self.p)
         res = run_test(series, neg_l1(), default_weight(), TestConfig(method="analytic"))
         assert res.z_g != 0.0 and res.p_value < 1.0
         assert not any("degenerate" in w for w in res.diagnostics.warnings)
@@ -435,7 +488,7 @@ class TestLargeN:
         # z_g sits near 0 under the null, so a relative check against float64
         # code proves little; this one measures the error in sd units
         n = 2000
-        series = self.series(kind, n, 20)
+        series = iid_or_var1(kind, n, 20)
         res = run_test(series, neg_l1(), default_weight())
         S = build_similarity_matrix(series, neg_l1())
         zc, var = long_double_centered_moments(S.values, weight_profile(default_weight(), np.arange(n)))
@@ -480,7 +533,7 @@ class TestLargeN:
         # small blocks put the kernel on the pool; the walk after it stays on
         # the calling thread, so every reported number is the same
         monkeypatch.setattr(kernels, "_BLOCK_OPS", 100)
-        series = self.series("var1", 600, 40)
+        series = iid_or_var1("var1", 600, 40)
         seen = set()
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("WISE_THREADS", threads)
@@ -803,7 +856,7 @@ class TestMahalanobis:
         def m_of(values):
             return mahalanobis_aggregate(
                 ObservationSeries("vector", np.arange(float(n))[:, None]),
-                lambda x, y: values[int(x[0]), int(y[0])],
+                sim(values),
                 [default_weight(), cosine(4.0)],
                 B=500,
                 seed=seed,
@@ -814,7 +867,7 @@ class TestMahalanobis:
     def test_constant_similarity_degenerate(self):
         with pytest.raises(DegenerateVariance):
             mahalanobis_aggregate(
-                pair_series(), lambda x, y: 1.0, [default_weight(), cosine(4.0)], B=500, seed=0
+                pair_series(), sim(np.ones((4, 4))), [default_weight(), cosine(4.0)], B=500, seed=0
             )
 
     def test_needs_two_specs(self):
