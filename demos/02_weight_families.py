@@ -12,7 +12,7 @@ obvious to a period-4 one.
 import numpy as np
 
 from wise import kernels, run_test, validate_series, weights
-from wise.weights import weight_evaluate
+from wise.weights import weight_profile
 
 
 def lag4_series(n, p, seed, coef=0.5):
@@ -36,7 +36,7 @@ families = [
 print("weight profiles, lags 0..8")
 lags = np.arange(9, dtype=float)
 for name, spec in families:
-    vals = " ".join(f"{weight_evaluate(spec, t):+6.3f}" for t in lags)
+    vals = " ".join(f"{w:+6.3f}" for w in weight_profile(spec, lags))
     print(f"  {name:16s} {vals}")
 
 print("\nseries with dependence only at lag 4 (n=100, p=40)")

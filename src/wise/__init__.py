@@ -26,10 +26,7 @@ from .engine import (
     DiagnosticsReport,
     TestConfig,
     TestResult,
-    compute_z,
-    enumerate_moments,
     mahalanobis_aggregate,
-    permutation_moments,
     rearrangement_bounds,
     regularity_diagnostics,
     run_test,
@@ -46,13 +43,12 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     TooFewObservations,
-    TooLarge,
     WiseError,
 )
-from .kernels import KernelSpec, knn_affinity_matrix, parse_kernel_spec, similarity_evaluate
+from .kernels import KernelSpec, parse_kernel_spec
 from .simgen import ModelSpec, from_setting, generate
 from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
-from .weights import WeightSpec, parse_weight_spec, weight_evaluate
+from .weights import WeightSpec, parse_weight_spec
 
 __version__ = "1.0.0"
 
@@ -76,35 +72,28 @@ __all__ = [
     "TestConfig",
     "TestResult",
     "TooFewObservations",
-    "TooLarge",
     "WeightMatrix",
     "WeightSpec",
     "WiseError",
     "bench",
     "build_similarity_matrix",
     "build_weight_matrix",
-    "compute_z",
     "core",
     "engine",
-    "enumerate_moments",
     "from_setting",
     "generate",
     "ingest",
     "io",
     "kernels",
-    "knn_affinity_matrix",
     "mahalanobis_aggregate",
     "moment_summary",
     "parse_kernel_spec",
     "parse_weight_spec",
-    "permutation_moments",
     "rearrangement_bounds",
     "regularity_diagnostics",
     "run_test",
-    "similarity_evaluate",
     "simgen",
     "types",
     "validate_series",
-    "weight_evaluate",
     "weights",
 ]

@@ -22,7 +22,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, replace
-from itertools import permutations as _all_permutations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,13 +30,7 @@ from numpy.random import SeedSequence, default_rng
 from scipy.special import ndtr
 
 from .core import _BATCH_PAIRS, build_similarity_matrix, build_weight_matrix, moment_summary
-from .errors import (
-    DegenerateVariance,
-    InvalidValue,
-    ShapeMismatch,
-    TooFewObservations,
-    TooLarge,
-)
+from .errors import DegenerateVariance, InvalidValue, ShapeMismatch, TooFewObservations
 from .kernels import _fill_in_forks, thread_count
 from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
 
@@ -150,14 +143,6 @@ def _json_reals(obj, names) -> dict:
     return {name: x if math.isfinite(x) else None for name, x in values.items()}
 
 
-def compute_z(S: SimilarityMatrix, W: WeightMatrix) -> float:
-    """Z = sum_ij W_ij S_ij; the diagonal contributes nothing since w(0)=0."""
-    if S.n != W.n:
-        raise ShapeMismatch(f"dimension mismatch: S is {S.n}x{S.n}, W is {W.n}x{W.n}")
-    # einsum reads the Toeplitz view in place; a product would allocate n x n
-    return float(np.einsum("ij,ij->", W.values, S.values))
-
-
 def _raw_moments(M: MomentSummary, n: int) -> Tuple[float, float, bool]:
     """(EZ, varZ, clamped) from the closed-form permutation-null moments.
 
@@ -179,29 +164,6 @@ def _raw_moments(M: MomentSummary, n: int) -> Tuple[float, float, bool]:
     if var < -_CLAMP_REL * (abs(t1) + abs(t2) + abs(t3) + abs(t4)):
         raise InvalidValue(f"variance formula produced {var}, far below rounding tolerance")
     return ez, max(var, 0.0), var < 0.0
-
-
-def permutation_moments(M: MomentSummary, n: int) -> Tuple[float, float]:
-    """Exact mean and variance of Z under uniformly random re-indexing.
-
-    Tiny negative variances (rounding residue of the four-term formula) are
-    clamped to 0.
-    """
-    ez, var, _ = _raw_moments(M, n)
-    return ez, var
-
-
-def enumerate_moments(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, float]:
-    """Brute-force moments over all n! permutations; oracle for small n."""
-    if S.n != W.n:
-        raise ShapeMismatch(f"dimension mismatch: S is {S.n}x{S.n}, W is {W.n}x{W.n}")
-    n = S.n
-    if n > 8:
-        raise TooLarge(f"exhaustive enumeration is limited to n <= 8, got n={n}")
-    perms = np.array(list(_all_permutations(range(n))), dtype=np.intp)
-    gathered = S.values[perms[:, :, None], perms[:, None, :]]
-    zs = np.einsum("ij,bij->b", W.values, gathered)
-    return float(zs.mean()), float(zs.var())
 
 
 def _lag_sum_draws(
@@ -325,12 +287,16 @@ def rearrangement_bounds(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, f
 
     Sorting all n^2 entries of W and S and pairing them in matched order
     maximizes the sum; opposed order minimizes it. Every permuted Z lies in
-    between.
+    between. The entries come from the profile and the pairs: w(t) fills
+    n places at t = 0 and 2(n - t) after, S_ii one place and S_ij two.
     """
     if S.n != W.n:
         raise ShapeMismatch(f"dimension mismatch: S is {S.n}x{S.n}, W is {W.n}x{W.n}")
-    ws = np.sort(W.values, axis=None)
-    ss = np.sort(S.values, axis=None)
+    n = S.n
+    counts = 2 * (n - np.arange(n))
+    counts[0] = n
+    ws = np.sort(np.repeat(W.profile, counts))
+    ss = np.sort(np.concatenate((S.diagonal, S.condensed, S.condensed)))
     upper = float(np.sum(ws * ss))
     lower = float(np.sum(ws * ss[::-1]))
     return lower, upper

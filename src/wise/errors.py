@@ -45,10 +45,6 @@ class DegenerateVariance(WiseError):
     """The permutation null distribution is degenerate (no variation to test)."""
 
 
-class TooLarge(WiseError):
-    """Exhaustive enumeration was requested for an infeasible size (n > 8)."""
-
-
 class BadRange(WiseError):
     """An empty or inverted range (e.g. ingestion date range) was supplied."""
 

@@ -19,7 +19,9 @@ absolute difference is the discrete 1-Wasserstein distance.
 
 The knn_affinity kernel is defined at matrix level only: entry (i, j) is 1
 when each point is among the other's k nearest under a base distance, 1/2
-when only one direction holds, else 0. See :func:`knn_affinity_matrix`.
+when only one direction holds, else 0. Distance ties are broken by the
+lower time index, which makes the graph reproducible. See
+:func:`pairwise_similarity`.
 """
 
 from __future__ import annotations
@@ -352,19 +354,6 @@ def _transform(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
     return np.negative(d, out=d) if transform is None else transform(d, spec)
 
 
-def similarity_evaluate(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Raw kernel value s(x, y) for one observation pair."""
-    if spec.family == "knn_affinity":
-        raise KernelMismatch(
-            "knn_affinity is defined at matrix level; use knn_affinity_matrix"
-        )
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise KernelMismatch(f"observation shapes differ: {x.shape} vs {y.shape}")
-    return float(_transform(spec, _distance(spec, np.stack((x, y)).reshape(2, -1)))[0])
-
-
 def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> SimilarityMatrix:
     """The kernel's similarity matrix, from pdist's condensed distances.
 
@@ -402,18 +391,6 @@ def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:
     a[rows, neighbors] += 0.5
     a[neighbors, rows] += 0.5
     return squareform(a, checks=False)
-
-
-def knn_affinity_matrix(
-    series: ObservationSeries, k: int, base: Optional[KernelSpec] = None
-) -> SimilarityMatrix:
-    """Symmetrized k-nearest-neighbour affinity under a base distance.
-
-    A_ij = 1 when j is among the k nearest of i (self excluded); the output
-    is (A + A^T)/2, so entries are 0, 0.5 or 1. Distance ties are broken by
-    the lower time index, which makes the graph reproducible.
-    """
-    return pairwise_similarity(KernelSpec("knn_affinity", k=k, base=base), series)
 
 
 def parse_kernel_spec(text: str) -> KernelSpec:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.spatial.distance import squareform
 
 from .errors import InvalidValue, NotAQuantile, ShapeMismatch
@@ -66,7 +65,7 @@ class ObservationSeries:
     -----
     Construction requires only n >= 1; the analytic test path additionally
     requires n >= 4 and enforces that in :func:`wise.core.validate_series`
-    and :func:`wise.engine.permutation_moments`.
+    and :func:`wise.engine.run_test`.
     """
 
     kind: str
@@ -196,14 +195,6 @@ class WeightMatrix:
     @property
     def n(self) -> int:
         return self.profile.shape[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        """Read-only n x n view on O(n) memory: row i of W starts i places
-        left of w(0) in w(n-1), ..., w(1), w(0), w(1), ..., w(n-1)."""
-        mirrored = np.concatenate((self.profile[::-1], self.profile[1:]))
-        step = mirrored.strides[0]
-        return as_strided(mirrored[self.n - 1 :], (self.n,) * 2, (-step, step), writeable=False)
 
 
 @dataclass(frozen=True)

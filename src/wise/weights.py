@@ -24,7 +24,7 @@ family, like every other, returns exactly 0 there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,11 +186,6 @@ def weight_profile(spec: WeightSpec, lags: np.ndarray) -> np.ndarray:
     # w(0) = 0 must hold exactly, not just to rounding (fourier coefficients
     # summing to 1-1e-16 would otherwise leak through)
     return np.where(t == 0, 0.0, out)
-
-
-def weight_evaluate(spec: WeightSpec, lag: Union[int, float]) -> float:
-    """w(lag) for a single nonnegative integer lag."""
-    return float(weight_profile(spec, np.asarray([lag]))[0])
 
 
 def parse_weight_spec(text: str) -> WeightSpec:

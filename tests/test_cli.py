@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ class TestBenchCommand:
         assert main(["bench", "--plan", plan_file, "--out", out, "--threads", "2"]) == 0
         captured = capsys.readouterr()
         assert "wrote 1 cell(s)" in captured.err
-        lines = open(out, encoding="utf-8").read().strip().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "setting,n,p,replications,alpha,rate,mc_se,seconds,seed"
         assert lines[1].startswith("setting1.1,16,2,100,")
 
@@ -186,7 +187,7 @@ class TestBenchCommand:
         path.write_text(json.dumps(plan), encoding="utf-8")
         assert main(["bench", "--plan", str(path), "--threads", "1"]) == 0
         capsys.readouterr()
-        assert open(out, encoding="utf-8").readline().startswith("setting,")
+        assert Path(out).read_text(encoding="utf-8").startswith("setting,")
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_data_error(self, plan_file, capsys, threads):
@@ -290,7 +291,7 @@ class TestHeatmapCommand:
         S = np.loadtxt(csv_out, delimiter=",")
         assert S.shape == (40, 40)
         assert np.allclose(S, S.T)
-        assert open(pgm_out, encoding="utf-8").readline().strip() == "P2"
+        assert Path(pgm_out).read_text(encoding="utf-8").splitlines()[0].strip() == "P2"
 
     def test_quantile_kind(self, tmp_path, capsys):
         src = str(tmp_path / "q.csv")

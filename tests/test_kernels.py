@@ -8,6 +8,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from forks import assert_no_child_left, count_forks
+from oracles import pair_similarity
 from wise import kernels
 from wise.errors import BadWeightParam, KernelMismatch, ParseError
 from wise.kernels import (
@@ -17,13 +18,11 @@ from wise.kernels import (
     gaussian,
     kernel_spec_from_json_obj,
     knn_affinity,
-    knn_affinity_matrix,
     neg_l1,
     neg_l2,
     neg_sq_l2_scaled,
     pairwise_similarity,
     parse_kernel_spec,
-    similarity_evaluate,
     wasserstein1_quantile,
 )
 from wise.types import ObservationSeries
@@ -32,25 +31,25 @@ DISTANCE_SPECS = [neg_l1(), neg_l2(), neg_sq_l2_scaled()]
 
 
 def test_neg_l1_value():
-    assert similarity_evaluate(neg_l1(), np.array([0.0, 0.0]), np.array([3.0, 4.0])) == -7.0
+    assert pair_similarity(neg_l1(), np.array([0.0, 0.0]), np.array([3.0, 4.0])) == -7.0
 
 
 def test_neg_l2_value():
-    assert similarity_evaluate(neg_l2(), np.array([0.0, 0.0]), np.array([3.0, 4.0])) == -5.0
+    assert pair_similarity(neg_l2(), np.array([0.0, 0.0]), np.array([3.0, 4.0])) == -5.0
 
 
 def test_neg_sq_l2_scaled_value():
-    got = similarity_evaluate(neg_sq_l2_scaled(), np.array([0.0, 0.0]), np.array([3.0, 4.0]))
+    got = pair_similarity(neg_sq_l2_scaled(), np.array([0.0, 0.0]), np.array([3.0, 4.0]))
     assert got == -12.5
 
 
 def test_gaussian_self_similarity_is_one():
     x = np.array([1.0, -2.0, 0.5])
-    assert similarity_evaluate(gaussian(1.0), x, x) == 1.0
+    assert pair_similarity(gaussian(1.0), x, x) == 1.0
 
 
 def test_frobenius_value():
-    assert similarity_evaluate(frobenius(), np.eye(2), np.zeros((2, 2))) == pytest.approx(
+    assert pair_similarity(frobenius(), np.eye(2), np.zeros((2, 2))) == pytest.approx(
         -np.sqrt(2.0)
     )
 
@@ -61,8 +60,8 @@ def test_distance_kernels_zero_at_self_and_nonpositive(spec):
     for _ in range(20):
         x = rng.standard_normal(6)
         y = rng.standard_normal(6)
-        assert similarity_evaluate(spec, x, x) == 0.0
-        assert similarity_evaluate(spec, x, y) <= 0.0
+        assert pair_similarity(spec, x, x) == 0.0
+        assert pair_similarity(spec, x, y) <= 0.0
 
 
 @pytest.mark.parametrize("spec", [neg_l1(), neg_l2()], ids=lambda s: s.family)
@@ -71,8 +70,8 @@ def test_translation_invariance(spec):
     x = rng.standard_normal(10)
     y = rng.standard_normal(10)
     c = rng.standard_normal(10)
-    assert similarity_evaluate(spec, x + c, y + c) == pytest.approx(
-        similarity_evaluate(spec, x, y), abs=1e-12
+    assert pair_similarity(spec, x + c, y + c) == pytest.approx(
+        pair_similarity(spec, x, y), abs=1e-12
     )
 
 
@@ -83,7 +82,7 @@ def test_scaled_sq_l2_concentrates_near_minus_two():
     for _ in range(100):
         x = rng.standard_normal(p)
         y = rng.standard_normal(p)
-        got = similarity_evaluate(neg_sq_l2_scaled(), x, y)
+        got = pair_similarity(neg_sq_l2_scaled(), x, y)
         assert -2.3 < got < -1.7
 
 
@@ -92,20 +91,20 @@ def test_functional_l2_constant_difference():
     x = np.zeros(g)
     y = np.ones(g)
     # integral of 1 over [0,1] is 1, so the distance is exactly 1
-    assert similarity_evaluate(functional_l2(), x, y) == pytest.approx(-1.0, abs=1e-12)
+    assert pair_similarity(functional_l2(), x, y) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_functional_l2_linear_difference():
     g = 1001
     tau = np.linspace(0.0, 1.0, g)
-    got = similarity_evaluate(functional_l2(), tau, np.zeros(g))
+    got = pair_similarity(functional_l2(), tau, np.zeros(g))
     # integral of tau^2 over [0,1] is 1/3; trapezoid error is O(h^2)
     assert got == pytest.approx(-np.sqrt(1.0 / 3.0), abs=1e-5)
 
 
 def test_wasserstein1_quantile_shift():
     q = np.linspace(-1.0, 1.0, 41)
-    got = similarity_evaluate(wasserstein1_quantile(), q, q + 0.25)
+    got = pair_similarity(wasserstein1_quantile(), q, q + 0.25)
     assert got == pytest.approx(-0.25, rel=1e-12)
 
 
@@ -113,16 +112,6 @@ def test_kind_mismatch_raises():
     series = ObservationSeries("matrix", np.zeros((4, 2, 2)))
     with pytest.raises(KernelMismatch):
         pairwise_similarity(neg_l1(), series)
-
-
-def test_evaluate_shape_mismatch():
-    with pytest.raises(KernelMismatch):
-        similarity_evaluate(neg_l1(), np.zeros(3), np.zeros(4))
-
-
-def test_knn_element_level_evaluation_is_refused():
-    with pytest.raises(KernelMismatch):
-        similarity_evaluate(knn_affinity(2), np.zeros(3), np.zeros(3))
 
 
 @pytest.mark.parametrize(
@@ -143,7 +132,7 @@ def test_pairwise_matches_elementwise(spec, kind, shape):
     fast = pairwise_similarity(spec, series).values
     for i in range(series.n):
         for j in range(series.n):
-            slow = similarity_evaluate(spec, series.data[i], series.data[j])
+            slow = pair_similarity(spec, series.data[i], series.data[j])
             assert fast[i, j] == pytest.approx(slow, abs=1e-12)
 
 
@@ -154,13 +143,13 @@ def test_pairwise_matches_elementwise_quantile():
     fast = pairwise_similarity(wasserstein1_quantile(), series).values
     for i in range(5):
         for j in range(5):
-            slow = similarity_evaluate(wasserstein1_quantile(), data[i], data[j])
+            slow = pair_similarity(wasserstein1_quantile(), data[i], data[j])
             assert fast[i, j] == pytest.approx(slow, abs=1e-12)
 
 
 def test_knn_colinear_example():
     series = ObservationSeries("vector", np.array([[0.0], [1.0], [10.0]]))
-    got = knn_affinity_matrix(series, 1, neg_l1()).values
+    got = pairwise_similarity(knn_affinity(1, neg_l1()), series).values
     want = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
     assert np.array_equal(got, want)
 
@@ -168,7 +157,7 @@ def test_knn_colinear_example():
 def test_knn_full_neighborhood():
     rng = np.random.default_rng(3)
     series = ObservationSeries("vector", rng.standard_normal((7, 2)))
-    got = knn_affinity_matrix(series, 6, neg_l2()).values
+    got = pairwise_similarity(knn_affinity(6, neg_l2()), series).values
     want = 1.0 - np.eye(7)
     assert np.array_equal(got, want)
 
@@ -176,7 +165,7 @@ def test_knn_full_neighborhood():
 def test_knn_ties_break_toward_lower_time_index():
     # three identical points: everyone's single neighbor is the earliest other
     series = ObservationSeries("vector", np.zeros((3, 2)))
-    got = knn_affinity_matrix(series, 1, neg_l1()).values
+    got = pairwise_similarity(knn_affinity(1, neg_l1()), series).values
     want = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
     assert np.array_equal(got, want)
 
@@ -184,7 +173,7 @@ def test_knn_ties_break_toward_lower_time_index():
 def test_knn_k_too_large():
     series = ObservationSeries("vector", np.zeros((4, 2)))
     with pytest.raises(BadWeightParam):
-        knn_affinity_matrix(series, 4, neg_l1())
+        pairwise_similarity(knn_affinity(4, neg_l1()), series)
 
 
 def test_knn_base_must_be_distance_type():
@@ -338,7 +327,6 @@ def test_knn_equals_inline_construction(base, ties):
     want = _knn(-formula(series.data.reshape(series.n, -1)), k)
     spec = knn_affinity(k, KernelSpec(base))
     assert_layout(pairwise_similarity(spec, series), want)
-    assert_layout(knn_affinity_matrix(series, k, KernelSpec(base)), want)
 
 
 # the kernel fills S in blocks of this many pair x feature operations: 1 puts
@@ -392,14 +380,16 @@ def test_an_error_in_a_block_reaches_the_caller(monkeypatch):
         patch.setattr(kernels, "cdist", broken)
         with pytest.raises(MemoryError, match="no room"):
             pairwise_similarity(neg_l1(), series)
-    # the pool survives its workers' errors
+    # the failed call waited for every block before raising and took its
+    # pool down with it, so the next call starts clean on a pool of its own
     assert pairwise_similarity(neg_l1(), series).condensed.tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_makes_its_own_pool(monkeypatch):
     series, want = _blocked_setup(monkeypatch)
-    # the parent's pool exists, and its threads will not exist in the child
+    # the parent's call joins its pool before returning, so no kernel thread
+    # holds a lock at the fork, and the child's call makes a pool of its own
     assert pairwise_similarity(neg_l1(), series).condensed.tobytes() == want.tobytes()
     pid = os.fork()
     if pid == 0:

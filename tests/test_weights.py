@@ -13,7 +13,6 @@ from wise.weights import (
     geometric,
     mixed,
     parse_weight_spec,
-    weight_evaluate,
     weight_profile,
     weight_spec_from_json_obj,
 )
@@ -33,21 +32,21 @@ PROXIMITY_SPECS = [default_weight(), algebraic(2.0), geometric(0.3), exp_decay(1
 
 
 def test_default_weight_values():
-    spec = default_weight()
-    assert weight_evaluate(spec, 1) == -0.5
-    assert weight_evaluate(spec, 3) == -0.9
-    assert weight_evaluate(spec, 2) == pytest.approx(1.0 / 5.0 - 1.0)
+    w = weight_profile(default_weight(), np.arange(4))
+    assert w[1] == -0.5
+    assert w[3] == -0.9
+    assert w[2] == pytest.approx(1.0 / 5.0 - 1.0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
 def test_lag_zero_is_exactly_zero(spec):
-    assert weight_evaluate(spec, 0) == 0.0
+    assert weight_profile(spec, np.array([0]))[0] == 0.0
 
 
 def test_fourier_common_period_returns_to_zero():
     spec = fourier([(0.5, 4.0), (0.5, 6.0)])
     # 12 is a common multiple of both periods, so both cosines are back at 1
-    assert abs(weight_evaluate(spec, 12)) <= 1e-12
+    assert abs(weight_profile(spec, np.array([12]))[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("spec", PROXIMITY_SPECS, ids=lambda s: s.family)
@@ -62,17 +61,15 @@ def test_proximity_families_monotone_and_bounded(spec):
 @pytest.mark.parametrize("l", [3, 4, 7])
 def test_cosine_periodicity(l):
     spec = cosine(float(l))
-    for t in range(0, 30):
-        assert weight_evaluate(spec, t) == pytest.approx(
-            weight_evaluate(spec, t + l), abs=1e-12
-        )
+    lags = np.arange(0, 30)
+    assert weight_profile(spec, lags) == pytest.approx(weight_profile(spec, lags + l), abs=1e-12)
 
 
 def test_profile_matches_scalar_evaluation():
     lags = np.arange(0, 25)
     for spec in ALL_SPECS:
         prof = weight_profile(spec, lags)
-        scalars = np.array([weight_evaluate(spec, int(t)) for t in lags])
+        scalars = np.array([weight_profile(spec, np.array([t]))[0] for t in lags])
         assert np.array_equal(prof, scalars)
 
 
@@ -81,12 +78,12 @@ def test_mixed_blends_proximity_and_cosine():
     t = 3
     prox = 1.0 / 3.0 - 1.0
     cos = np.cos(2.0 * np.pi * 3.0 / 4.0) - 1.0
-    assert weight_evaluate(spec, t) == pytest.approx(0.25 * prox + 0.75 * cos, rel=1e-12)
+    assert weight_profile(spec, np.array([t]))[0] == pytest.approx(0.25 * prox + 0.75 * cos, rel=1e-12)
 
 
 def test_negative_lag_rejected():
     with pytest.raises(InvalidValue):
-        weight_evaluate(default_weight(), -1)
+        weight_profile(default_weight(), np.array([-1]))
 
 
 @pytest.mark.parametrize(
