@@ -2,8 +2,8 @@
 
 Lag weights stay a Toeplitz profile, so their sums cost O(n). S stays
 pdist's condensed vector of the pairs i < j, read in one centered walk over
-blocks of rows, which yields every sum the permutation moments and
-regularity ratios need (see MomentSummary).
+blocks of rows that reads no weight and yields every sum of S the moments,
+the regularity ratios and Z - EZ need (see MomentSummary).
 """
 
 from __future__ import annotations
@@ -76,34 +76,21 @@ def _upper(rows: int, cols: int) -> np.ndarray:
     return mask
 
 
-def moment_summary(S: SimilarityMatrix, W: WeightMatrix) -> MomentSummary:
-    """Centered off-diagonal sums feeding the permutation-null moments.
+def moment_summary(S: SimilarityMatrix) -> MomentSummary:
+    """Centered off-diagonal sums of S feeding the permutation-null moments.
 
-    Lag t occurs 2(n-t) times, so with a(t) = w(t) - w_bar (a(0) = 0) and
-    c = cumsum(a), w2 = 2 sum_t (n-t) a(t)^2 and w_row = c + c[::-1].
-
-    The S sums come from one walk over S.condensed in blocks of
-    _BATCH_PAIRS // n whole rows, so of at most _BATCH_PAIRS pairs. A block
-    is centered by s1 / pairs and scattered into a zero grid of row stride
-    n - 1: row r holds pair (r0 + r, r0 + 1 + c) at column c >= r. Each pair
-    i < j adds to the row sums at i and at j, which are the grid's row and
-    column sums, and to the lag sum D_(j-i), the column sums of the same
-    grid read with row stride n, so Z - EZ = 2 sum_t a(t) D_t needs no
-    n x n weight. The grid's absolute values then give the regularity sums.
-    Nothing n x n is made, and every sum is taken on the calling thread in
-    the same order whatever the thread count.
+    One walk over S.condensed in blocks of _BATCH_PAIRS // n whole rows, so
+    of at most _BATCH_PAIRS pairs. A block is centered by s1 / pairs and
+    scattered into a zero grid of row stride n - 1: row r holds pair
+    (r0 + r, r0 + 1 + c) at column c >= r. Each pair i < j adds to the row
+    sums at i and at j, which are the grid's row and column sums, and to the
+    lag sum D_(j-i), the column sums of the same grid read with row stride
+    n. The grid's absolute values then give the regularity sums. Nothing
+    n x n is made, and every sum is taken on the calling thread in the same
+    order whatever the thread count.
     """
-    if S.n != W.n:
-        raise ShapeMismatch(f"dimension mismatch: S is {S.n}x{S.n}, W is {W.n}x{W.n}")
     n = S.n
     pairs = n * (n - 1)
-    lag_count = 2.0 * (n - np.arange(n))
-    w1 = float(lag_count @ W.profile)
-    a = W.profile - w1 / pairs
-    a[0] = 0.0
-    c = np.cumsum(a)
-    w_row = c + c[::-1]
-
     s1 = 2.0 * float(S.condensed.sum())
     m0 = s1 / pairs
     width = n - 1
@@ -138,21 +125,17 @@ def moment_summary(S: SimilarityMatrix, W: WeightMatrix) -> MomentSummary:
         s_abs_row[r0 + 1 :] += rows.sum(0)
         s_abs_max = max(s_abs_max, float(rows.max()))
     # m0 carries the rounding of a large sum; m is the mean the centered
-    # pairs still hold, and s_row and s2 are corrected to the exact mean. zc
-    # needs no correction: A sums to zero, so m drops out of sum A_ij B_ij,
-    # and with a in place of w its terms do not cancel to a small difference
+    # pairs still hold, and s_row and s2 are corrected to the exact mean. D_t
+    # needs no correction: a centered weight sums to zero over the pairs, so
+    # m drops out of 2 sum_t a(t) D_t, whose terms do not cancel as w's would
     m = float(s_row.sum()) / pairs
     s_row -= (n - 1) * m
     return MomentSummary(
-        w1=w1,
-        w2=float(lag_count @ (a * a)),
-        w3=float(w_row @ w_row),
-        w_row=w_row,
         s1=s1,
         s2=2.0 * s2 - pairs * m * m,
         s3=float(s_row @ s_row),
         s_row=s_row,
         s_abs_row=s_abs_row,
         s_abs_max=s_abs_max,
-        zc=2.0 * float(lag_sums @ a),
+        lag_sums=lag_sums,
     )

@@ -143,17 +143,31 @@ def _json_reals(obj, names) -> dict:
     return {name: x if math.isfinite(x) else None for name, x in values.items()}
 
 
-def _raw_moments(M: MomentSummary, n: int) -> Tuple[float, float, bool]:
-    """(EZ, varZ, clamped) from the closed-form permutation-null moments.
+def _weight_sums(W: WeightMatrix) -> Tuple[float, float, float, np.ndarray]:
+    """(w1, w2, w3, a) from the profile: lag t occurs 2(n-t) times, a(t) =
+    w(t) - w_bar (a(0) = 0) is the centered weight, its row sums c + c[::-1]."""
+    n = W.n
+    lag_count = 2.0 * (n - np.arange(n))
+    w1 = float(lag_count @ W.profile)
+    a = W.profile - w1 / (n * (n - 1))
+    a[0] = 0.0
+    c = np.cumsum(a)
+    w_row = c + c[::-1]
+    return w1, float(lag_count @ (a * a)), float(w_row @ w_row), a
 
-    EZ = w1 * s_bar. varZ is the Daniels-Mantel form in the centered sums
-    (see MomentSummary), so nothing cancels before the four terms.
+
+def _raw_moments(M: MomentSummary, W: WeightMatrix) -> Tuple[float, float, float, bool]:
+    """(EZ, varZ, Z - EZ, clamped) of the weight W on the summary M of S.
+
+    EZ = w1 * s_bar and Z - EZ = 2 sum_t a(t) D_t. varZ is the Daniels-Mantel
+    form in the centered sums, so nothing cancels before the four terms.
     """
+    n = M.n
     if n < 4:
         raise TooFewObservations(f"closed-form variance needs n >= 4, got n={n}")
-    if M.n != n:
-        raise ShapeMismatch(f"summary is for n={M.n}, got n={n}")
-    w1, w2, w3 = M.w1, M.w2, M.w3
+    if W.n != n:
+        raise ShapeMismatch(f"dimension mismatch: S is {n}x{n}, W is {W.n}x{W.n}")
+    w1, w2, w3, a = _weight_sums(W)
     s1, s2, s3 = M.s1, M.s2, M.s3
     ez = w1 * s1 / (n * (n - 1))
     t1 = 4.0 * (n + 1) * w3 * s3 / (n * (n - 1) * (n - 2) * (n - 3))
@@ -163,19 +177,21 @@ def _raw_moments(M: MomentSummary, n: int) -> Tuple[float, float, bool]:
     var = t1 + t2 + t3 + t4
     if var < -_CLAMP_REL * (abs(t1) + abs(t2) + abs(t3) + abs(t4)):
         raise InvalidValue(f"variance formula produced {var}, far below rounding tolerance")
-    return ez, max(var, 0.0), var < 0.0
+    return ez, max(var, 0.0), 2.0 * float(M.lag_sums @ a), var < 0.0
 
 
-def _lag_sum_draws(
-    s_pairs: np.ndarray, profiles: np.ndarray, B: int, seed: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z - EZ per lag profile, at the identity and at B seeded draws.
+def _zc_bounds(M: MomentSummary, profiles: np.ndarray) -> np.ndarray:
+    """max|B_ij| sum_t 2(n-t)|w(t)| per profile, a bound on |Z - EZ| under any permutation."""
+    return M.s_abs_max * ((2.0 * (M.n - np.arange(M.n))) @ np.abs(profiles.T))
+
+
+def _lag_sum_draws(s_pairs: np.ndarray, profiles: np.ndarray, B: int, seed: int) -> np.ndarray:
+    """Z - EZ per lag profile at B seeded draws, as a (B, m) array.
 
     s_pairs is S.condensed, the pairs a < b. With sigma = pi^-1,
     Z(pi) - EZ = 2 sum_t w(t) D_t, where D_t sums the centered S_ab over
     pairs with |sigma_a - sigma_b| = t (Mantel 1967). Draw k is
-    pi = permutation (seed, k). Returns (observed (m,), draws (B, m),
-    bound (m,)), where bound = max|S_ab - s_bar| sum_t 2(n-t)|w(t)|.
+    pi = permutation (seed, k).
 
     The centered pairs are folded once onto n // 2 rows of n: row t-1
     holds the pairs (i, (i+t) mod n), so a draw reads sigma_(i+t) - sigma_i
@@ -205,7 +221,6 @@ def _lag_sum_draws(
     repeat[:] = 0.0
     fold -= fold.sum() / s_pairs.size
     repeat[:] = 0.0
-    bound = max(fold.max(), -fold.min()) * ((2.0 * (n - index)) @ np.abs(profiles.T))
     # a block of rows holds at most _BATCH_PAIRS pairs; at small n one
     # bincount takes a batch of draws, each on its own 2n bins, so each
     # draw rounds alike in any batch
@@ -240,16 +255,24 @@ def _lag_sum_draws(
                 sigma[j, default_rng(SeedSequence((seed, start + j))).permutation(n)] = index
             out[start : start + k] = lag_sums()[:k]
 
-    observed = lag_sums()[0]
     out = np.empty((B, profiles.shape[0]))
     batches = -(-B // size)
     workers = min(thread_count(), batches) if B * fold.size >= _FORK_PAIR_DRAWS else 1
     bounds = [min(B, size * (batches * r // workers)) for r in range(workers + 1)]
     _fill_in_forks(fill, out, bounds)
-    return observed, out, bound
+    return out
 
 
-def regularity_diagnostics(M: MomentSummary) -> DiagnosticsReport:
+def _check_spread(M: MomentSummary) -> None:
+    """Raise DegenerateVariance when the centered field is zero to rounding:
+    the one degenerate rule of run_test and mahalanobis_aggregate."""
+    # sum of squares of the raw off-diagonal field, as two non-negative terms
+    raw_sq = M.s2 + M.s1**2 / (M.n * (M.n - 1))
+    if M.s2 <= _DEGENERATE_RMS_REL**2 * raw_sq:
+        raise DegenerateVariance("centered similarity field is identically zero")
+
+
+def regularity_diagnostics(M: MomentSummary, zc: float) -> DiagnosticsReport:
     """Centered-similarity ratios plus the weight/similarity alignment.
 
     With Xt the off-diagonal centered similarity matrix (B in MomentSummary),
@@ -260,19 +283,17 @@ def regularity_diagnostics(M: MomentSummary) -> DiagnosticsReport:
 
     all three must vanish asymptotically for the normal approximation to be
     trustworthy; warnings fire on the heuristic threshold 1. alignment is
-    (Z - EZ)/sqrt(n). Raises DegenerateVariance when Xt is zero to rounding.
+    zc / sqrt(n), with zc = Z - EZ from _raw_moments. Raises
+    DegenerateVariance when Xt is zero to rounding (see _check_spread).
     """
     n = M.n
     if n < 4:
         raise TooFewObservations(f"diagnostics need n >= 4, got n={n}")
-    # sum of squares of the raw off-diagonal field, as two non-negative terms
-    raw_sq = M.s2 + M.s1**2 / (n * (n - 1))
-    if M.s2 <= _DEGENERATE_RMS_REL**2 * raw_sq:
-        raise DegenerateVariance("centered similarity field is identically zero")
+    _check_spread(M)
     ratio1 = n * M.s_abs_max**2 / M.s2
     ratio2 = float(M.s_abs_row.max()) ** 2 / (n * M.s2)
     ratio3 = float(M.s_abs_row @ M.s_abs_row) / (n * M.s2)
-    alignment = M.zc / math.sqrt(n)
+    alignment = zc / math.sqrt(n)
     warnings = tuple(
         f"regularity {name} = {value:.4g} exceeds 1; "
         "the normal approximation may be unreliable"
@@ -327,15 +348,15 @@ def run_test(
         raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")
     S = build_similarity_matrix(series, kernel)
     W = build_weight_matrix(n, weight_spec)
-    M = moment_summary(S, W)
-    ez, var, clamped = _raw_moments(M, n)
-    z = ez + M.zc
+    M = moment_summary(S)
+    ez, var, zc, clamped = _raw_moments(M, W)
+    z = ez + zc
     try:
-        diagnostics = regularity_diagnostics(M)
+        diagnostics = regularity_diagnostics(M, zc)
         degenerate_field = False
     except DegenerateVariance as exc:
         nan = float("nan")
-        diagnostics = DiagnosticsReport(nan, nan, nan, M.zc / math.sqrt(n), (str(exc),))
+        diagnostics = DiagnosticsReport(nan, nan, nan, zc / math.sqrt(n), (str(exc),))
         degenerate_field = True
     extra = list(diagnostics.warnings)
     if clamped:
@@ -346,7 +367,7 @@ def run_test(
             extra.append("permutation variance is degenerate; reporting p = 1")
         z_g, p = 0.0, 1.0
     else:
-        z_g = M.zc / math.sqrt(var)
+        z_g = zc / math.sqrt(var)
         orient = _ORIENT[config.sidedness]
         if config.method == "analytic":
             p = float((2.0 if config.sidedness == "two_sided" else 1.0) * ndtr(-orient(z_g)))
@@ -354,11 +375,9 @@ def run_test(
             # a knn field or a cosine weight holds few values, so many draws
             # tie Z - EZ exactly, yet each sums in its own order: a draw
             # within _TIE_REL of the bound on |Z - EZ| counts as a tie
-            obs, draws, bound = _lag_sum_draws(
-                S.condensed, W.profile[None], config.permutations, config.seed
-            )
-            tol = _TIE_REL * bound[0]
-            count = int(np.sum(orient(draws[:, 0]) >= orient(obs[0]) - tol))
+            draws = _lag_sum_draws(S.condensed, W.profile[None], config.permutations, config.seed)
+            tol = _TIE_REL * _zc_bounds(M, W.profile)
+            count = int(np.sum(orient(draws[:, 0]) >= orient(zc) - tol))
             p = (1.0 + count) / (config.permutations + 1.0)
 
     return TestResult(
@@ -385,10 +404,10 @@ def mahalanobis_aggregate(
 
     ``kernel`` is a KernelSpec or a precomputed SimilarityMatrix, as in
     run_test, and each of ``weight_specs`` a WeightSpec. The coordinates
-    Z_k - EZ_k share one similarity matrix, centered once; their covariance
-    comes from B shared random permutations (the same permutation is
-    applied to every coordinate). The p-value is the permutation tail of M
-    over those draws.
+    Z_k - EZ_k come from one walk of S; their covariance comes from B shared
+    random permutations (the same permutation is applied to every
+    coordinate). The p-value is the permutation tail of M over those draws,
+    ties counted as in run_test; a field run_test calls degenerate raises.
     """
     m = len(weight_specs)
     if m < 2:
@@ -401,12 +420,17 @@ def mahalanobis_aggregate(
     if n < 4:
         raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")
     S = build_similarity_matrix(series, kernel)
-    profiles = np.stack([build_weight_matrix(n, spec).profile for spec in weight_specs])
-    d_obs, d_perm, _ = _lag_sum_draws(S.condensed, profiles, B, seed)
+    Ws = [build_weight_matrix(n, spec) for spec in weight_specs]
+    M = moment_summary(S)
+    _check_spread(M)
+    d_obs = np.array([_raw_moments(M, W)[2] for W in Ws])
+    profiles = np.stack([W.profile for W in Ws])
+    d_perm = _lag_sum_draws(S.condensed, profiles, B, seed)
     sigma = np.cov(d_perm, rowvar=False, ddof=1)
     sigma = sigma + 1e-8 * (np.trace(sigma) / m) * np.eye(m)
     try:
-        m_obs = float(d_obs @ np.linalg.solve(sigma, d_obs))
+        x_obs = np.linalg.solve(sigma, d_obs)
+        m_obs = float(d_obs @ x_obs)
         m_perm = np.einsum("bk,kb->b", d_perm, np.linalg.solve(sigma, d_perm.T))
     except np.linalg.LinAlgError:
         raise DegenerateVariance(
@@ -414,5 +438,8 @@ def mahalanobis_aggregate(
         ) from None
     if not math.isfinite(m_obs) or not np.isfinite(m_perm).all():
         raise DegenerateVariance("Mahalanobis statistic is not finite")
-    p = (1.0 + int(np.sum(m_perm >= m_obs))) / (B + 1.0)
+    # a draw that ties d_obs within run_test's tolerance, as the identity and
+    # the reversal do, lies within tol of m_obs to first order at any conditioning
+    tol = 2.0 * _TIE_REL * float(np.abs(x_obs) @ _zc_bounds(M, profiles))
+    p = (1.0 + int(np.sum(m_perm >= m_obs - tol))) / (B + 1.0)
     return m_obs, float(p)

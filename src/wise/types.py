@@ -199,42 +199,31 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Off-diagonal sums of a (similarity, weight) pair, centered once.
+    """Off-diagonal sums of a similarity matrix S, centered once.
 
-    w1 = sum_{i != j} W_ij and s1 = sum_{i != j} S_ij are raw totals. A and
-    B are W and S minus their off-diagonal means, with zero diagonals; then
-
-        w_row[i] = sum_j A_ij   w2 = sum_ij A_ij^2   w3 = sum_i w_row[i]^2
-
-    and s_row, s2, s3 likewise from B: the Daniels-Mantel sums of the
-    closed-form permutation moments, none a difference of large raw sums.
-    s_abs_row[i] = sum_j |B_ij| and s_abs_max = max |B_ij| feed the
-    regularity ratios; zc = sum_ij A_ij B_ij = Z - EZ.
-
-    The B sums come from one walk over the condensed pairs i < j, each of
-    which stands for B_ij and B_ji: it adds to s_row at i and at j, twice
-    to s2, and to the lag sum D_(j-i), so zc = 2 sum_t a(t) D_t with a(t)
-    the centered weight A_ij at lag t = |i - j|.
+    s1 = sum_{i != j} S_ij. B is S minus its off-diagonal mean, with a zero
+    diagonal; s_row[i] = sum_j B_ij, s2 = sum_ij B_ij^2 and s3 = |s_row|^2
+    are the S side of the Daniels-Mantel moments, none a difference of large
+    raw sums. s_abs_row[i] = sum_j |B_ij| and s_abs_max = max |B_ij| feed the
+    regularity ratios. lag_sums[t] = D_t sums B_ij over the pairs j - i = t
+    (D_0 = 0), so any lag weight gives Z - EZ = 2 sum_t a(t) D_t, with a its
+    profile centered over the pairs: one summary serves every weight.
     """
 
-    w1: float
-    w2: float
-    w3: float
-    w_row: np.ndarray
     s1: float
     s2: float
     s3: float
     s_row: np.ndarray
     s_abs_row: np.ndarray
     s_abs_max: float
-    zc: float
+    lag_sums: np.ndarray
 
     def __post_init__(self):
-        for name in ("w_row", "s_row", "s_abs_row"):
+        for name in ("s_row", "s_abs_row", "lag_sums"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name))))
-        if self.w_row.ndim != 1 or not self.w_row.shape == self.s_row.shape == self.s_abs_row.shape:
-            raise ShapeMismatch("row-sum vectors must share one dimension")
+        if self.s_row.ndim != 1 or not self.s_row.shape == self.s_abs_row.shape == self.lag_sums.shape:
+            raise ShapeMismatch("row-sum and lag-sum vectors must share one dimension")
 
     @property
     def n(self) -> int:
-        return self.w_row.shape[0]
+        return self.s_row.shape[0]

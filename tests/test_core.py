@@ -10,6 +10,7 @@ from wise.core import (
     moment_summary,
     validate_series,
 )
+from wise.engine import _raw_moments, _weight_sums
 from wise.errors import (
     InvalidValue,
     NotAQuantile,
@@ -123,24 +124,22 @@ def test_weight_matrix_needs_two_points():
         build_weight_matrix(1, default_weight())
 
 
-def test_moment_summary_default_weight_n4():
+def test_weight_sums_default_weight_n4():
     # w(1..3) = -0.5, -0.8, -0.9 and w_bar = -8/12; centered lags 1/6, -2/15,
     # -7/30 occur 6, 4, 2 times, and the raw row sums -2.2, -1.8, -1.8, -2.2
-    # lose 3 w_bar = -2 each
-    S = SimilarityMatrix.from_square(np.zeros((4, 4)))
-    W = build_weight_matrix(4, default_weight())
-    M = moment_summary(S, W)
-    assert M.w1 == -8.0
-    assert M.w2 == pytest.approx(26.0 / 75.0, rel=1e-12)
-    assert M.w3 == pytest.approx(0.16, rel=1e-12)
-    assert M.w_row == pytest.approx([-0.2, 0.2, 0.2, -0.2], rel=1e-12)
+    # lose 3 w_bar = -2 each, leaving -0.2, 0.2, 0.2, -0.2
+    w1, w2, w3, a = _weight_sums(build_weight_matrix(4, default_weight()))
+    assert w1 == -8.0
+    assert w2 == pytest.approx(26.0 / 75.0, rel=1e-12)
+    assert w3 == pytest.approx(4 * 0.2**2, rel=1e-12)
+    assert a == pytest.approx([0.0, 1.0 / 6.0, -2.0 / 15.0, -7.0 / 30.0], rel=1e-12)
 
 
 def test_moment_summary_single_pair():
     # s_bar = 1/6: the pair becomes 5/6 twice, the other ten entries -1/6
     s = np.zeros((4, 4))
     s[0, 1] = s[1, 0] = 1.0
-    M = moment_summary(SimilarityMatrix.from_square(s), build_weight_matrix(4, default_weight()))
+    M = moment_summary(SimilarityMatrix.from_square(s))
     assert M.s1 == 2.0
     assert M.s2 == pytest.approx(5.0 / 3.0, rel=1e-15)
     assert M.s3 == pytest.approx(1.0, rel=1e-15)
@@ -150,7 +149,7 @@ def test_moment_summary_single_pair():
 
 
 def test_moment_summary_zero_field():
-    M = moment_summary(SimilarityMatrix.from_square(np.zeros((5, 5))), build_weight_matrix(5, default_weight()))
+    M = moment_summary(SimilarityMatrix.from_square(np.zeros((5, 5))))
     assert (M.s1, M.s2, M.s3) == (0.0, 0.0, 0.0)
 
 
@@ -159,7 +158,7 @@ def test_moment_summary_excludes_diagonal():
     rng = np.random.default_rng(4)
     series = ObservationSeries("vector", rng.standard_normal((6, 3)))
     S = build_similarity_matrix(series, gaussian(1.0))
-    M = moment_summary(S, build_weight_matrix(6, default_weight()))
+    M = moment_summary(S)
     off = S.values[~np.eye(6, dtype=bool)]
     assert M.s1 == pytest.approx(off.sum(), rel=1e-12)
     assert M.s2 == pytest.approx(((off - off.mean()) ** 2).sum(), rel=1e-12)
@@ -176,12 +175,13 @@ def test_moment_summary_row_sum_identities():
         n = int(rng.integers(4, 12))
         S = random_sym(rng, n)
         W = build_weight_matrix(n, default_weight())
-        M = moment_summary(S, W)
+        M = moment_summary(S)
+        _, w2, w3, a = _weight_sums(W)
         A, B = centered(toeplitz(W.profile)), centered(S.values)
-        assert M.w_row == pytest.approx(A.sum(axis=1), rel=1e-12)
+        assert a == pytest.approx(A[0], rel=1e-12)
         assert M.s_row == pytest.approx(B.sum(axis=1), rel=1e-12)
-        assert M.w2 == pytest.approx((A**2).sum(), rel=1e-12)
-        assert M.w3 == pytest.approx((M.w_row**2).sum(), rel=1e-12)
+        assert w2 == pytest.approx((A**2).sum(), rel=1e-12)
+        assert w3 == pytest.approx((A.sum(axis=1) ** 2).sum(), rel=1e-12)
         assert M.s3 == pytest.approx((M.s_row**2).sum(), rel=1e-12)
         assert M.s_abs_row == pytest.approx(np.abs(B).sum(axis=1), rel=1e-12)
 
@@ -189,41 +189,58 @@ def test_moment_summary_row_sum_identities():
 # _BATCH_PAIRS = 1 and 7 put one row in each block at these n, 64 several
 # rows at small n with a ragged last block, 3000 a run of blocks of many
 # rows at n = 64 to 257, and 2^16 every row in one block up to n = 65
-@pytest.mark.parametrize("weight", ["default", "geometric:rho=0.5", "cosine:l=4"])
 @pytest.mark.parametrize("n", [4, 5, 9, 64, 65, 257])
 @pytest.mark.parametrize("batch", [1, 7, 64, 3000, 1 << 16])
-def test_moment_walk_matches_dense_reference_at_any_block_size(batch, n, weight, monkeypatch):
+def test_moment_walk_matches_dense_reference_at_any_block_size(batch, n, monkeypatch):
     monkeypatch.setattr(core, "_BATCH_PAIRS", batch)
     series = ObservationSeries("vector", np.random.default_rng(n).standard_normal((n, 3)))
     S = build_similarity_matrix(series, neg_l1())
-    W = build_weight_matrix(n, parse_weight_spec(weight))
-    M = moment_summary(S, W)
+    M = moment_summary(S)
 
     pairs = n * (n - 1)
     off = ~np.eye(n, dtype=bool)
-    w, s = toeplitz(W.profile), S.values
-    A = np.where(off, w - w[off].mean(), 0.0)
+    s = S.values
     B = np.where(off, s - s[off].mean(), 0.0)
 
-    def sums(w, s, A, B):
+    def sums(s, B):
         return {
-            "w1": w[off].sum(), "w2": (A * A).sum(), "w3": (A.sum(1) ** 2).sum(), "w_row": A.sum(1),
             "s1": s[off].sum(), "s2": (B * B).sum(), "s3": (B.sum(1) ** 2).sum(), "s_row": B.sum(1),
-            "s_abs_row": np.abs(B).sum(1), "zc": (A * B).sum(),
+            "s_abs_row": np.abs(B).sum(1), "lag_sums": np.array([np.trace(B, t) for t in range(n)]),
         }
 
     # relative to the same sum of absolute values, the scale of its rounding:
-    # centered sums such as zc or cosine's row sums can land near zero
-    scale = sums(np.abs(w), np.abs(s), np.abs(A), np.abs(B))
-    for name, want in sums(w, s, A, B).items():
+    # centered sums such as a lag sum can land near zero
+    scale = sums(np.abs(s), np.abs(B))
+    for name, want in sums(s, B).items():
         assert np.abs(getattr(M, name) - want).max() <= 1e-12 * scale[name].max(), name
     # the walk centers by the same float m0 = s1 / pairs
     assert M.s_abs_max == np.abs(S.condensed - M.s1 / pairs).max()
 
 
-def test_moment_summary_dimension_mismatch():
-    with pytest.raises(ShapeMismatch):
-        moment_summary(SimilarityMatrix.from_square(np.zeros((4, 4))), build_weight_matrix(5, default_weight()))
+@pytest.mark.parametrize("weight", ["default", "geometric:rho=0.5", "cosine:l=4"])
+def test_weight_sums_and_zc_match_dense_reference(weight):
+    for n in (4, 5, 9, 64, 65, 257):
+        series = ObservationSeries("vector", np.random.default_rng(n).standard_normal((n, 3)))
+        S = build_similarity_matrix(series, neg_l1())
+        W = build_weight_matrix(n, parse_weight_spec(weight))
+        w1, w2, w3, a = _weight_sums(W)
+        got = {"w1": w1, "w2": w2, "w3": w3, "a": a, "zc": _raw_moments(moment_summary(S), W)[2]}
+
+        off = ~np.eye(n, dtype=bool)
+        w, s = toeplitz(W.profile), S.values
+        A = np.where(off, w - w[off].mean(), 0.0)
+        B = np.where(off, s - s[off].mean(), 0.0)
+
+        def sums(w, A, B):
+            return {
+                "w1": w[off].sum(), "w2": (A * A).sum(), "w3": (A.sum(1) ** 2).sum(), "a": A[0],
+                "zc": (A * B).sum(),
+            }
+
+        # zc and cosine's centered sums can land near zero, as in the walk test
+        scale = sums(np.abs(w), np.abs(A), np.abs(B))
+        for name, want in sums(w, A, B).items():
+            assert np.abs(got[name] - want).max() <= 1e-12 * np.max(scale[name]), (n, name)
 
 
 def test_similarity_matrix_requires_exact_symmetry():

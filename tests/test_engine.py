@@ -25,6 +25,7 @@ from wise.core import build_similarity_matrix, build_weight_matrix, moment_summa
 from wise.engine import (
     TestConfig,
     _raw_moments,
+    _weight_sums,
     mahalanobis_aggregate,
     rearrangement_bounds,
     regularity_diagnostics,
@@ -70,7 +71,8 @@ def random_weight_spec(rng):
 
 
 def diagnostics_of(S: SimilarityMatrix, W):
-    return regularity_diagnostics(moment_summary(S, W))
+    M = moment_summary(S)
+    return regularity_diagnostics(M, _raw_moments(M, W)[2])
 
 
 def iid_series(rng, n: int, p: int) -> ObservationSeries:
@@ -104,8 +106,7 @@ class TestComputeZ:
         W = build_weight_matrix(4, default_weight())
         z = compute_z(off_diag_ones(4), W)
         assert z == pytest.approx(-8.0, rel=1e-12)
-        M = moment_summary(off_diag_ones(4), W)
-        assert z == pytest.approx(M.w1, rel=1e-14)
+        assert z == pytest.approx(_weight_sums(W)[0], rel=1e-14)
 
     def test_two_pair_field(self):
         s = np.zeros((3, 3))
@@ -122,21 +123,25 @@ class TestComputeZ:
 class TestPermutationMoments:
     def test_single_pair_anchor(self):
         W = build_weight_matrix(4, default_weight())
-        ez, var = _raw_moments(moment_summary(single_pair(), W), 4)[:2]
+        ez, var = _raw_moments(moment_summary(single_pair()), W)[:2]
         assert ez == pytest.approx(-4.0 / 3.0, rel=1e-14)
         assert var == pytest.approx(0.1155556, abs=1e-6)
 
     def test_constant_field_has_zero_variance(self):
         W = build_weight_matrix(4, default_weight())
-        ez, var = _raw_moments(moment_summary(off_diag_ones(4), W), 4)[:2]
+        ez, var = _raw_moments(moment_summary(off_diag_ones(4)), W)[:2]
         assert ez == pytest.approx(-8.0, rel=1e-12)
         assert var == 0.0
 
     def test_needs_four_observations(self):
         W = build_weight_matrix(3, default_weight())
-        M = moment_summary(off_diag_ones(3), W)
+        M = moment_summary(off_diag_ones(3))
         with pytest.raises(TooFewObservations):
-            _raw_moments(M, 3)
+            _raw_moments(M, W)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            _raw_moments(moment_summary(off_diag_ones(4)), build_weight_matrix(5, default_weight()))
 
 
 class TestEnumerateMoments:
@@ -156,7 +161,7 @@ class TestEnumerateMoments:
         W = build_weight_matrix(4, default_weight())
         S = single_pair()
         ez_e, var_e = enumerate_moments(S, W)
-        ez_c, var_c = _raw_moments(moment_summary(S, W), 4)[:2]
+        ez_c, var_c = _raw_moments(moment_summary(S), W)[:2]
         assert ez_e == pytest.approx(ez_c, rel=1e-12)
         assert var_e == pytest.approx(var_c, rel=1e-12)
 
@@ -172,7 +177,7 @@ class TestEnumerateMoments:
             S = random_sym(rng, n)
             W = build_weight_matrix(n, random_weight_spec(rng))
             ez_e, var_e = enumerate_moments(S, W)
-            ez_c, var_c = _raw_moments(moment_summary(S, W), n)[:2]
+            ez_c, var_c = _raw_moments(moment_summary(S), W)[:2]
             assert ez_c == pytest.approx(ez_e, rel=1e-10, abs=1e-12)
             assert var_c == pytest.approx(var_e, rel=1e-10, abs=1e-12)
 
@@ -622,7 +627,7 @@ class TestLagSumDraws:
         def spy(*args):
             out = real(*args)
             assert_no_child_left()
-            seen.append(out[1])
+            seen.append(out)
             return out
 
         monkeypatch.setattr(engine, "_lag_sum_draws", spy)
@@ -663,7 +668,7 @@ class TestLagSumDraws:
                 for threads in ("1", "2", "3"):
                     monkeypatch.setenv("WISE_THREADS", threads)
                     got = engine._lag_sum_draws(s_pairs, profiles, B, 11)
-                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                    assert np.array_equal(got, want)
                     assert_no_child_left()
         assert (len(forks) > 0) == (n > 7)
 
@@ -683,7 +688,7 @@ class TestLagSumDraws:
         monkeypatch.setenv("WISE_THREADS", "3")
         forks = count_forks(monkeypatch)
         got = engine._lag_sum_draws(s_pairs, profiles, 300, 2)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(got, want)
         assert len(forks) == 2
         assert_no_child_left()
 
@@ -721,7 +726,7 @@ class TestLagSumDraws:
         else:
             with ThreadPoolExecutor(1) as pool:
                 got = pool.submit(engine._lag_sum_draws, s_pairs, profiles, 300, 4).result()
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(got, want)
         assert forks == []
 
     # both parities fold differently; up to n = 256 one bincount takes a
@@ -734,8 +739,10 @@ class TestLagSumDraws:
         profiles = np.stack([W.profile for W in Ws])
         for kernel in (neg_l1(), knn_affinity(2, neg_l2())):
             S = build_similarity_matrix(series, kernel)
-            e_z = [_raw_moments(moment_summary(S, W), n)[0] for W in Ws]
-            observed, draws, bound = engine._lag_sum_draws(S.condensed, profiles, B, seed)
+            M = moment_summary(S)
+            e_z, _, observed, _ = np.array([_raw_moments(M, W) for W in Ws]).T
+            bound = M.s_abs_max * (2.0 * (n - np.arange(n)) @ np.abs(profiles.T))
+            draws = engine._lag_sum_draws(S.condensed, profiles, B, seed)
             perms = [np.arange(n)]
             perms += [default_rng(SeedSequence((seed, k))).permutation(n) for k in range(B)]
             for got, pi in zip([observed, *draws], perms):
@@ -807,11 +814,66 @@ class TestMahalanobis:
 
         assert m_of(T) == pytest.approx(m_of(preimage), rel=1e-9)
 
-    def test_constant_similarity_degenerate(self):
-        with pytest.raises(DegenerateVariance):
-            mahalanobis_aggregate(
-                pair_series(), sim(np.ones((4, 4))), [default_weight(), cosine(4.0)], B=500, seed=0
-            )
+    # 0.3 and 0.1 + 0.2 are one ulp apart: a field of the two is constant
+    # but for rounding, and both tests apply the one rule that says so
+    @pytest.mark.parametrize(
+        "n, values", [(4, (1.0,)), (30, (0.3, 0.1 + 0.2))], ids=["constant", "one_ulp_apart"]
+    )
+    def test_constant_similarity_degenerate(self, n, values):
+        upper = np.triu(np.random.default_rng(n).choice(values, size=(n, n)), 1)
+        S = sim(upper + upper.T + values[0] * np.eye(n))
+        series = ObservationSeries("vector", np.arange(float(n))[:, None])
+        res = run_test(series, S, default_weight())
+        assert (res.z_g, res.p_value) == (0.0, 1.0)
+        assert "centered similarity field is identically zero" in res.diagnostics.warnings
+        for seed in range(3):
+            with pytest.raises(DegenerateVariance):
+                mahalanobis_aggregate(series, S, [default_weight(), cosine(4.0)], B=500, seed=seed)
+
+    # a draw is the identity or the reversal with chance 2 / n!, so a
+    # thousand draws hold some at n = 4 to 6
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_draws_that_keep_every_lag_tie_the_observed_statistic(self, n):
+        # the identity and the reversal keep every lag, so their d equals
+        # d_obs in exact arithmetic: they count, however they round. Every
+        # other draw's M is held to a dense reference well away from m_obs
+        B, seed = 1000, 0
+        series = iid_series(np.random.default_rng(0), n, 5)
+        specs = [parse_weight_spec(t) for t in ("default", "cosine:l=7", "geometric:rho=0.5")]
+        _, p = mahalanobis_aggregate(series, neg_l1(), specs, B=B, seed=seed)
+
+        S = build_similarity_matrix(series, neg_l1())
+        Ws = [build_weight_matrix(n, spec) for spec in specs]
+        e_z = [enumerate_moments(S, W)[0] for W in Ws]
+
+        def d(pi):
+            permuted = SimilarityMatrix.from_square(S.values[np.ix_(pi, pi)])
+            return np.array([compute_z(permuted, W) - ez for W, ez in zip(Ws, e_z)])
+
+        perms = [default_rng(SeedSequence((seed, k))).permutation(n) for k in range(B)]
+        d_perm = np.array([d(pi) for pi in perms])
+        sigma = np.cov(d_perm, rowvar=False, ddof=1)
+        sigma += 1e-8 * (np.trace(sigma) / len(Ws)) * np.eye(len(Ws))
+        d_obs = d(np.arange(n))
+        m_obs = d_obs @ np.linalg.solve(sigma, d_obs)
+        m_perm = np.einsum("bk,kb->b", d_perm, np.linalg.solve(sigma, d_perm.T))
+        keeps = np.array([np.all(np.abs(np.diff(pi)) == 1) for pi in perms])
+        assert keeps.any()
+        assert np.abs(m_perm[~keeps] - m_obs).min() > 1e-6 * m_obs
+        assert p == (1 + int(keeps.sum()) + int(np.sum(m_perm[~keeps] > m_obs))) / (B + 1)
+
+    def test_each_call_walks_s_once(self, monkeypatch):
+        calls = []
+        real = engine.moment_summary
+        monkeypatch.setattr(engine, "moment_summary", lambda S: calls.append(S) or real(S))
+        series = iid_series(np.random.default_rng(1), 30, 3)
+        run_test(series, neg_l1(), default_weight())
+        assert len(calls) == 1
+        run_test(series, neg_l1(), default_weight(), TestConfig(method="permutation", permutations=200))
+        assert len(calls) == 2
+        specs = [default_weight(), cosine(4.0), geometric(0.5)]
+        mahalanobis_aggregate(series, neg_l1(), specs, B=500, seed=0)
+        assert len(calls) == 3
 
     def test_needs_two_specs(self):
         with pytest.raises(InvalidValue):
