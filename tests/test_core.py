@@ -188,59 +188,52 @@ def test_moment_summary_row_sum_identities():
 
 # _BATCH_PAIRS = 1 and 7 put one row in each block at these n, 64 several
 # rows at small n with a ragged last block, 3000 a run of blocks of many
-# rows at n = 64 to 257, and 2^16 every row in one block up to n = 65
+# rows at n = 64 to 257, and 2^16 every row in one block up to n = 65. The
+# walk never reads the weight; each weight checks its own sums and the zc
+# that its profile makes of the walk's lag sums at this block size
+@pytest.mark.parametrize("weight", ["default", "geometric:rho=0.5", "cosine:l=4"])
 @pytest.mark.parametrize("n", [4, 5, 9, 64, 65, 257])
 @pytest.mark.parametrize("batch", [1, 7, 64, 3000, 1 << 16])
-def test_moment_walk_matches_dense_reference_at_any_block_size(batch, n, monkeypatch):
+def test_moment_walk_matches_dense_reference_at_any_block_size(batch, n, weight, monkeypatch):
     monkeypatch.setattr(core, "_BATCH_PAIRS", batch)
     series = ObservationSeries("vector", np.random.default_rng(n).standard_normal((n, 3)))
     S = build_similarity_matrix(series, neg_l1())
+    W = build_weight_matrix(n, parse_weight_spec(weight))
     M = moment_summary(S)
+    w1, w2, w3, a = _weight_sums(W)
+    got = {
+        **{name: getattr(M, name) for name in ("s1", "s2", "s3", "s_row", "s_abs_row", "lag_sums")},
+        "w1": w1, "w2": w2, "w3": w3, "a": a, "zc": _raw_moments(M, W)[2],
+    }
 
     pairs = n * (n - 1)
     off = ~np.eye(n, dtype=bool)
-    s = S.values
+    w, s = toeplitz(W.profile), S.values
+    A = np.where(off, w - w[off].mean(), 0.0)
     B = np.where(off, s - s[off].mean(), 0.0)
 
-    def sums(s, B):
+    def sums(w, s, A, B):
         return {
             "s1": s[off].sum(), "s2": (B * B).sum(), "s3": (B.sum(1) ** 2).sum(), "s_row": B.sum(1),
             "s_abs_row": np.abs(B).sum(1), "lag_sums": np.array([np.trace(B, t) for t in range(n)]),
+            "w1": w[off].sum(), "w2": (A * A).sum(), "w3": (A.sum(1) ** 2).sum(), "a": A[0],
+            "zc": (A * B).sum(),
         }
 
     # relative to the same sum of absolute values, the scale of its rounding:
-    # centered sums such as a lag sum can land near zero
-    scale = sums(np.abs(s), np.abs(B))
-    for name, want in sums(s, B).items():
-        assert np.abs(getattr(M, name) - want).max() <= 1e-12 * scale[name].max(), name
+    # centered sums such as a lag sum, zc or cosine's row sums can land near zero
+    scale = sums(np.abs(w), np.abs(s), np.abs(A), np.abs(B))
+    for name, want in sums(w, s, A, B).items():
+        assert np.abs(got[name] - want).max() <= 1e-12 * np.max(scale[name]), name
     # the walk centers by the same float m0 = s1 / pairs
     assert M.s_abs_max == np.abs(S.condensed - M.s1 / pairs).max()
 
 
-@pytest.mark.parametrize("weight", ["default", "geometric:rho=0.5", "cosine:l=4"])
-def test_weight_sums_and_zc_match_dense_reference(weight):
-    for n in (4, 5, 9, 64, 65, 257):
-        series = ObservationSeries("vector", np.random.default_rng(n).standard_normal((n, 3)))
-        S = build_similarity_matrix(series, neg_l1())
-        W = build_weight_matrix(n, parse_weight_spec(weight))
-        w1, w2, w3, a = _weight_sums(W)
-        got = {"w1": w1, "w2": w2, "w3": w3, "a": a, "zc": _raw_moments(moment_summary(S), W)[2]}
-
-        off = ~np.eye(n, dtype=bool)
-        w, s = toeplitz(W.profile), S.values
-        A = np.where(off, w - w[off].mean(), 0.0)
-        B = np.where(off, s - s[off].mean(), 0.0)
-
-        def sums(w, A, B):
-            return {
-                "w1": w[off].sum(), "w2": (A * A).sum(), "w3": (A.sum(1) ** 2).sum(), "a": A[0],
-                "zc": (A * B).sum(),
-            }
-
-        # zc and cosine's centered sums can land near zero, as in the walk test
-        scale = sums(np.abs(w), np.abs(A), np.abs(B))
-        for name, want in sums(w, A, B).items():
-            assert np.abs(got[name] - want).max() <= 1e-12 * np.max(scale[name]), (n, name)
+def test_moment_summary_dimension_mismatch():
+    # the summary of a 4-point S meets a 5-point W where the moments are formed
+    M = moment_summary(SimilarityMatrix.from_square(np.zeros((4, 4))))
+    with pytest.raises(ShapeMismatch):
+        _raw_moments(M, build_weight_matrix(5, default_weight()))
 
 
 def test_similarity_matrix_requires_exact_symmetry():
