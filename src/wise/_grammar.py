@@ -169,7 +169,10 @@ def validate(spec, params: Sequence[Param], where: str, error=BadWeightParam) ->
         elif p is None:
             raise error(f"{where} takes no parameter {f.name!r}")
         else:
-            value = p.read(value)
+            try:
+                value = p.read(value)
+            except (TypeError, ValueError):
+                raise error(f"{where} parameter {p.key!r} has a bad value {value!r}") from None
             check_range(p, value, where, error)
             object.__setattr__(spec, f.name, value)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidValue, ShapeMismatch, TooFewObservations
 from .kernels import KernelSpec, pairwise_similarity
-from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix, _real_array
+from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
 from .weights import WeightSpec, weight_profile
 
 Kernel = Union[KernelSpec, SimilarityMatrix]
@@ -32,12 +32,10 @@ def validate_series(raw, kind: str) -> ObservationSeries:
     (n, rows, cols) for matrix kind, (n, grid_len) for function/quantile.
     Requires n >= 4, the minimum the analytic test supports.
     """
-    arr = _real_array(raw, "input")
-    if arr.ndim >= 1 and arr.shape[0] < 4:
-        raise TooFewObservations(
-            f"need at least 4 observations, got {arr.shape[0] if arr.ndim else 0}"
-        )
-    return ObservationSeries(kind, arr)
+    series = ObservationSeries(kind, raw)
+    if series.n < 4:
+        raise TooFewObservations(f"need at least 4 observations, got {series.n}")
+    return series
 
 
 def build_similarity_matrix(series: ObservationSeries, kernel: Kernel) -> SimilarityMatrix:
@@ -65,7 +63,7 @@ def build_weight_matrix(n: int, spec: WeightSpec) -> WeightMatrix:
         raise InvalidValue(f"weight must be a WeightSpec, got {type(spec).__name__}")
     if n < 2:
         raise TooFewObservations(f"weight matrix needs n >= 2, got {n}")
-    return WeightMatrix(weight_profile(spec, np.arange(n)), spec)
+    return WeightMatrix(weight_profile(spec, np.arange(n)))
 
 
 @lru_cache(maxsize=8)
@@ -90,6 +88,8 @@ def moment_summary(S: SimilarityMatrix) -> MomentSummary:
     order whatever the thread count.
     """
     n = S.n
+    if n < 2:
+        raise TooFewObservations(f"moment sums need n >= 2, got {n}")
     pairs = n * (n - 1)
     s1 = 2.0 * float(S.condensed.sum())
     m0 = s1 / pairs

@@ -1,22 +1,19 @@
 """Core immutable data containers.
 
-All arrays are float64 and marked read-only after construction, so instances
-are safe to share across threads. Validation happens in ``__post_init__``;
+Every array is converted one way, by _freeze: text and complex entries are an
+InvalidValue and ragged rows a ShapeMismatch, and the result is float64 and
+read-only, so instances are safe to share across threads. Validation happens in ``__post_init__``;
 downstream code may assume the invariants hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.spatial.distance import squareform
 
 from .errors import InvalidValue, NotAQuantile, ShapeMismatch
-
-if TYPE_CHECKING:
-    from .weights import WeightSpec
 
 SERIES_KINDS = ("vector", "matrix", "function", "quantile")
 
@@ -38,12 +35,14 @@ def _real_array(raw, what: str) -> np.ndarray:
         raise InvalidValue(f"{what} is not numeric: {exc}") from None
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """a as a read-only float64 C array: a itself when it already is one and
-    owns its data (a kernel's fresh output, handed over), else a copy."""
-    if a.dtype == np.float64 and a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable:
+def _freeze(raw, what: str) -> np.ndarray:
+    """raw converted by _real_array, as a read-only C array: raw itself when
+    it already is one and owns its data (a kernel's fresh output, handed
+    over), else a copy."""
+    a = _real_array(raw, what)
+    if a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable:
         return a
-    out = np.array(a, dtype=np.float64, order="C")
+    out = np.array(a, order="C")
     out.flags.writeable = False
     return out
 
@@ -63,6 +62,7 @@ class ObservationSeries:
 
     Notes
     -----
+    The observation shape is ``data.shape[1:]``.
     Construction requires only n >= 1; the analytic test path additionally
     requires n >= 4 and enforces that in :func:`wise.core.validate_series`
     and :func:`wise.engine.run_test`.
@@ -74,7 +74,7 @@ class ObservationSeries:
     def __post_init__(self):
         if self.kind not in SERIES_KINDS:
             raise InvalidValue(f"unknown observation kind {self.kind!r}")
-        arr = _freeze(np.asarray(self.data))
+        arr = _freeze(self.data, "series")
         object.__setattr__(self, "data", arr)
         if arr.ndim != _KIND_NDIM[self.kind]:
             raise ShapeMismatch(
@@ -96,30 +96,6 @@ class ObservationSeries:
     def n(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def p(self) -> int:
-        if self.kind != "vector":
-            raise ShapeMismatch(f"p is defined for vector series, not {self.kind}")
-        return self.data.shape[1]
-
-    @property
-    def rows(self) -> int:
-        if self.kind != "matrix":
-            raise ShapeMismatch(f"rows is defined for matrix series, not {self.kind}")
-        return self.data.shape[1]
-
-    @property
-    def cols(self) -> int:
-        if self.kind != "matrix":
-            raise ShapeMismatch(f"cols is defined for matrix series, not {self.kind}")
-        return self.data.shape[2]
-
-    @property
-    def grid_len(self) -> int:
-        if self.kind not in ("function", "quantile"):
-            raise ShapeMismatch(f"grid_len is not defined for {self.kind} series")
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
@@ -136,7 +112,7 @@ class SimilarityMatrix:
 
     def __post_init__(self):
         for name in ("condensed", "diagonal"):
-            arr = _freeze(np.asarray(getattr(self, name)))
+            arr = _freeze(getattr(self, name), f"similarity {name}")
             object.__setattr__(self, name, arr)
             if arr.ndim != 1:
                 raise ShapeMismatch(f"similarity {name} must be a vector, got shape {arr.shape}")
@@ -180,10 +156,9 @@ class WeightMatrix:
     """Lag weights W_ij = w(|i-j|), stored as the Toeplitz profile w(0..n-1)."""
 
     profile: np.ndarray
-    spec: "WeightSpec"
 
     def __post_init__(self):
-        arr = _freeze(np.asarray(self.profile))
+        arr = _freeze(self.profile, "weight profile")
         object.__setattr__(self, "profile", arr)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ShapeMismatch(f"weight profile must be a non-empty vector, got {arr.shape}")
@@ -220,7 +195,7 @@ class MomentSummary:
 
     def __post_init__(self):
         for name in ("s_row", "s_abs_row", "lag_sums"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name))))
+            object.__setattr__(self, name, _freeze(getattr(self, name), name))
         if self.s_row.ndim != 1 or not self.s_row.shape == self.s_abs_row.shape == self.lag_sums.shape:
             raise ShapeMismatch("row-sum and lag-sum vectors must share one dimension")
 

@@ -1,11 +1,13 @@
 """The public surface is what the README's "Library API" table names."""
 
+import dataclasses
 import importlib
 import pkgutil
 import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wise
@@ -52,3 +54,9 @@ def test_removed_names_are_gone(module):
 
 def test_a_weight_matrix_has_no_dense_view():
     assert not hasattr(wise.WeightMatrix, "values")
+
+
+def test_the_containers_hold_no_unread_accessor_or_field():
+    series = wise.ObservationSeries("vector", np.zeros((4, 2)))
+    assert [name for name in ("p", "rows", "cols", "grid_len") if hasattr(series, name)] == []
+    assert [f.name for f in dataclasses.fields(wise.WeightMatrix)] == ["profile"]

@@ -26,7 +26,7 @@ def test_validate_series_well_formed():
     rng = np.random.default_rng(0)
     series = validate_series(rng.standard_normal((50, 200)), "vector")
     assert series.n == 50
-    assert series.p == 200
+    assert series.data.shape[1:] == (200,)
 
 
 def test_validate_series_too_short():
@@ -55,7 +55,7 @@ def test_validate_series_nonmonotone_quantile():
 
 def test_validate_series_matrix_kind():
     series = validate_series(np.zeros((4, 3, 2)), "matrix")
-    assert series.rows == 3 and series.cols == 2
+    assert series.data.shape[1:] == (3, 2)
 
 
 def test_similarity_two_point_example():
@@ -146,6 +146,12 @@ def test_moment_summary_single_pair():
     assert M.s_row == pytest.approx([0.5, 0.5, -0.5, -0.5], rel=1e-15)
     assert M.s_abs_row == pytest.approx([7 / 6, 7 / 6, 0.5, 0.5], rel=1e-15)
     assert M.s_abs_max == pytest.approx(5.0 / 6.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_moment_summary_needs_a_pair(n):
+    with pytest.raises(TooFewObservations):
+        moment_summary(SimilarityMatrix(np.zeros(0), np.zeros(n)))
 
 
 def test_moment_summary_zero_field():
@@ -252,9 +258,26 @@ def test_similarity_matrix_requires_exact_symmetry():
     ],
     ids=["text", "ragged", "complex"],
 )
-def test_similarity_matrix_rejects_what_is_not_a_real_square(square, error):
+@pytest.mark.parametrize(
+    "build",
+    [
+        SimilarityMatrix.from_square,
+        lambda square: ObservationSeries("vector", square),
+        lambda square: SimilarityMatrix(square, np.zeros(2)),
+        lambda square: WeightMatrix(square),
+    ],
+    ids=["from_square", "series", "similarity", "weight"],
+)
+def test_similarity_matrix_rejects_what_is_not_a_real_square(square, error, build):
     with pytest.raises(error):
-        SimilarityMatrix.from_square(square)
+        build(square)
+
+
+def test_similarity_matrix_keeps_a_fresh_read_only_vector():
+    # a kernel's output is handed over, not copied
+    condensed = np.arange(6.0)
+    condensed.flags.writeable = False
+    assert SimilarityMatrix(condensed, np.zeros(4)).condensed is condensed
 
 
 def test_similarity_matrix_from_square_round_trips():
@@ -300,7 +323,7 @@ def test_similarity_matrix_accepts_extreme_finite_values():
 
 def test_weight_matrix_rejects_nonzero_diagonal():
     with pytest.raises(InvalidValue):
-        WeightMatrix(np.array([0.5, -0.5, -0.8]), default_weight())
+        WeightMatrix(np.array([0.5, -0.5, -0.8]))
 
 
 def test_weight_matrix_holds_only_its_profile():

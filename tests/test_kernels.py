@@ -188,6 +188,14 @@ def test_gaussian_requires_positive_sigma():
         gaussian(-1.0)
 
 
+@pytest.mark.parametrize(
+    "fields", [{"family": "knn_affinity", "k": 2.5}, {"family": "gaussian", "sigma": "2"}]
+)
+def test_a_value_of_the_wrong_type_is_a_bad_parameter(fields):
+    with pytest.raises(BadWeightParam):
+        KernelSpec(**fields)
+
+
 def test_parse_kernel_specs():
     assert parse_kernel_spec("neg_l1") == neg_l1()
     assert parse_kernel_spec("gaussian:sigma=2.5") == gaussian(2.5)

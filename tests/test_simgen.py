@@ -311,6 +311,8 @@ class TestModelSpecValidation:
             {"family": "iid_normal", "rho": 0.6},
             {"family": "iid_normal", "seasonal_lag": 3},
             {"family": "garch", "coef_scale": 0.1},
+            # a value of the wrong type
+            {"family": "iid_normal", "p": "five"},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):

@@ -106,6 +106,7 @@ def test_negative_lag_rejected():
         lambda: mixed(1.0, 1.0, 4.0),
         lambda: mixed(0.5, 0.0, 4.0),
         lambda: mixed(0.5, 1.0, 0.0),
+        lambda: WeightSpec("geometric", rho="x"),
     ],
 )
 def test_bad_parameters_rejected(ctor):
