@@ -3,21 +3,22 @@
 Text form: ``family[:key=value,...][;key=value,...]``. Only fourier uses the
 ``;`` groups, one per term. :func:`tokenize` splits the text into the family
 and one dict of values per group, a value that spells a number read as that
-number; the spec modules turn those into the JSON-object form and read it
+number; :meth:`Spec.parse` turns those into the JSON-object form and reads it
 with :func:`read_fields`, so the text and JSON forms accept and reject the
 same keys and values.
 
-Each family's parameters are :class:`Param` rows in its module's table,
-which also drives validation (:func:`validate`) and the canonical text
-(:func:`to_text`). Simulation models and experiment plans have no text form
-but read their JSON form through the same functions.
+:class:`Spec`, the base of ``KernelSpec`` and ``WeightSpec``, reads, checks
+and writes both forms from each family's :class:`Param` rows in its ``TABLE``.
+Simulation models and experiment plans have no text form but read their JSON
+form through the same functions.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadWeightParam, ParseError
 
@@ -97,13 +98,6 @@ def tokenize(text: str, what: str) -> Tuple[str, List[Dict[str, Any]]]:
     return family.strip(), groups
 
 
-def single_group(family: str, groups: List[Dict[str, Any]], what: str) -> dict:
-    """The JSON-object form of a tokenized spec that has at most one group."""
-    if len(groups) > 1:
-        raise ParseError(f"{what} {family!r} takes no ';' groups")
-    return {"family": family, **(groups[0] if groups else {})}
-
-
 def family_of(obj: Any, families: Mapping, short: Mapping[str, str], what: str) -> Tuple[str, dict]:
     """The family a JSON object names and its other keys; ``short`` holds text aliases."""
     if not isinstance(obj, dict) or "family" not in obj:
@@ -144,6 +138,10 @@ def read_fields(obj: Any, params: Sequence[Param], where: str) -> dict:
 
 
 def check_range(p: Param, value, where: str, error=BadWeightParam) -> None:
+    """A real value must be finite and lie in (p.low, p.high)."""
+    # inf or NaN would pass an open or missing bound
+    if isinstance(value, numbers.Real) and not -math.inf < value < math.inf:
+        raise error(f"{where} requires a finite {p.key}, got {value}")
     if p.low is None or p.low < value and (p.high is None or value < p.high):
         return
     bound = f"> {p.low:g}" if p.high is None else f"in ({p.low:g},{p.high:g})"
@@ -183,3 +181,60 @@ def to_text(name: str, params: Sequence[Param], rows: Sequence[Sequence]) -> str
         ",".join(f"{p.key}={p.show(v)}" for p, v in zip(params, row)) for row in rows
     )
     return f"{name}:{groups}" if groups else name
+
+
+class Spec:
+    """Base of a frozen spec dataclass whose first field is ``family``."""
+
+    TABLE: ClassVar[Mapping[str, Sequence[Param]]]  # family -> its Params, in text order
+    SHORT: ClassVar[Mapping[str, str]] = {}  # family -> its text name; both are read
+    WHAT: ClassVar[str]  # the noun in messages
+    ERROR: ClassVar[type] = BadWeightParam  # raised for a bad family or field
+
+    def __post_init__(self):
+        if self.family not in self.TABLE:
+            raise self.ERROR(f"unknown {self.WHAT} family {self.family!r}")
+        validate(self, self.TABLE[self.family], self.name, self.ERROR)
+
+    @property
+    def name(self) -> str:
+        """The family as the text writes it."""
+        return self.SHORT.get(self.family, self.family)
+
+    def to_json_obj(self) -> dict:
+        """The JSON-object form; a nested spec is written as its own."""
+        obj: dict = {"family": self.family}
+        for p in self.TABLE[self.family]:
+            value = getattr(self, p.field)
+            obj[p.field] = value.to_json_obj() if isinstance(value, Spec) else value
+        return obj
+
+    def to_string(self) -> str:
+        """The canonical text, which :meth:`parse` reads back."""
+        params = self.TABLE[self.family]
+        return to_text(self.name, params, [[getattr(self, p.field) for p in params]])
+
+    @classmethod
+    def from_json_obj(cls, obj):
+        """Inverse of :meth:`to_json_obj` (config-file form)."""
+        family, fields = family_of(obj, cls.TABLE, cls.SHORT, cls.WHAT)
+        return cls(family, **read_fields(fields, cls.TABLE[family], cls.SHORT.get(family, family)))
+
+    @classmethod
+    def parse(cls, text: str):
+        """Inverse of :meth:`to_string`: ``family[:key=value,...]``."""
+        return cls.from_json_obj(cls._json_of(*tokenize(text, cls.WHAT)))
+
+    @classmethod
+    def _json_of(cls, family: str, groups: List[Dict[str, Any]]) -> dict:
+        """The JSON-object form of a tokenized text, which has at most one group."""
+        if len(groups) > 1:
+            raise ParseError(f"{cls.WHAT} {family!r} takes no ';' groups")
+        return {"family": family, **(groups[0] if groups else {})}
+
+    @classmethod
+    def read(cls, raw):
+        """A spec given as itself, its text or its JSON object."""
+        if isinstance(raw, cls):
+            return raw
+        return cls.parse(raw) if isinstance(raw, str) else cls.from_json_obj(raw)

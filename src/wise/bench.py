@@ -31,9 +31,9 @@ import numpy as np
 from ._grammar import Param, read_fields, real, string
 from .engine import TestConfig, _check_count, run_test
 from .errors import ExperimentError, InvalidValue, ParseError, WiseError
-from .kernels import KernelSpec, _fill_in_forks, read_kernel_spec, thread_count
+from .kernels import KernelSpec, _fill_in_forks, thread_count
 from .simgen import ModelSpec, generate, model_spec_from_json_obj, replicate_spec
-from .weights import WeightSpec, read_weight_spec
+from .weights import WeightSpec
 
 
 @dataclass(frozen=True)
@@ -254,8 +254,8 @@ _PLAN = (
     Param("grid", read=_read_grid),
     Param("replications", read=operator.index),
     Param("alpha", read=real, required=False),
-    Param("kernel", read=read_kernel_spec, required=False),
-    Param("weight", read=read_weight_spec, required=False),
+    Param("kernel", read=KernelSpec.read, required=False),
+    Param("weight", read=WeightSpec.read, required=False),
     Param("method", read=string, required=False),
     Param("permutations", read=_read_permutations, required=False),
     Param("master_seed", read=operator.index, required=False),

@@ -16,6 +16,7 @@ spec-grammar or parameter errors, 1 data or I/O errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -119,14 +120,7 @@ def cmd_bench(args) -> int:
 
 def cmd_ingest(args) -> int:
     records = read_checkin_csv(args.input)
-    grid = GridConfig(
-        lat_min=args.lat_min,
-        lat_max=args.lat_max,
-        lon_min=args.lon_min,
-        lon_max=args.lon_max,
-        rows=args.rows,
-        cols=args.cols,
-    )
+    grid = GridConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GridConfig)})
     tz = _parse_tz(args.tz) if args.tz else TOKYO
     result = ingest_checkins(
         records,
@@ -147,13 +141,13 @@ def cmd_ingest(args) -> int:
 def cmd_heatmap(args) -> int:
     series = _load_series(args.input, args.kind)
     kernel = parse_kernel_spec(args.similarity)
-    S = build_similarity_matrix(series, kernel)
+    values = build_similarity_matrix(series, kernel).values
     wrote = []
     if args.csv_out:
-        wio.write_csv(args.csv_out, S.values)
+        wio.write_csv(args.csv_out, values)
         wrote.append(args.csv_out)
     if args.pgm_out:
-        wio.write_pgm(args.pgm_out, S.values)
+        wio.write_pgm(args.pgm_out, values)
         wrote.append(args.pgm_out)
     print(f"wrote {', '.join(wrote)}", file=sys.stderr)
     return 0
@@ -207,12 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tz", default="+09:00", help="UTC offset for day bucketing")
     g.add_argument("--start", help="first day, YYYY-MM-DD (default: first observed)")
     g.add_argument("--end", help="last day, YYYY-MM-DD (default: last observed)")
-    g.add_argument("--lat-min", type=float, default=35.5)
-    g.add_argument("--lat-max", type=float, default=35.9)
-    g.add_argument("--lon-min", type=float, default=139.0)
-    g.add_argument("--lon-max", type=float, default=140.0)
-    g.add_argument("--rows", type=int, default=20)
-    g.add_argument("--cols", type=int, default=20)
+    # --lat-min, --lat-max, --lon-min, --lon-max, --rows and --cols
+    for f in dataclasses.fields(GridConfig):
+        g.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     g.set_defaults(func=cmd_ingest)
 
     h = sub.add_parser("heatmap", help="emit a similarity matrix as CSV/PGM")

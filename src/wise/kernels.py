@@ -40,24 +40,29 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from ._grammar import Param, family_of, read_fields, single_group, to_text, tokenize, validate
+from ._grammar import Param, Spec
 from .errors import BadWeightParam, InvalidValue, KernelMismatch
 from .types import ObservationSeries, SimilarityMatrix
 
 
 @dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(Spec):
+    """A kernel, in text e.g. ``neg_l1``, ``gaussian:sigma=2.5`` or
+    ``knn:k=5,base=neg_l2``. The knn base defaults to neg_l1 and must be a
+    distance kernel."""
+
     family: str
     sigma: Optional[float] = None
     k: Optional[int] = None
     base: Optional["KernelSpec"] = None
 
+    SHORT = {"knn_affinity": "knn"}
+    WHAT = "kernel"
+
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise BadWeightParam(f"unknown kernel family {self.family!r}")
         if self.family == "knn_affinity" and self.base is None:
             object.__setattr__(self, "base", KernelSpec("neg_l1"))
-        validate(self, _FAMILIES[self.family].params, _name(self.family))
+        super().__post_init__()
         if self.base is not None and not _FAMILIES[self.base.family].distance:
             raise BadWeightParam(
                 f"knn base must be a distance kernel, got {self.base.family!r}"
@@ -65,26 +70,6 @@ class KernelSpec:
 
     def accepts(self) -> Tuple[str, ...]:
         return _FAMILIES[self.family].kinds or self.base.accepts()
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {"family": self.family}
-        for p in _FAMILIES[self.family].params:
-            value = getattr(self, p.field)
-            obj[p.field] = value.to_json_obj() if isinstance(value, KernelSpec) else value
-        return obj
-
-    def to_string(self) -> str:
-        params = _FAMILIES[self.family].params
-        return to_text(_name(self.family), params, [[getattr(self, p.field) for p in params]])
-
-
-def read_kernel_spec(raw) -> KernelSpec:
-    """A kernel given as a spec, its text or its JSON object."""
-    if isinstance(raw, KernelSpec):
-        return raw
-    if isinstance(raw, str):
-        return parse_kernel_spec(raw)
-    return kernel_spec_from_json_obj(raw)
 
 
 def _sqrt_trapezoid(g: int) -> np.ndarray:
@@ -133,17 +118,12 @@ _FAMILIES = {
     "knn_affinity": _Family(
         params=(
             Param("k", read=operator.index, show=str, low=0),
-            Param("base", read=read_kernel_spec, show=KernelSpec.to_string, required=False),
+            Param("base", read=KernelSpec.read, show=KernelSpec.to_string, required=False),
         )
     ),
 }
-FAMILIES = tuple(_FAMILIES)
-# text names that differ from the family; the text and JSON forms accept both
-_SHORT = {"knn_affinity": "knn"}
-
-
-def _name(family: str) -> str:
-    return _SHORT.get(family, family)
+# set here, as the knn base's row reads and writes a KernelSpec
+KernelSpec.TABLE = {family: f.params for family, f in _FAMILIES.items()}
 
 
 def neg_l1() -> KernelSpec:
@@ -393,17 +373,4 @@ def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:
     return squareform(a, checks=False)
 
 
-def parse_kernel_spec(text: str) -> KernelSpec:
-    """Parse the `family[:key=value,...]` grammar.
-
-    Examples: `neg_l1`, `gaussian:sigma=2.5`, `knn:k=5,base=neg_l2`. The
-    knn base defaults to neg_l1 and must be a distance kernel.
-    """
-    family, groups = tokenize(text, "kernel")
-    return kernel_spec_from_json_obj(single_group(family, groups, "kernel"))
-
-
-def kernel_spec_from_json_obj(obj: dict) -> KernelSpec:
-    """Inverse of :meth:`KernelSpec.to_json_obj` (config-file form)."""
-    family, fields = family_of(obj, _FAMILIES, _SHORT, "kernel")
-    return KernelSpec(family, **read_fields(fields, _FAMILIES[family].params, _name(family)))
+parse_kernel_spec = KernelSpec.parse

@@ -187,12 +187,13 @@ def from_setting(
     return ModelSpec(family, label=key, **read_fields(fields, _KEYS.values(), f"setting {key}"))
 
 
-def model_spec_from_json_obj(obj: dict, n: Optional[int] = None, p: Optional[int] = None) -> ModelSpec:
+def model_spec_from_json_obj(obj: dict) -> ModelSpec:
     """ModelSpec from its JSON form; either a {"setting": ...} preset
-    reference with overrides, or the full field form."""
+    reference with overrides, or the full field form. n and p default to
+    4 and 1, placeholders for a plan's model, which the grid sizes."""
     if not isinstance(obj, dict):
         raise ParseError("model JSON must be an object")
-    fields = {"n": 4 if n is None else n, "p": 1 if p is None else p, **obj}
+    fields = {"n": 4, "p": 1, **obj}
     if "setting" in fields:
         return from_setting(fields.pop("setting"), **fields)
     family, fields = family_of(fields, _FAMILIES, {}, "model")

@@ -21,12 +21,17 @@ _KIND_NDIM = {"vector": 2, "matrix": 3, "function": 2, "quantile": 2}
 
 
 def _real_array(raw, what: str) -> np.ndarray:
-    """raw as a float64 array. Ragged rows are a ShapeMismatch; text and
-    complex entries, whose imaginary part a cast would drop, an InvalidValue."""
+    """raw as a float64 array. Ragged rows are a ShapeMismatch; complex
+    entries, whose imaginary part a cast would drop, and text, which a cast
+    would parse when it spells a number, an InvalidValue."""
     try:
         arr = np.asarray(raw)
         if arr.dtype.kind == "c":
             raise InvalidValue(f"{what} holds complex values")
+        if arr.dtype.kind in "SU" or arr.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes)) for v in arr.flat
+        ):
+            raise InvalidValue(f"{what} holds text")
         return arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         # ragged rows raise ValueError on conversion in recent numpy

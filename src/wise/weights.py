@@ -28,17 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grammar import (
-    Param,
-    check_range,
-    family_of,
-    read_fields,
-    real_float,
-    single_group,
-    to_text,
-    tokenize,
-    validate,
-)
+from ._grammar import Param, Spec, check_range, read_fields, real_float, to_text
 from .errors import BadWeightParam, InvalidValue
 
 # relative slack when checking that fourier coefficients sum to one
@@ -64,32 +54,14 @@ _L = Param("l", low=0.0)
 # one fourier term: [alpha, l] in JSON, alpha=..,l=.. in text
 _TERM = (_ALPHA, _L)
 
-# family -> its parameters, in the order the canonical text writes them
-_FAMILIES = {
-    "default_cauchy": (),
-    "algebraic": (Param("beta", low=1.0),),
-    "geometric": (Param("rho", low=0.0, high=1.0),),
-    "exp_decay": (Param("lam", low=0.0, text="lambda"),),
-    "cosine": (_L,),
-    "abs_cosine": (_L,),
-    "fourier": (Param("terms", read=_read_terms),),
-    "mixed": (_ALPHA, Param("beta", low=0.0), _L),
-}
-FAMILIES = tuple(_FAMILIES)
-# text names that differ from the family; the text and JSON forms accept both
-_SHORT = {"default_cauchy": "default"}
-
-
-def _name(family: str) -> str:
-    return _SHORT.get(family, family)
-
 
 @dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(Spec):
     """Validated description of one lag-weight family.
 
     Only the parameters relevant to ``family`` are set; the rest stay None.
-    ``terms`` holds the fourier (coefficient, period) pairs.
+    ``terms`` holds the fourier (coefficient, period) pairs, in text
+    ``;``-separated groups: ``fourier:alpha=0.5,l=4;alpha=0.5,l=6``.
     """
 
     family: str
@@ -100,25 +72,36 @@ class WeightSpec:
     alpha: Optional[float] = None
     terms: Optional[Tuple[Tuple[float, float], ...]] = None
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise BadWeightParam(f"unknown weight family {self.family!r}")
-        validate(self, _FAMILIES[self.family], _name(self.family))
+    TABLE = {
+        "default_cauchy": (),
+        "algebraic": (Param("beta", low=1.0),),
+        "geometric": (Param("rho", low=0.0, high=1.0),),
+        "exp_decay": (Param("lam", low=0.0, text="lambda"),),
+        "cosine": (_L,),
+        "abs_cosine": (_L,),
+        "fourier": (Param("terms", read=_read_terms),),
+        "mixed": (_ALPHA, Param("beta", low=0.0), _L),
+    }
+    SHORT = {"default_cauchy": "default"}
+    WHAT = "weight"
 
     def to_json_obj(self) -> dict:
-        obj: dict = {"family": self.family}
-        for p in _FAMILIES[self.family]:
-            obj[p.field] = getattr(self, p.field)
+        obj = super().to_json_obj()
         if self.terms is not None:  # as JSON reads them: lists, not tuples
             obj["terms"] = [list(term) for term in self.terms]
         return obj
 
     def to_string(self) -> str:
-        """Inverse of :func:`parse_weight_spec` (canonical form)."""
-        if self.terms is not None:
-            return to_text(self.family, _TERM, self.terms)
-        params = _FAMILIES[self.family]
-        return to_text(_name(self.family), params, [[getattr(self, p.field) for p in params]])
+        if self.terms is None:
+            return super().to_string()
+        return to_text(self.family, _TERM, self.terms)
+
+    @classmethod
+    def _json_of(cls, family, groups) -> dict:
+        if family != "fourier" or not groups:
+            return super()._json_of(family, groups)
+        terms = [read_fields(group, _TERM, "fourier term") for group in groups]
+        return {"family": family, "terms": [[t["alpha"], t["l"]] for t in terms]}
 
 
 def default_weight() -> WeightSpec:
@@ -188,29 +171,4 @@ def weight_profile(spec: WeightSpec, lags: np.ndarray) -> np.ndarray:
     return np.where(t == 0, 0.0, out)
 
 
-def parse_weight_spec(text: str) -> WeightSpec:
-    """Parse the `family[:key=value,...][;key=value,...]` grammar.
-
-    `default` is an alias for default_cauchy, and exp_decay's `lambda` may
-    be spelled `lam`. Fourier terms are semicolon-separated groups:
-    `fourier:alpha=0.5,l=4;alpha=0.5,l=6`.
-    """
-    family, groups = tokenize(text, "weight")
-    if family != "fourier":
-        return weight_spec_from_json_obj(single_group(family, groups, "weight"))
-    obj: dict = {"family": family}
-    if groups:
-        terms = [read_fields(group, _TERM, "fourier term") for group in groups]
-        obj["terms"] = [[t["alpha"], t["l"]] for t in terms]
-    return weight_spec_from_json_obj(obj)
-
-
-def weight_spec_from_json_obj(obj: dict) -> WeightSpec:
-    """Inverse of :meth:`WeightSpec.to_json_obj` (config-file form)."""
-    family, fields = family_of(obj, _FAMILIES, _SHORT, "weight")
-    return WeightSpec(family, **read_fields(fields, _FAMILIES[family], _name(family)))
-
-
-def read_weight_spec(raw) -> WeightSpec:
-    """A weight given as its text or its JSON object."""
-    return parse_weight_spec(raw) if isinstance(raw, str) else weight_spec_from_json_obj(raw)
+parse_weight_spec = WeightSpec.parse

@@ -14,7 +14,7 @@ import wise
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# exported by 1.0.0, removed since
+# public names that are gone; the README's removed-names table gives what replaces each
 REMOVED = (
     "compute_z",
     "enumerate_moments",
@@ -23,6 +23,10 @@ REMOVED = (
     "knn_affinity_matrix",
     "weight_evaluate",
     "TooLarge",
+    "read_kernel_spec",
+    "kernel_spec_from_json_obj",
+    "read_weight_spec",
+    "weight_spec_from_json_obj",
 )
 
 MODULES = [wise] + [

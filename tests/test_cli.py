@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wise.cli import main
+from wise.cli import build_parser, main
+from wise.ingest import GridConfig
 from wise.io import load_matrix_jsonl, load_vector_csv, write_csv
 from wise.simgen import from_setting, generate
 
@@ -257,6 +258,12 @@ class TestIngestCommand:
         out = str(tmp_path / "days.jsonl")
         assert main(["ingest", "--input", str(path), "--out", out, "--tz", "+00:00"]) == 0
         assert "days=1" in capsys.readouterr().out
+
+    def test_grid_flags_default_to_grid_config(self):
+        args = build_parser().parse_args(["ingest", "--input", "log.csv", "--out", "days.jsonl"])
+        grid = GridConfig()
+        got = (args.lat_min, args.lat_max, args.lon_min, args.lon_max, args.rows, args.cols)
+        assert got == (grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max, grid.rows, grid.cols)
 
     def test_grid_flags(self, checkin_csv, tmp_path, capsys):
         out = str(tmp_path / "days.jsonl")

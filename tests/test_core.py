@@ -255,8 +255,9 @@ def test_similarity_matrix_requires_exact_symmetry():
         ([["a", "b"], ["b", "a"]], InvalidValue),
         ([[0.0, 1.0], [1.0]], ShapeMismatch),
         ([[0.0, 1j], [1j, 0.0]], InvalidValue),
+        ([["0", "1"], ["1", "0"]], InvalidValue),
     ],
-    ids=["text", "ragged", "complex"],
+    ids=["text", "ragged", "complex", "numeric_text"],
 )
 @pytest.mark.parametrize(
     "build",

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import time
@@ -16,7 +17,6 @@ from wise.kernels import (
     frobenius,
     functional_l2,
     gaussian,
-    kernel_spec_from_json_obj,
     knn_affinity,
     neg_l1,
     neg_l2,
@@ -186,6 +186,8 @@ def test_gaussian_requires_positive_sigma():
         gaussian(0.0)
     with pytest.raises(BadWeightParam):
         gaussian(-1.0)
+    with pytest.raises(BadWeightParam):
+        gaussian(math.inf)
 
 
 @pytest.mark.parametrize(
@@ -236,6 +238,8 @@ def test_parse_out_of_range_kernel_parameter():
     with pytest.raises(BadWeightParam):
         parse_kernel_spec("gaussian:sigma=0")
     with pytest.raises(BadWeightParam):
+        parse_kernel_spec("gaussian:sigma=inf")
+    with pytest.raises(BadWeightParam):
         parse_kernel_spec("knn:k=2,base=gaussian:sigma=1")
 
 
@@ -246,7 +250,14 @@ def test_parse_out_of_range_kernel_parameter():
 )
 def test_string_and_json_round_trips(spec):
     assert parse_kernel_spec(spec.to_string()) == spec
-    assert kernel_spec_from_json_obj(spec.to_json_obj()) == spec
+    assert KernelSpec.from_json_obj(spec.to_json_obj()) == spec
+
+
+@pytest.mark.parametrize(
+    "spec", [neg_l1(), gaussian(2.5), knn_affinity(4, neg_l2())], ids=lambda s: s.family
+)
+def test_read_takes_a_spec_its_text_or_its_json(spec):
+    assert [KernelSpec.read(raw) for raw in (spec, spec.to_string(), spec.to_json_obj())] == [spec] * 3
 
 
 def _trapezoid(g):
@@ -507,7 +518,7 @@ def test_knn_memory_at_n_2000():
 def test_knn_round_trips_over_every_base(base):
     spec = knn_affinity(2, KernelSpec(base))
     assert parse_kernel_spec(spec.to_string()) == spec
-    assert kernel_spec_from_json_obj(spec.to_json_obj()) == spec
+    assert KernelSpec.from_json_obj(spec.to_json_obj()) == spec
 
 
 def test_canonical_strings():
@@ -531,7 +542,7 @@ def test_text_and_json_reject_the_same_keys(text, obj):
     with pytest.raises(ParseError):
         parse_kernel_spec(text)
     with pytest.raises(ParseError):
-        kernel_spec_from_json_obj(obj)
+        KernelSpec.from_json_obj(obj)
 
 
 @pytest.mark.parametrize(
@@ -545,7 +556,7 @@ def test_text_and_json_reject_the_same_keys(text, obj):
 )
 def test_json_rejects_values_of_the_wrong_type(obj):
     with pytest.raises(ParseError):
-        kernel_spec_from_json_obj(obj)
+        KernelSpec.from_json_obj(obj)
 
 
 def test_parameters_outside_the_family_rejected():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -313,6 +314,11 @@ class TestModelSpecValidation:
             {"family": "garch", "coef_scale": 0.1},
             # a value of the wrong type
             {"family": "iid_normal", "p": "five"},
+            # a value that is not finite passes a missing or open bound
+            {"family": "var1", "a_low": math.nan, "a_high": 0.04, "band_div": 50.0},
+            {"family": "var1", "a_low": -math.inf, "a_high": 0.04, "band_div": 50.0},
+            {"family": "var1", "a_low": -0.01, "a_high": math.inf, "band_div": 50.0},
+            {"family": "var1", "a_low": -0.01, "a_high": 0.04, "band_div": math.inf},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):

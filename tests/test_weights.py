@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from wise.weights import (
     mixed,
     parse_weight_spec,
     weight_profile,
-    weight_spec_from_json_obj,
 )
 
 ALL_SPECS = [
@@ -107,6 +108,17 @@ def test_negative_lag_rejected():
         lambda: mixed(0.5, 0.0, 4.0),
         lambda: mixed(0.5, 1.0, 0.0),
         lambda: WeightSpec("geometric", rho="x"),
+        # inf passes an open upper bound; it would make the weight constant
+        lambda: algebraic(math.inf),
+        lambda: exp_decay(math.inf),
+        lambda: cosine(math.inf),
+        lambda: abs_cosine(math.inf),
+        lambda: mixed(0.5, math.inf, 4.0),
+        lambda: mixed(0.5, 1.0, math.inf),
+        lambda: fourier([(0.5, math.inf), (0.5, 4.0)]),
+        lambda: parse_weight_spec("cosine:l=inf"),
+        lambda: parse_weight_spec("fourier:alpha=0.5,l=inf;alpha=0.5,l=4"),
+        lambda: WeightSpec.from_json_obj({"family": "exp_decay", "lambda": math.inf}),
     ],
 )
 def test_bad_parameters_rejected(ctor):
@@ -171,7 +183,12 @@ def test_string_round_trip(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
 def test_json_round_trip(spec):
-    assert weight_spec_from_json_obj(spec.to_json_obj()) == spec
+    assert WeightSpec.from_json_obj(spec.to_json_obj()) == spec
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+def test_read_takes_a_spec_its_text_or_its_json(spec):
+    assert [WeightSpec.read(raw) for raw in (spec, spec.to_string(), spec.to_json_obj())] == [spec] * 3
 
 
 @pytest.mark.parametrize(
@@ -185,7 +202,7 @@ def test_three_term_fourier_round_trips():
     spec = fourier([(0.2, 4.0), (0.3, 6.0), (0.5, 9.0)])
     assert spec.to_string() == "fourier:alpha=0.2,l=4;alpha=0.3,l=6;alpha=0.5,l=9"
     assert parse_weight_spec(spec.to_string()) == spec
-    assert weight_spec_from_json_obj(spec.to_json_obj()) == spec
+    assert WeightSpec.from_json_obj(spec.to_json_obj()) == spec
 
 
 def test_canonical_strings():
@@ -197,7 +214,7 @@ def test_canonical_strings():
 @pytest.mark.parametrize("key", ["lambda", "lam"])
 def test_both_lambda_spellings_accepted(key):
     assert parse_weight_spec(f"exp_decay:{key}=1.5") == exp_decay(1.5)
-    assert weight_spec_from_json_obj({"family": "exp_decay", key: 1.5}) == exp_decay(1.5)
+    assert WeightSpec.from_json_obj({"family": "exp_decay", key: 1.5}) == exp_decay(1.5)
 
 
 @pytest.mark.parametrize(
@@ -216,7 +233,7 @@ def test_both_lambda_spellings_accepted(key):
 )
 def test_json_rejects_bad_keys_and_values(obj):
     with pytest.raises(ParseError):
-        weight_spec_from_json_obj(obj)
+        WeightSpec.from_json_obj(obj)
 
 
 def test_parameters_outside_the_family_rejected():
