@@ -316,7 +316,8 @@ def rearrangement_bounds(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, f
     n = S.n
     counts = 2 * (n - np.arange(n))
     counts[0] = n
-    ws = np.sort(np.repeat(W.profile, counts))
+    order = np.argsort(W.profile)
+    ws = np.repeat(W.profile[order], counts[order])
     ss = np.sort(np.concatenate((S.diagonal, S.condensed, S.condensed)))
     upper = float(np.sum(ws * ss))
     lower = float(np.sum(ws * ss[::-1]))

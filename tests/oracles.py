@@ -114,3 +114,28 @@ def long_double_centered_moments(S: np.ndarray, profile: np.ndarray):
         - 4 * (a2 * b3 + a3 * b2) / (n * (n - 2) * (n - 3))
     )
     return zc, var
+
+
+def _masked_uniform(rng, p: int, low: float, high: float, band_div: float) -> np.ndarray:
+    a = rng.uniform(low, high, size=(p, p))
+    idx = np.arange(p)
+    return np.where(np.abs(idx[:, None] - idx[None, :]) <= int(p // band_div), a, 0.0)
+
+
+def svar_per_step(spec) -> np.ndarray:
+    """The last n rows of a seasonal VAR, drawn like ``generate`` (A, B, then
+    the innovations below seasonal_lag + 1 zero rows) and recursed one row at
+    a time, with one dense matrix-vector product for each of its three terms."""
+    rng = np.random.default_rng(spec.seed)
+    a = _masked_uniform(rng, spec.p, spec.a_low, spec.a_high, spec.band_div)
+    b = _masked_uniform(rng, spec.p, spec.b_low, spec.b_high, spec.band_div)
+    ab = a @ b
+    lag = spec.seasonal_lag
+    x = np.zeros((lag + 1 + spec.burn_in + spec.n, spec.p))
+    rng.standard_normal(out=x[lag + 1 :])
+    # rows t, t-1, t-lag and t-lag-1 of the history, as views
+    for row, back1, back_lag, back_lag1 in zip(x[lag + 1 :], x[lag:], x[1:], x):
+        row += b @ back1
+        row += a @ back_lag
+        row -= ab @ back_lag1
+    return x[-spec.n :]

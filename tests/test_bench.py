@@ -91,6 +91,14 @@ class TestRunExperiment:
             report_to_csv(threaded)
         )
 
+    def test_svar_cells_do_not_depend_on_thread_count(self):
+        # band width 1 at p = 60: forked workers run the blocked svar recursion
+        plan = tiny_plan(model=from_setting("setting3.1", 20, 60), p_values=(60,))
+        serial, forked = (run_experiment(plan, threads=t) for t in (1, 2))
+        assert rows_without_seconds(report_to_csv(serial)) == rows_without_seconds(
+            report_to_csv(forked)
+        )
+
     def test_repeated_runs_identical(self):
         plan = tiny_plan()
         a = run_experiment(plan, threads=2)

@@ -159,6 +159,9 @@ class TestSimulateCommand:
     def test_unknown_setting_is_usage_error(self, capsys):
         assert main(["simulate", "--model", "setting7.7", "--n", "5", "--p", "3"]) == 2
 
+    def test_size_numpy_cannot_index_is_usage_error(self, capsys):
+        assert main(["simulate", "--model", "setting1.1", "--n", str(10**20), "--p", "5"]) == 2
+
 
 class TestBenchCommand:
     def test_csv_report_to_file(self, plan_file, tmp_path, capsys):

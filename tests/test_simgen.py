@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import svar_per_step
 from wise.errors import BadModelParam, ParseError
 from wise.simgen import (
     FAMILIES,
@@ -204,6 +205,18 @@ class TestDrawOrder:
         assert np.array_equal(generate(spec).data, want)
 
 
+@pytest.mark.parametrize("burn_in", [3, 200])
+@pytest.mark.parametrize("lag", [1, 2, 4, 12])
+@pytest.mark.parametrize("p", [11, 60, 150, 300])  # band widths 0, 1, 3 and 6
+def test_svar_blocks_match_the_per_step_recursion(p, lag, burn_in):
+    spec = from_setting("setting3.1", 30, p, seed=p + lag, burn_in=burn_in, seasonal_lag=lag)
+    got, want = generate(spec).data, svar_per_step(spec)
+    if p == 11:  # a diagonal band: each product has one nonzero term
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestZeroCoefficientReductions:
     def test_var1_with_zero_scale_is_iid(self):
         spec = ModelSpec("var1", 6, 3, seed=17, burn_in=5, coef_scale=0.0)
@@ -290,6 +303,9 @@ class TestModelSpecValidation:
             {"family": "iid_normal", "p": 0},
             {"family": "iid_normal", "burn_in": -1},
             {"family": "iid_normal", "seed": 2**64},
+            # a history numpy cannot index
+            {"family": "iid_normal", "n": 10**20},
+            {"family": "var1", "coef_scale": 0.1, "p": 2**60},
             {"family": "iid_normal_ar_cov", "rho": 1.0},
             {"family": "var1", "coef_scale": 1.0},
             {"family": "var1", "coef_scale": -0.1},
