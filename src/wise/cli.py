@@ -97,7 +97,11 @@ def cmd_test(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = from_setting(args.model, args.n, args.p, seed=args.seed, burn_in=args.burn_in)
-    series = generate(spec)
+    try:
+        series = generate(spec)
+    except MemoryError:
+        # ModelSpec refuses sizes numpy cannot index, not sizes this host cannot hold
+        raise MemoryError(f"out of memory drawing an n = {args.n}, p = {args.p} series") from None
     if args.out:
         wio.write_csv(args.out, series.data)
     else:
@@ -224,7 +228,7 @@ def main(argv=None) -> int:
         parser.error("heatmap needs --csv-out and/or --pgm-out")
     try:
         return args.func(args)
-    except (WiseError, OSError) as exc:
+    except (WiseError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, BadWeightParam, BadModelParam)) else 1
 

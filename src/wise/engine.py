@@ -50,6 +50,9 @@ _TIE_REL = 1e-10
 # draws x folded pairs from which the draws are split across forked
 # processes; below it a fork's round trip (about 4 ms) outweighs the work
 _FORK_PAIR_DRAWS = 2**26
+# draws per seeded generator of the permutation stream; it enters every
+# seeded p, so it is fixed and depends on nothing else
+_STREAM_BLOCK = 64
 
 
 def _check_count(value, what: str) -> int:
@@ -185,13 +188,31 @@ def _zc_bounds(M: MomentSummary, profiles: np.ndarray) -> np.ndarray:
     return M.s_abs_max * ((2.0 * (M.n - np.arange(M.n))) @ np.abs(profiles.T))
 
 
+def _sigma_stream(seed: int, n: int, a: int, b: int):
+    """sigma = pi^-1 of the seeded draws a to b - 1, one stream block at a time.
+
+    Block j is a _STREAM_BLOCK x n tile of arange(n) whose rows
+    default_rng(SeedSequence((seed, j))) shuffles in turn, so draw k is row
+    k % _STREAM_BLOCK of block k // _STREAM_BLOCK. A range that starts or
+    ends inside a block draws the whole block and yields only its own rows,
+    so a draw does not depend on the range that asks for it.
+    """
+    identity = np.arange(n)
+    for j in range(a // _STREAM_BLOCK, -(-b // _STREAM_BLOCK)):
+        # intp rows take numpy's fastest shuffle
+        rows = np.tile(identity, (_STREAM_BLOCK, 1))
+        default_rng(SeedSequence((seed, j))).permuted(rows, axis=1, out=rows)
+        first = j * _STREAM_BLOCK
+        yield rows[max(a - first, 0) : b - first]
+
+
 def _lag_sum_draws(s_pairs: np.ndarray, profiles: np.ndarray, B: int, seed: int) -> np.ndarray:
     """Z - EZ per lag profile at B seeded draws, as a (B, m) array.
 
     s_pairs is S.condensed, the pairs a < b. With sigma = pi^-1,
     Z(pi) - EZ = 2 sum_t w(t) D_t, where D_t sums the centered S_ab over
-    pairs with |sigma_a - sigma_b| = t (Mantel 1967). Draw k is
-    pi = permutation (seed, k).
+    pairs with |sigma_a - sigma_b| = t (Mantel 1967). Draw k's sigma is
+    row k of _sigma_stream(seed, n, 0, B).
 
     The centered pairs are folded once onto n // 2 rows of n: row t-1
     holds the pairs (i, (i+t) mod n), so a draw reads sigma_(i+t) - sigma_i
@@ -249,11 +270,16 @@ def _lag_sum_draws(s_pairs: np.ndarray, profiles: np.ndarray, B: int, seed: int)
         return d.reshape(size, 2 * n) @ w_cols
 
     def fill(out, a, b):
-        for start in range(a, b, size):
-            k = min(size, b - start)
-            for j in range(k):
-                sigma[j, default_rng(SeedSequence((seed, start + j))).permutation(n)] = index
-            out[start : start + k] = lag_sums()[:k]
+        # a is a batch boundary, so draw k sits in row k % size of its batch
+        at = a
+        for rows in _sigma_stream(seed, n, a, b):
+            while len(rows):
+                j = at % size
+                k = min(size - j, len(rows))
+                sigma[j : j + k] = rows[:k]
+                rows, at = rows[k:], at + k
+                if j + k == size or at == b:
+                    out[at - j - k : at] = lag_sums()[: j + k]
 
     out = np.empty((B, profiles.shape[0]))
     batches = -(-B // size)

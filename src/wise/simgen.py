@@ -272,7 +272,7 @@ def generate(spec: ModelSpec) -> ObservationSeries:
         a = _banded_uniform(rng, p, spec.a_low, spec.a_high, spec.band_div)
         x = _zero_history(rng, spec, 1)
         for prev, row in zip(x, x[1:]):
-            row += a @ prev
+            row += a.dot(prev)
         data = x[-n:]
     elif fam == "svar":
         a = _banded_uniform(rng, p, spec.a_low, spec.a_high, spec.band_div)

@@ -122,6 +122,18 @@ def _masked_uniform(rng, p: int, low: float, high: float, band_div: float) -> np
     return np.where(np.abs(idx[:, None] - idx[None, :]) <= int(p // band_div), a, 0.0)
 
 
+def var1_per_step(spec) -> np.ndarray:
+    """The last n rows of a banded VAR(1), drawn like ``generate`` (A, then the
+    innovations below one zero row) and recursed with ``a @ prev`` per row."""
+    rng = np.random.default_rng(spec.seed)
+    a = _masked_uniform(rng, spec.p, spec.a_low, spec.a_high, spec.band_div)
+    x = np.zeros((1 + spec.burn_in + spec.n, spec.p))
+    rng.standard_normal(out=x[1:])
+    for prev, row in zip(x, x[1:]):
+        row += a @ prev
+    return x[-spec.n :]
+
+
 def svar_per_step(spec) -> np.ndarray:
     """The last n rows of a seasonal VAR, drawn like ``generate`` (A, B, then
     the innovations below seasonal_lag + 1 zero rows) and recursed one row at

@@ -162,6 +162,15 @@ class TestSimulateCommand:
     def test_size_numpy_cannot_index_is_usage_error(self, capsys):
         assert main(["simulate", "--model", "setting1.1", "--n", str(10**20), "--p", "5"]) == 2
 
+    def test_size_the_host_cannot_hold_is_an_error(self, monkeypatch, capsys):
+        def out_of_memory(spec):
+            raise MemoryError
+
+        monkeypatch.setattr("wise.cli.generate", out_of_memory)
+        assert main(["simulate", "--model", "setting1.1", "--n", str(10**12), "--p", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"n = {10**12}, p = 5" in err
+
 
 class TestBenchCommand:
     def test_csv_report_to_file(self, plan_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import sys
@@ -6,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.random import SeedSequence, default_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +95,11 @@ def pair_series() -> ObservationSeries:
 
 def pair_similarity() -> SimilarityMatrix:
     return single_pair(4)
+
+
+def stream_perms(seed: int, n: int, B: int) -> np.ndarray:
+    """pi = sigma^-1 of the engine's seeded draws 0 to B - 1, one per row."""
+    return np.argsort(np.concatenate(list(engine._sigma_stream(seed, n, 0, B))), axis=1)
 
 
 class TestComputeZ:
@@ -265,7 +270,7 @@ class TestRunTest:
                 S = build_similarity_matrix(series, kernel).values
                 tol = 1e-10 * np.abs(S[off] - S[off].mean()).max() * w_bound
                 zc = compute_z(SimilarityMatrix.from_square(S), W) - res.e_z
-                perms = (default_rng(SeedSequence((seed, b))).permutation(n) for b in range(B))
+                perms = stream_perms(seed, n, B)
                 zcs = np.array(
                     [compute_z(SimilarityMatrix.from_square(S[np.ix_(pi, pi)]), W) for pi in perms]
                 ) - res.e_z
@@ -614,6 +619,32 @@ def draw_inputs(n: int, m: int):
     return s_pairs, np.stack([build_weight_matrix(n, spec).profile for spec in specs])
 
 
+# The stream contract: sha256 of the int64 bytes of sigma for draws 0 to
+# B - 1, as engine._sigma_stream(seed, n, 0, B) yields them. Neither B is a
+# multiple of the stream block, so a change to the block size, the seeding
+# or the shuffle shows here.
+STREAM_GOLDEN = {
+    (7, 11, 150): "a0f0d5645a9130f7ae38334dae621076e5f231e6da6d30ed0a0ea1432941f3b9",
+    (2**64 - 1, 40, 100): "fd0b2bf3a45cb41309bf57074cb4f2c532fdfc8d501bad99973588c0eba65c7e",
+}
+
+
+class TestSigmaStream:
+    @pytest.mark.parametrize("seed,n,B", sorted(STREAM_GOLDEN))
+    def test_stream_is_bit_identical(self, seed, n, B):
+        rows = np.concatenate(list(engine._sigma_stream(seed, n, 0, B)))
+        assert rows.shape == (B, n)
+        assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == STREAM_GOLDEN[seed, n, B]
+
+    def test_a_range_yields_its_own_rows_of_each_block(self):
+        full = np.concatenate(list(engine._sigma_stream(3, 9, 0, 200)))
+        assert np.array_equal(np.sort(full, axis=1), np.tile(np.arange(9), (200, 1)))
+        for a, b in [(0, 1), (33, 66), (63, 65), (64, 128), (100, 101), (130, 200)]:
+            blocks = list(engine._sigma_stream(3, 9, a, b))
+            assert np.array_equal(np.concatenate(blocks), full[a:b])
+            assert all(len(rows) <= engine._STREAM_BLOCK for rows in blocks)
+
+
 class TestLagSumDraws:
     def spy_draws(self, monkeypatch):
         # records the (B, m) draws of every call to the shared draw routine
@@ -667,6 +698,22 @@ class TestLagSumDraws:
                     assert np.array_equal(got, want)
                     assert_no_child_left()
         assert (len(forks) > 0) == (n > 7)
+
+    def test_draws_fork_at_the_shipped_threshold(self, monkeypatch):
+        # n = 2000 folds 2e6 pairs, so B = 100 draws make 2e8 pair-draws and
+        # fork unpatched; at 3 workers the ranges start at draws 33 and 66,
+        # inside stream blocks
+        n, B = 2000, 100
+        s_pairs, profiles = draw_inputs(n, 2)
+        assert B * (n // 2) * n >= engine._FORK_PAIR_DRAWS
+        forks = count_forks(monkeypatch)
+        monkeypatch.setenv("WISE_THREADS", "1")
+        want = engine._lag_sum_draws(s_pairs, profiles, B, 5)
+        for threads in ("2", "3"):
+            monkeypatch.setenv("WISE_THREADS", threads)
+            assert np.array_equal(engine._lag_sum_draws(s_pairs, profiles, B, 5), want)
+            assert_no_child_left()
+        assert len(forks) == 3
 
     def test_a_failing_worker_is_redone_in_process(self, monkeypatch):
         s_pairs, profiles = draw_inputs(64, 3)
@@ -739,8 +786,7 @@ class TestLagSumDraws:
             e_z, _, observed, _ = np.array([_raw_moments(M, W) for W in Ws]).T
             bound = M.s_abs_max * (2.0 * (n - np.arange(n)) @ np.abs(profiles.T))
             draws = engine._lag_sum_draws(S.condensed, profiles, B, seed)
-            perms = [np.arange(n)]
-            perms += [default_rng(SeedSequence((seed, k))).permutation(n) for k in range(B)]
+            perms = [np.arange(n), *stream_perms(seed, n, B)]
             for got, pi in zip([observed, *draws], perms):
                 permuted = SimilarityMatrix.from_square(S.values[np.ix_(pi, pi)])
                 want = [compute_z(permuted, W) - ez for W, ez in zip(Ws, e_z)]
@@ -850,7 +896,7 @@ class TestMahalanobis:
             permuted = SimilarityMatrix.from_square(S.values[np.ix_(pi, pi)])
             return np.array([compute_z(permuted, W) - ez for W, ez in zip(Ws, e_z)])
 
-        perms = [default_rng(SeedSequence((seed, k))).permutation(n) for k in range(B)]
+        perms = stream_perms(seed, n, B)
         d_perm = np.array([d(pi) for pi in perms])
         sigma = np.cov(d_perm, rowvar=False, ddof=1)
         sigma += 1e-8 * (np.trace(sigma) / len(Ws)) * np.eye(len(Ws))

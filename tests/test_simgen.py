@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import svar_per_step
+from oracles import svar_per_step, var1_per_step
 from wise.errors import BadModelParam, ParseError
 from wise.simgen import (
     FAMILIES,
@@ -215,6 +215,13 @@ def test_svar_blocks_match_the_per_step_recursion(p, lag, burn_in):
         assert np.array_equal(got, want)
     else:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["setting2.2", "setting2.3"])
+def test_banded_var1_matches_the_per_step_recursion(name):
+    # p = 60 gives setting2.2 a band of width 1 and setting2.3 one of width 3
+    spec = from_setting(name, 30, 60, seed=8, burn_in=50)
+    assert np.array_equal(generate(spec).data, var1_per_step(spec))
 
 
 class TestZeroCoefficientReductions:
