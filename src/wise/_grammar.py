@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import operator
 from typing import Any, Callable, ClassVar, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadWeightParam, ParseError
@@ -28,6 +29,13 @@ def real(value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"not a real number: {value!r}")
     return value
+
+
+def integer(value) -> int:
+    """An integer as an int; a bool, a float such as 2.0 or a string is rejected."""
+    if isinstance(value, bool):
+        raise TypeError(f"not an integer: {value!r}")
+    return operator.index(value)
 
 
 def real_float(value) -> float:

@@ -20,7 +20,6 @@ import csv
 import hashlib
 import io
 import json
-import operator
 import time
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -28,7 +27,7 @@ from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from ._grammar import Param, read_fields, real, string
+from ._grammar import Param, integer, read_fields, real, string
 from .engine import TestConfig, _check_count, run_test
 from .errors import ExperimentError, InvalidValue, ParseError, WiseError
 from .kernels import KernelSpec, _fill_in_forks, thread_count
@@ -42,11 +41,11 @@ class ExperimentPlan:
     n_values: Tuple[int, ...]
     p_values: Tuple[int, ...]
     replications: int
-    alpha: float = 0.05
+    alpha: float = TestConfig.alpha
     kernel: KernelSpec = KernelSpec("neg_l1")
     weight: WeightSpec = WeightSpec("default_cauchy")
-    method: str = "analytic"
-    permutations: int = 1000
+    method: str = TestConfig.method
+    permutations: int = TestConfig.permutations
     master_seed: int = 0
     output_path: Optional[str] = None
 
@@ -240,25 +239,25 @@ def export_report(report: ExperimentReport, fmt: str, path: str) -> str:
 
 def _read_grid(raw) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     axes = read_fields(raw, (Param("n", read=tuple), Param("p", read=tuple)), "plan grid")
-    return tuple(map(operator.index, axes["n"])), tuple(map(operator.index, axes["p"]))
+    return tuple(map(integer, axes["n"])), tuple(map(integer, axes["p"]))
 
 
 def _read_permutations(raw) -> int:
     """B, where the null of an analytic plan's provenance reads as the default."""
-    return ExperimentPlan.permutations if raw is None else operator.index(raw)
+    return ExperimentPlan.permutations if raw is None else integer(raw)
 
 
 # plan file key -> its reader; a key without a default is required
 _PLAN = (
     Param("model", read=model_spec_from_json_obj),
     Param("grid", read=_read_grid),
-    Param("replications", read=operator.index),
+    Param("replications", read=integer),
     Param("alpha", read=real, required=False),
     Param("kernel", read=KernelSpec.read, required=False),
     Param("weight", read=WeightSpec.read, required=False),
     Param("method", read=string, required=False),
     Param("permutations", read=_read_permutations, required=False),
-    Param("master_seed", read=operator.index, required=False),
+    Param("master_seed", read=integer, required=False),
     Param("output", read=string, required=False),
 )
 

@@ -30,7 +30,7 @@ from .engine import SIDES, TestConfig, run_test
 from .errors import BadModelParam, BadRange, BadWeightParam, ParseError, WiseError
 from .ingest import TOKYO, GridConfig, ingest_checkins, read_checkin_csv
 from .kernels import parse_kernel_spec
-from .simgen import from_setting, generate
+from .simgen import ModelSpec, from_setting, generate
 from .types import SERIES_KINDS
 from .weights import parse_weight_spec
 
@@ -169,11 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--kind", choices=SERIES_KINDS, default="vector")
     t.add_argument("--similarity", default="neg_l1", help="kernel spec, e.g. gaussian:sigma=2")
     t.add_argument("--weight", default="default", help="weight spec, e.g. geometric:rho=0.5")
-    t.add_argument("--method", choices=("analytic", "perm"), default="analytic")
-    t.add_argument("--perms", type=int, default=1000, help="permutation count for --method perm")
-    t.add_argument("--alpha", type=float, default=0.05)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--sidedness", choices=SIDES, default="two_sided")
+    t.add_argument("--method", choices=("analytic", "perm"), default=TestConfig.method)
+    t.add_argument(
+        "--perms",
+        type=int,
+        default=TestConfig.permutations,
+        help="permutation count for --method perm",
+    )
+    t.add_argument("--alpha", type=float, default=TestConfig.alpha)
+    t.add_argument("--seed", type=int, default=TestConfig.seed)
+    t.add_argument("--sidedness", choices=SIDES, default=TestConfig.sidedness)
     t.add_argument("--json", action="store_true", help="emit the result as one JSON object")
     t.set_defaults(func=cmd_test)
 
@@ -181,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True, help="setting name, e.g. setting2.1")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--burn-in", type=int, default=200, dest="burn_in")
+    s.add_argument("--seed", type=int, default=ModelSpec.seed)
+    s.add_argument("--burn-in", type=int, default=ModelSpec.burn_in, dest="burn_in")
     s.add_argument("--out", help="output CSV path (default: stdout)")
     s.set_defaults(func=cmd_simulate)
 

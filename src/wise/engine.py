@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -29,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import SeedSequence, default_rng
 from scipy.special import ndtr
 
+from ._grammar import integer
 from .core import _BATCH_PAIRS, build_similarity_matrix, build_weight_matrix, moment_summary
 from .errors import DegenerateVariance, InvalidValue, ShapeMismatch, TooFewObservations
 from .kernels import _fill_in_forks, thread_count
@@ -56,9 +56,9 @@ _STREAM_BLOCK = 64
 
 
 def _check_count(value, what: str) -> int:
-    """value as an int; what ``operator.index`` refuses, 2.0 too, is an InvalidValue."""
+    """value as an int; what ``integer`` refuses, a bool or 2.0 too, is an InvalidValue."""
     try:
-        return operator.index(value)
+        return integer(value)
     except TypeError:
         raise InvalidValue(f"{what} must be an integer, got {value!r}") from None
 
@@ -206,28 +206,31 @@ def _sigma_stream(seed: int, n: int, a: int, b: int):
         yield rows[max(a - first, 0) : b - first]
 
 
-def _lag_sum_draws(s_pairs: np.ndarray, profiles: np.ndarray, B: int, seed: int) -> np.ndarray:
+def _lag_sum_draws(s_pairs: np.ndarray, centered: np.ndarray, B: int, seed: int) -> np.ndarray:
     """Z - EZ per lag profile at B seeded draws, as a (B, m) array.
 
-    s_pairs is S.condensed, the pairs a < b. With sigma = pi^-1,
-    Z(pi) - EZ = 2 sum_t w(t) D_t, where D_t sums the centered S_ab over
-    pairs with |sigma_a - sigma_b| = t (Mantel 1967). Draw k's sigma is
-    row k of _sigma_stream(seed, n, 0, B).
+    s_pairs is S.condensed, the pairs a < b, and centered the (m, n) stack
+    of centered weights a(t) = w(t) - w_bar, a(0) = 0, that _weight_sums
+    returns. With sigma = pi^-1, Z(pi) - EZ = 2 sum_t a(t) D_t, where D_t
+    sums S_ab over pairs with |sigma_a - sigma_b| = t (Mantel 1967), the
+    formula the walk takes for the observed value. A common shift of the
+    pairs drops out of it, so they are centered once, for precision only.
+    Draw k's sigma is row k of _sigma_stream(seed, n, 0, B).
 
-    The centered pairs are folded once onto n // 2 rows of n: row t-1
-    holds the pairs (i, (i+t) mod n), so a draw reads sigma_(i+t) - sigma_i
-    off the windows [sigma, sigma][t : t+n], with no gather per pair. For
-    even n the second half of the last row repeats its first half and is
+    The shifted pairs are folded once onto n // 2 rows of n: row t-1 holds
+    the pairs (i, (i+t) mod n), so a draw reads sigma_(i+t) - sigma_i off
+    the windows [sigma, sigma][t : t+n], with no gather per pair. For even
+    n the second half of the last row repeats its first half and is
     zeroed. A draw bins the signed difference, shifted by n, on 2n bins,
-    and weighs bin n +- t with w(t), so no absolute value is taken.
+    and weighs bin n +- t with 2a(t), so no absolute value is taken.
 
-    From _FORK_PAIR_DRAWS draws x folded pairs on, the B draws are cut into
-    thread_count() ranges of whole batches, filled side by side in forked
-    processes (see _fill_in_forks). Each draw then sits at its place in the
-    same batch as in one run, so the draws are byte-identical at any
-    worker count.
+    A batch is a power-of-two slice of a stream block, so draw k sits in
+    row k % size of its batch. From _FORK_PAIR_DRAWS draws x folded pairs
+    on, the B draws are cut into thread_count() ranges of whole batches,
+    filled side by side in forked processes (see _fill_in_forks); each draw
+    keeps its row, so the draws are byte-identical at any worker count.
     """
-    n = profiles.shape[1]
+    n = centered.shape[1]
     h = n // 2
     index = np.arange(n)
     # pair (a, a+d) is at starts[a] + d in pdist's order
@@ -236,17 +239,13 @@ def _lag_sum_draws(s_pairs: np.ndarray, profiles: np.ndarray, B: int, seed: int)
     for t in range(1, h + 1):
         fold[t - 1, : n - t] = s_pairs[starts[: n - t] + t]
         fold[t - 1, n - t :] = s_pairs[starts[:t] + n - t]
-    repeat = fold[-1, h:] if n % 2 == 0 else fold[-1, :0]
-    # the mean carries the rounding of a large sum; remove what it leaves
     fold -= s_pairs.mean()
-    repeat[:] = 0.0
-    fold -= fold.sum() / s_pairs.size
-    repeat[:] = 0.0
+    if n % 2 == 0:
+        fold[-1, h:] = 0.0
     # a block of rows holds at most _BATCH_PAIRS pairs; at small n one
-    # bincount takes a batch of draws, each on its own 2n bins, so each
-    # draw rounds alike in any batch
+    # bincount takes a batch of draws, each on its own 2n bins
     step = max(1, min(h, _BATCH_PAIRS // n))
-    size = max(1, _BATCH_PAIRS // fold.size)
+    size = 1 << (max(1, min(_STREAM_BLOCK, _BATCH_PAIRS // fold.size)).bit_length() - 1)
     weights = np.tile(fold, (size, 1, 1)) if size > 1 else fold[None]
     # int32 halves the traffic of the subtract; bins stay below 2n * size
     doubled = np.tile(index.astype(np.int32), (size, 2))
@@ -255,7 +254,7 @@ def _lag_sum_draws(s_pairs: np.ndarray, profiles: np.ndarray, B: int, seed: int)
     shift = (n * (1 + 2 * np.arange(size, dtype=np.int32)))[:, None]
     shifted = np.empty((size, n), dtype=np.int32)
     bins = np.empty((size, step, n), dtype=np.int32)
-    mirrored = np.concatenate([np.zeros((len(profiles), 1)), profiles[:, :0:-1], profiles], axis=1)
+    mirrored = np.concatenate([np.zeros((len(centered), 1)), centered[:, :0:-1], centered], axis=1)
     w_cols = 2.0 * mirrored.T
 
     def lag_sums():
@@ -270,18 +269,16 @@ def _lag_sum_draws(s_pairs: np.ndarray, profiles: np.ndarray, B: int, seed: int)
         return d.reshape(size, 2 * n) @ w_cols
 
     def fill(out, a, b):
-        # a is a batch boundary, so draw k sits in row k % size of its batch
+        # a and every stream block start on a batch boundary
         at = a
         for rows in _sigma_stream(seed, n, a, b):
-            while len(rows):
-                j = at % size
-                k = min(size - j, len(rows))
-                sigma[j : j + k] = rows[:k]
-                rows, at = rows[k:], at + k
-                if j + k == size or at == b:
-                    out[at - j - k : at] = lag_sums()[: j + k]
+            for i in range(0, len(rows), size):
+                k = min(size, len(rows) - i)
+                sigma[:k] = rows[i : i + k]
+                out[at : at + k] = lag_sums()[:k]
+                at += k
 
-    out = np.empty((B, profiles.shape[0]))
+    out = np.empty((B, centered.shape[0]))
     batches = -(-B // size)
     workers = min(thread_count(), batches) if B * fold.size >= _FORK_PAIR_DRAWS else 1
     bounds = [min(B, size * (batches * r // workers)) for r in range(workers + 1)]
@@ -402,7 +399,8 @@ def run_test(
             # a knn field or a cosine weight holds few values, so many draws
             # tie Z - EZ exactly, yet each sums in its own order: a draw
             # within _TIE_REL of the bound on |Z - EZ| counts as a tie
-            draws = _lag_sum_draws(S.condensed, W.profile[None], config.permutations, config.seed)
+            centered = _weight_sums(W)[3][None]
+            draws = _lag_sum_draws(S.condensed, centered, config.permutations, config.seed)
             tol = _TIE_REL * _zc_bounds(M, W.profile)
             count = int(np.sum(orient(draws[:, 0]) >= orient(zc) - tol))
             p = (1.0 + count) / (config.permutations + 1.0)
@@ -450,9 +448,9 @@ def mahalanobis_aggregate(
     Ws = [build_weight_matrix(n, spec) for spec in weight_specs]
     M = moment_summary(S)
     _check_spread(M)
-    d_obs = np.array([_raw_moments(M, W)[2] for W in Ws])
-    profiles = np.stack([W.profile for W in Ws])
-    d_perm = _lag_sum_draws(S.condensed, profiles, B, seed)
+    centered = np.stack([_weight_sums(W)[3] for W in Ws])
+    d_obs = 2.0 * centered @ M.lag_sums
+    d_perm = _lag_sum_draws(S.condensed, centered, B, seed)
     sigma = np.cov(d_perm, rowvar=False, ddof=1)
     sigma = sigma + 1e-8 * (np.trace(sigma) / m) * np.eye(m)
     try:
@@ -467,6 +465,7 @@ def mahalanobis_aggregate(
         raise DegenerateVariance("Mahalanobis statistic is not finite")
     # a draw that ties d_obs within run_test's tolerance, as the identity and
     # the reversal do, lies within tol of m_obs to first order at any conditioning
+    profiles = np.stack([W.profile for W in Ws])
     tol = 2.0 * _TIE_REL * float(np.abs(x_obs) @ _zc_bounds(M, profiles))
     p = (1.0 + int(np.sum(m_perm >= m_obs - tol))) / (B + 1.0)
     return m_obs, float(p)

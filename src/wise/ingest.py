@@ -21,6 +21,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ._grammar import integer
 from .errors import BadRange, InvalidValue
 from .types import ObservationSeries
 
@@ -56,7 +57,13 @@ class GridConfig:
             raise InvalidValue("lat_min must be below lat_max")
         if not self.lon_min < self.lon_max:
             raise InvalidValue("lon_min must be below lon_max")
-        if self.rows < 1 or self.cols < 1:
+        try:
+            rows, cols = integer(self.rows), integer(self.cols)
+        except TypeError:
+            raise InvalidValue(
+                f"rows and cols must be integers, got {self.rows!r} and {self.cols!r}"
+            ) from None
+        if rows < 1 or cols < 1:
             raise InvalidValue("grid needs at least one row and one column")
 
     def cell(self, lat: float, lon: float) -> Optional[Tuple[int, int]]:

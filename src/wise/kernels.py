@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import operator
 import os
 import signal
 import sys
@@ -40,7 +39,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from ._grammar import Param, Spec
+from ._grammar import Param, Spec, integer
 from .errors import BadWeightParam, InvalidValue, KernelMismatch
 from .types import ObservationSeries, SimilarityMatrix
 
@@ -117,7 +116,7 @@ _FAMILIES = {
     "wasserstein1_quantile": _Family(("quantile",), "cityblock", per_column=True),
     "knn_affinity": _Family(
         params=(
-            Param("k", read=operator.index, show=str, low=0),
+            Param("k", read=integer, show=str, low=0),
             Param("base", read=KernelSpec.read, show=KernelSpec.to_string, required=False),
         )
     ),

@@ -38,13 +38,12 @@ regardless of thread count, on any platform numpy supports.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from ._grammar import Param, family_of, read_fields, real, string, validate
+from ._grammar import Param, family_of, integer, read_fields, real, string, validate
 from .errors import BadModelParam, ParseError
 from .types import ObservationSeries
 
@@ -65,7 +64,7 @@ _FAMILIES = {
     "var1": dict.fromkeys(
         p._replace(required=False) for p in (Param("coef_scale", read=real), *_A, _BAND_DIV)
     ),
-    "svar": dict.fromkeys((*_A, *_B, _BAND_DIV, Param("seasonal_lag", read=operator.index, low=0))),
+    "svar": dict.fromkeys((*_A, *_B, _BAND_DIV, Param("seasonal_lag", read=integer, low=0))),
     "garch": {
         Param("garch_a_high", read=real): 0.15,
         Param("garch_b_high", read=real): 0.4,
@@ -77,10 +76,10 @@ FAMILIES = tuple(_FAMILIES)
 
 # the fields of every family; seed and burn_in are closed at 0, checked in code
 _COMMON = (
-    Param("n", read=operator.index, low=0),
-    Param("p", read=operator.index, low=0),
-    Param("seed", read=operator.index),
-    Param("burn_in", read=operator.index),
+    Param("n", read=integer, low=0),
+    Param("p", read=integer, low=0),
+    Param("seed", read=integer),
+    Param("burn_in", read=integer),
     Param("label", read=string),
 )
 # every key of a model's JSON form, and of a preset override
@@ -181,7 +180,13 @@ class ModelSpec:
 
 
 def from_setting(
-    name: str, /, n: int, p: int, seed: int = 0, burn_in: int = 200, **overrides
+    name: str,
+    /,
+    n: int,
+    p: int,
+    seed: int = ModelSpec.seed,
+    burn_in: int = ModelSpec.burn_in,
+    **overrides,
 ) -> ModelSpec:
     """Build a ModelSpec from a preset name like 'setting2.1'.
 

@@ -208,6 +208,11 @@ REJECTED_PLANS = {
     "fractional master_seed": {"master_seed": 1.5},
     "alpha as a string": {"alpha": "0.1"},
     "replications as a word": {"replications": "ten"},
+    "replications as a bool": {"replications": True},
+    "grid n as a bool": {"grid": {"n": [True], "p": [2]}},
+    "permutations as a bool": {"permutations": True},
+    "master_seed as a bool": {"master_seed": True},
+    "seasonal_lag as a bool": {"model": {"setting": "setting3.1", "seasonal_lag": True}},
 }
 
 
@@ -229,7 +234,14 @@ class TestPlanRejection:
             tiny_plan(method="permutation", permutations=50)
 
     @pytest.mark.parametrize(
-        "changes", [{"replications": 150.7}, {"n_values": (30.9,)}, {"master_seed": 1.5}]
+        "changes",
+        [
+            {"replications": 150.7},
+            {"n_values": (30.9,)},
+            {"master_seed": 1.5},
+            {"replications": True},
+            {"p_values": (True,)},
+        ],
     )
     def test_constructor_takes_only_integer_counts(self, changes):
         with pytest.raises(InvalidValue, match="must be an integer"):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from wise.cli import build_parser, main
+from wise.engine import TestConfig
 from wise.ingest import GridConfig
 from wise.io import load_matrix_jsonl, load_vector_csv, write_csv
-from wise.simgen import from_setting, generate
+from wise.simgen import ModelSpec, from_setting, generate
 
 
 @pytest.fixture
@@ -69,6 +70,18 @@ class TestTestCommand:
         assert "Z_G" in out
         assert "p-value" in out
         assert "reject" in out
+
+    def test_test_flags_default_to_test_config(self):
+        args = build_parser().parse_args(["test", "--input", "series.csv"])
+        config = TestConfig()
+        got = (args.alpha, args.method, args.perms, args.seed, args.sidedness)
+        assert got == (
+            config.alpha,
+            config.method,
+            config.permutations,
+            config.seed,
+            config.sidedness,
+        )
 
     def test_permutation_method_spelled_perm(self, series_csv, capsys):
         argv = [
@@ -147,6 +160,12 @@ class TestSimulateCommand:
         assert main(argv) == 0
         data = load_vector_csv(out)
         assert data.shape == (10, 4)
+
+    def test_simulate_flags_default_to_model_spec(self):
+        argv = ["simulate", "--model", "setting1.1", "--n", "5", "--p", "2"]
+        args = build_parser().parse_args(argv)
+        spec = ModelSpec("iid_normal", 5, 2)
+        assert (args.seed, args.burn_in) == (spec.seed, spec.burn_in)
 
     def test_same_seed_same_draw(self, capsys):
         argv = ["simulate", "--model", "setting2.1", "--n", "5", "--p", "3", "--seed", "42",

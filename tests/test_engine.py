@@ -506,7 +506,7 @@ class TestConfigValidation:
             TestConfig(seed=2**64)
 
     # 2**64 is test_seed_width
-    @pytest.mark.parametrize("seed", [1.5, -1])
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
     def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
         with pytest.raises(InvalidValue):
             TestConfig(method="permutation", seed=seed)
@@ -613,10 +613,10 @@ class TestRearrangementBounds:
 
 
 def draw_inputs(n: int, m: int):
-    """Random condensed pairs of an n-point field and m lag profiles."""
+    """Random condensed pairs of an n-point field and m centered lag profiles."""
     s_pairs = np.random.default_rng(n).standard_normal(n * (n - 1) // 2)
     specs = (default_weight(), cosine(4.0), geometric(0.5))[:m]
-    return s_pairs, np.stack([build_weight_matrix(n, spec).profile for spec in specs])
+    return s_pairs, np.stack([_weight_sums(build_weight_matrix(n, spec))[3] for spec in specs])
 
 
 # The stream contract: sha256 of the int64 bytes of sigma for draws 0 to
@@ -681,8 +681,8 @@ class TestLagSumDraws:
         assert np.array_equal(agg_short, agg_long[:500])
         assert len(forks) == 3
 
-    # n = 4 and 7 hold every draw in one batch, so they never fork; up to
-    # n = 256 a batch holds several draws and the last one is ragged
+    # a batch holds at most one stream block of draws, so every n forks; up
+    # to n = 256 a batch holds several draws and the last one is ragged
     @pytest.mark.parametrize("n", [4, 7, 24, 25, 256, 257, 400])
     def test_draws_do_not_depend_on_the_worker_count(self, monkeypatch, n):
         monkeypatch.setattr(engine, "_FORK_PAIR_DRAWS", 0)
@@ -697,7 +697,23 @@ class TestLagSumDraws:
                     got = engine._lag_sum_draws(s_pairs, profiles, B, 11)
                     assert np.array_equal(got, want)
                     assert_no_child_left()
-        assert (len(forks) > 0) == (n > 7)
+        assert len(forks) > 0
+
+    def test_draws_bin_no_more_than_the_stream_blocks_they_take(self, monkeypatch):
+        # n = 4 folds 8 pairs, so one bincount could take 8192 draws; a batch
+        # holds at most one stream block, so B = 100 bins at most two blocks
+        n, B = 4, 100
+        s_pairs, profiles = draw_inputs(n, 2)
+        binned, real = [], np.bincount
+
+        def spy(x, *args, **kwargs):
+            binned.append(len(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        engine._lag_sum_draws(s_pairs, profiles, B, 3)
+        blocks = -(-B // engine._STREAM_BLOCK)
+        assert 0 < sum(binned) <= (n // 2) * n * engine._STREAM_BLOCK * blocks
 
     def test_draws_fork_at_the_shipped_threshold(self, monkeypatch):
         # n = 2000 folds 2e6 pairs, so B = 100 draws make 2e8 pair-draws and
@@ -780,12 +796,13 @@ class TestLagSumDraws:
         series = iid_series(np.random.default_rng(n), n, 3)
         Ws = [build_weight_matrix(n, spec) for spec in (default_weight(), cosine(4.0))]
         profiles = np.stack([W.profile for W in Ws])
+        centered = np.stack([_weight_sums(W)[3] for W in Ws])
         for kernel in (neg_l1(), knn_affinity(2, neg_l2())):
             S = build_similarity_matrix(series, kernel)
             M = moment_summary(S)
             e_z, _, observed, _ = np.array([_raw_moments(M, W) for W in Ws]).T
             bound = M.s_abs_max * (2.0 * (n - np.arange(n)) @ np.abs(profiles.T))
-            draws = engine._lag_sum_draws(S.condensed, profiles, B, seed)
+            draws = engine._lag_sum_draws(S.condensed, centered, B, seed)
             perms = [np.arange(n), *stream_perms(seed, n, B)]
             for got, pi in zip([observed, *draws], perms):
                 permuted = SimilarityMatrix.from_square(S.values[np.ix_(pi, pi)])

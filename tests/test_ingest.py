@@ -50,6 +50,15 @@ class TestGridConfig:
         with pytest.raises(InvalidValue):
             GridConfig(rows=0)
 
+    @pytest.mark.parametrize("changes", [{"rows": 2.5}, {"rows": "3"}, {"cols": True}])
+    def test_rows_and_cols_must_be_integers(self, changes):
+        with pytest.raises(InvalidValue, match="must be integers"):
+            GridConfig(**changes)
+
+    def test_rows_and_cols_take_any_integer_type(self):
+        grid = GridConfig(rows=np.int64(2), cols=np.uint8(3))
+        assert grid.cell(35.89, 139.99) == (1, 2)
+
     def test_record_coordinates_must_be_finite(self):
         with pytest.raises(InvalidValue):
             CheckinRecord(datetime(2012, 4, 3), float("nan"), 139.5)

@@ -191,7 +191,12 @@ def test_gaussian_requires_positive_sigma():
 
 
 @pytest.mark.parametrize(
-    "fields", [{"family": "knn_affinity", "k": 2.5}, {"family": "gaussian", "sigma": "2"}]
+    "fields",
+    [
+        {"family": "knn_affinity", "k": 2.5},
+        {"family": "gaussian", "sigma": "2"},
+        {"family": "knn_affinity", "k": True},
+    ],
 )
 def test_a_value_of_the_wrong_type_is_a_bad_parameter(fields):
     with pytest.raises(BadWeightParam):
@@ -552,6 +557,7 @@ def test_text_and_json_reject_the_same_keys(text, obj):
         {"family": "knn", "k": "5"},
         {"family": "gaussian", "sigma": "2.5"},
         {"family": "gaussian", "sigma": True},
+        {"family": "knn", "k": True},
     ],
 )
 def test_json_rejects_values_of_the_wrong_type(obj):

@@ -342,6 +342,20 @@ class TestModelSpecValidation:
             {"family": "var1", "a_low": -math.inf, "a_high": 0.04, "band_div": 50.0},
             {"family": "var1", "a_low": -0.01, "a_high": math.inf, "band_div": 50.0},
             {"family": "var1", "a_low": -0.01, "a_high": 0.04, "band_div": math.inf},
+            # a bool is not a count
+            {"family": "iid_normal", "n": True},
+            {"family": "iid_normal", "p": True},
+            {"family": "iid_normal", "seed": True},
+            {"family": "iid_normal", "burn_in": True},
+            {
+                "family": "svar",
+                "a_low": -0.01,
+                "a_high": 0.03,
+                "b_low": -0.01,
+                "b_high": 0.04,
+                "band_div": 50.0,
+                "seasonal_lag": True,
+            },
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
