@@ -32,12 +32,15 @@ def report(label, series):
         print(f"  single {name:15s} p = {r.p_value:.4f}")
     m, p = mahalanobis_aggregate(series, kernels.neg_l1(), SPECS, B=800, seed=5)
     print(f"  aggregate of all 3     p = {p:.4f}   (M = {m:.2f})")
+    return p
 
 
 # Dependence at lag 4 only: the default profile sees nothing, yet the
 # aggregate rejects because the other coordinates carry the signal.
-report("lag-4 autoregression (n=100, p=40):", lag4_series(100, 40, seed=0))
+p = report("lag-4 autoregression (n=100, p=40):", lag4_series(100, 40, seed=0))
+assert p < 0.05, f"the aggregate should reject lag-4 dependence, got p = {p}"
 
 # Control: on white noise the aggregate stays quiet.
 iid = validate_series(np.random.default_rng(9).standard_normal((100, 40)), "vector")
-report("\ni.i.d. noise:", iid)
+p = report("\ni.i.d. noise:", iid)
+assert p >= 0.05, f"the aggregate should not reject white noise, got p = {p}"

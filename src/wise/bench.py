@@ -50,8 +50,11 @@ class ExperimentPlan:
     output_path: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(_check_count(v, "n") for v in self.n_values))
-        object.__setattr__(self, "p_values", tuple(_check_count(v, "p") for v in self.p_values))
+        for name in ("n_values", "p_values"):
+            values = getattr(self, name)
+            if not np.iterable(values):
+                raise InvalidValue(f"{name} must be a sequence of integers, got {values!r}")
+            object.__setattr__(self, name, tuple(_check_count(v, name[0]) for v in values))
         if not self.n_values or not self.p_values:
             raise InvalidValue("plan grid must contain at least one n and one p")
         if _check_count(self.replications, "replications") < 100:

@@ -13,7 +13,8 @@ variance under that null have closed forms in the off-diagonal sums
 
 can be compared to N(0, 1) without any resampling. A seeded Monte-Carlo
 permutation test is available as a cross-check, and a Mahalanobis-type
-statistic combines several weight choices into one test.
+statistic combines several weight choices into one test, standardized by
+their exact covariance: the same closed form, polarized between weights.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ _DEGENERATE_RMS_REL = 1e-13
 _CLAMP_REL = 1e-9
 # permuted Z - EZ this fraction of its bound from the observed value is a tie
 _TIE_REL = 1e-10
+# eigenvalues of the aggregate's covariance below this fraction of the largest
+# are zero: dependent weights (any three at n = 4) leave one near m * eps of it
+_PINV_REL = 1e-10
 # draws x folded pairs from which the draws are split across forked
 # processes; below it a fork's round trip (about 4 ms) outweighs the work
 _FORK_PAIR_DRAWS = 2**26
@@ -146,41 +150,48 @@ def _json_reals(obj, names) -> dict:
     return {name: x if math.isfinite(x) else None for name, x in values.items()}
 
 
-def _weight_sums(W: WeightMatrix) -> Tuple[float, float, float, np.ndarray]:
-    """(w1, w2, w3, a) from the profile: lag t occurs 2(n-t) times, a(t) =
-    w(t) - w_bar (a(0) = 0) is the centered weight, its row sums c + c[::-1]."""
-    n = W.n
+def _weight_sums(profiles: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(w1, w2, w3, A) of an (m, n) stack of profiles: lag t occurs 2(n-t) times,
+    A's rows a(t) = w(t) - w_bar (a(0) = 0) are the centered weights, R their
+    row sums c + c[::-1], and w2, w3 Gram matrices over the lag counts and of R."""
+    n = profiles.shape[1]
     lag_count = 2.0 * (n - np.arange(n))
-    w1 = float(lag_count @ W.profile)
-    a = W.profile - w1 / (n * (n - 1))
-    a[0] = 0.0
-    c = np.cumsum(a)
-    w_row = c + c[::-1]
-    return w1, float(lag_count @ (a * a)), float(w_row @ w_row), a
+    w1 = profiles @ lag_count
+    A = profiles - (w1 / (n * (n - 1)))[:, None]
+    A[:, 0] = 0.0
+    c = np.cumsum(A, axis=1)
+    R = c + c[:, ::-1]
+    return w1, (A[:, None] * A[None]) @ lag_count, R @ R.T, A
 
 
-def _raw_moments(M: MomentSummary, W: WeightMatrix) -> Tuple[float, float, float, bool]:
-    """(EZ, varZ, Z - EZ, clamped) of the weight W on the summary M of S.
+def _raw_moments(
+    M: MomentSummary, profiles: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(EZ, cov, Z - EZ, clamped) of an (m, n) stack of profiles on the summary M of S.
 
-    EZ = w1 * s_bar and Z - EZ = 2 sum_t a(t) D_t. varZ is the Daniels-Mantel
-    form in the centered sums, so nothing cancels before the four terms.
+    EZ = w1 * s_bar and Z - EZ = 2 sum_t a(t) D_t are m-vectors. cov is the
+    m x m Daniels-Mantel form in the centered sums, so nothing cancels before
+    the four terms; its diagonal, each weight's varZ, is clamped at 0.
     """
-    n = M.n
+    n, k = M.n, profiles.shape[1]
     if n < 4:
         raise TooFewObservations(f"closed-form variance needs n >= 4, got n={n}")
-    if W.n != n:
-        raise ShapeMismatch(f"dimension mismatch: S is {n}x{n}, W is {W.n}x{W.n}")
-    w1, w2, w3, a = _weight_sums(W)
+    if k != n:
+        raise ShapeMismatch(f"dimension mismatch: S is {n}x{n}, W is {k}x{k}")
+    w1, w2, w3, A = _weight_sums(profiles)
     s1, s2, s3 = M.s1, M.s2, M.s3
     ez = w1 * s1 / (n * (n - 1))
     t1 = 4.0 * (n + 1) * w3 * s3 / (n * (n - 1) * (n - 2) * (n - 3))
     t2 = 2.0 * w2 * s2 / (n * (n - 3))
     t3 = -4.0 * w2 * s3 / (n * (n - 2) * (n - 3))
     t4 = -4.0 * w3 * s2 / (n * (n - 2) * (n - 3))
-    var = t1 + t2 + t3 + t4
-    if var < -_CLAMP_REL * (abs(t1) + abs(t2) + abs(t3) + abs(t4)):
-        raise InvalidValue(f"variance formula produced {var}, far below rounding tolerance")
-    return ez, max(var, 0.0), 2.0 * float(M.lag_sums @ a), var < 0.0
+    cov = t1 + t2 + t3 + t4
+    var = cov.diagonal().copy()
+    if (var < -_CLAMP_REL * (abs(t1) + abs(t2) + abs(t3) + abs(t4)).diagonal()).any():
+        raise InvalidValue(f"variance formula produced {var.min()}, far below rounding tolerance")
+    negative = var < 0.0
+    np.fill_diagonal(cov, np.where(negative, 0.0, var))
+    return ez, cov, 2.0 * (A @ M.lag_sums), bool(negative.any())
 
 
 def _zc_bounds(M: MomentSummary, profiles: np.ndarray) -> np.ndarray:
@@ -347,6 +358,17 @@ def rearrangement_bounds(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, f
     return lower, upper
 
 
+def _observed(series: ObservationSeries, kernel, weight_specs: Sequence):
+    """S, its walk M, the (m, n) profiles and their moments: what both tests start with."""
+    n = series.n
+    if n < 4:
+        raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")
+    S = build_similarity_matrix(series, kernel)
+    profiles = np.stack([build_weight_matrix(n, spec).profile for spec in weight_specs])
+    M = moment_summary(S)
+    return S, M, profiles, _raw_moments(M, profiles)
+
+
 def run_test(
     series: ObservationSeries,
     kernel,
@@ -367,20 +389,14 @@ def run_test(
     """
     if config is None:
         config = TestConfig()
-    n = series.n
-    if n < 4:
-        raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")
-    S = build_similarity_matrix(series, kernel)
-    W = build_weight_matrix(n, weight_spec)
-    M = moment_summary(S)
-    ez, var, zc, clamped = _raw_moments(M, W)
-    z = ez + zc
+    S, M, profiles, (e_z, cov, z_c, clamped) = _observed(series, kernel, [weight_spec])
+    ez, var, zc = float(e_z[0]), float(cov[0, 0]), float(z_c[0])
     try:
         diagnostics = regularity_diagnostics(M, zc)
         degenerate_field = False
     except DegenerateVariance as exc:
         nan = float("nan")
-        diagnostics = DiagnosticsReport(nan, nan, nan, zc / math.sqrt(n), (str(exc),))
+        diagnostics = DiagnosticsReport(nan, nan, nan, zc / math.sqrt(M.n), (str(exc),))
         degenerate_field = True
     extra = list(diagnostics.warnings)
     if clamped:
@@ -399,14 +415,14 @@ def run_test(
             # a knn field or a cosine weight holds few values, so many draws
             # tie Z - EZ exactly, yet each sums in its own order: a draw
             # within _TIE_REL of the bound on |Z - EZ| counts as a tie
-            centered = _weight_sums(W)[3][None]
+            centered = _weight_sums(profiles)[3]
             draws = _lag_sum_draws(S.condensed, centered, config.permutations, config.seed)
-            tol = _TIE_REL * _zc_bounds(M, W.profile)
+            tol = _TIE_REL * _zc_bounds(M, profiles[0])
             count = int(np.sum(orient(draws[:, 0]) >= orient(zc) - tol))
             p = (1.0 + count) / (config.permutations + 1.0)
 
     return TestResult(
-        z=z,
+        z=ez + zc,
         e_z=ez,
         var_z=var,
         z_g=z_g,
@@ -429,10 +445,11 @@ def mahalanobis_aggregate(
 
     ``kernel`` is a KernelSpec or a precomputed SimilarityMatrix, as in
     run_test, and each of ``weight_specs`` a WeightSpec. The coordinates
-    Z_k - EZ_k come from one walk of S; their covariance comes from B shared
-    random permutations (the same permutation is applied to every
-    coordinate). The p-value is the permutation tail of M over those draws,
-    ties counted as in run_test; a field run_test calls degenerate raises.
+    d = Z_k - EZ_k come from one walk of S, and their covariance Sigma is the
+    exact one of _raw_moments, so M = d' Sigma^+ d (pseudo-inverse cut at
+    _PINV_REL) treats the observed order and each of B shared seeded
+    permutations alike. The p-value is their permutation tail, ties counted
+    as in run_test; a field run_test calls degenerate raises.
     """
     m = len(weight_specs)
     if m < 2:
@@ -441,31 +458,15 @@ def mahalanobis_aggregate(
     if B < 500:
         raise InvalidValue(f"need at least 500 permutations, got {B}")
     seed = _check_seed(seed)
-    n = series.n
-    if n < 4:
-        raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")
-    S = build_similarity_matrix(series, kernel)
-    Ws = [build_weight_matrix(n, spec) for spec in weight_specs]
-    M = moment_summary(S)
+    S, M, profiles, (_, cov, d_obs, _) = _observed(series, kernel, weight_specs)
     _check_spread(M)
-    centered = np.stack([_weight_sums(W)[3] for W in Ws])
-    d_obs = 2.0 * centered @ M.lag_sums
-    d_perm = _lag_sum_draws(S.condensed, centered, B, seed)
-    sigma = np.cov(d_perm, rowvar=False, ddof=1)
-    sigma = sigma + 1e-8 * (np.trace(sigma) / m) * np.eye(m)
-    try:
-        x_obs = np.linalg.solve(sigma, d_obs)
-        m_obs = float(d_obs @ x_obs)
-        m_perm = np.einsum("bk,kb->b", d_perm, np.linalg.solve(sigma, d_perm.T))
-    except np.linalg.LinAlgError:
-        raise DegenerateVariance(
-            "permutation covariance is singular even after regularization"
-        ) from None
-    if not math.isfinite(m_obs) or not np.isfinite(m_perm).all():
-        raise DegenerateVariance("Mahalanobis statistic is not finite")
+    inverse = np.linalg.pinv(cov, _PINV_REL, True)
+    x_obs = inverse @ d_obs
+    m_obs = float(d_obs @ x_obs)
+    d_perm = _lag_sum_draws(S.condensed, _weight_sums(profiles)[3], B, seed)
+    m_perm = np.sum((d_perm @ inverse) * d_perm, axis=1)
     # a draw that ties d_obs within run_test's tolerance, as the identity and
     # the reversal do, lies within tol of m_obs to first order at any conditioning
-    profiles = np.stack([W.profile for W in Ws])
     tol = 2.0 * _TIE_REL * float(np.abs(x_obs) @ _zc_bounds(M, profiles))
     p = (1.0 + int(np.sum(m_perm >= m_obs - tol))) / (B + 1.0)
     return m_obs, float(p)

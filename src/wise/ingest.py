@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ._grammar import integer
+from ._grammar import integer, real
 from .errors import BadRange, InvalidValue
 from .types import ObservationSeries
 
@@ -53,6 +53,13 @@ class GridConfig:
     cols: int = 20
 
     def __post_init__(self):
+        bounds = (self.lat_min, self.lat_max, self.lon_min, self.lon_max)
+        try:
+            finite = all(math.isfinite(real(value)) for value in bounds)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise InvalidValue(f"box bounds must be finite real numbers, got {bounds}")
         if not self.lat_min < self.lat_max:
             raise InvalidValue("lat_min must be below lat_max")
         if not self.lon_min < self.lon_max:

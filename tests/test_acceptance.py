@@ -56,7 +56,7 @@ def test_c01_closed_form_moments_match_enumeration(capsys):
             S = random_sym(rng, n)
             for W in weights:
                 ez_e, var_e = enumerate_moments(S, W)
-                ez_c, var_c = _raw_moments(moment_summary(S), W)[:2]
+                (ez_c,), ((var_c,),) = _raw_moments(moment_summary(S), W.profile[None])[:2]
                 worst = max(worst, rel_err(ez_c, ez_e), rel_err(var_c, var_e))
     ok = worst <= 1e-10
     emit(capsys, 1, "closed-form moments match exhaustive enumeration", ok,
@@ -68,7 +68,7 @@ def test_c02_hand_verified_moment_anchor(capsys):
     s = np.zeros((4, 4))
     s[0, 1] = s[1, 0] = 1.0
     M = moment_summary(SimilarityMatrix.from_square(s))
-    ez, var = _raw_moments(M, build_weight_matrix(4, default_weight()))[:2]
+    (ez,), ((var,),) = _raw_moments(M, build_weight_matrix(4, default_weight()).profile[None])[:2]
     ok = ez == -4.0 / 3.0 and abs(var - 0.1155556) <= 1e-6
     emit(capsys, 2, "hand-verified moment anchor (n=4 single pair)", ok,
          f"EZ={ez!r}, varZ={var!r}")

@@ -247,6 +247,11 @@ class TestPlanRejection:
         with pytest.raises(InvalidValue, match="must be an integer"):
             tiny_plan(**changes)
 
+    @pytest.mark.parametrize("changes", [{"n_values": 16}, {"p_values": 2.5}, {"n_values": None}])
+    def test_constructor_takes_only_sequences_of_sizes(self, changes):
+        with pytest.raises(InvalidValue, match="must be a sequence of integers"):
+            tiny_plan(**changes)
+
 
 @pytest.mark.parametrize(
     "overrides",

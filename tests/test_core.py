@@ -128,7 +128,8 @@ def test_weight_sums_default_weight_n4():
     # w(1..3) = -0.5, -0.8, -0.9 and w_bar = -8/12; centered lags 1/6, -2/15,
     # -7/30 occur 6, 4, 2 times, and the raw row sums -2.2, -1.8, -1.8, -2.2
     # lose 3 w_bar = -2 each, leaving -0.2, 0.2, 0.2, -0.2
-    w1, w2, w3, a = _weight_sums(build_weight_matrix(4, default_weight()))
+    W = build_weight_matrix(4, default_weight())
+    (w1,), ((w2,),), ((w3,),), (a,) = _weight_sums(W.profile[None])
     assert w1 == -8.0
     assert w2 == pytest.approx(26.0 / 75.0, rel=1e-12)
     assert w3 == pytest.approx(4 * 0.2**2, rel=1e-12)
@@ -182,7 +183,7 @@ def test_moment_summary_row_sum_identities():
         S = random_sym(rng, n)
         W = build_weight_matrix(n, default_weight())
         M = moment_summary(S)
-        _, w2, w3, a = _weight_sums(W)
+        _, ((w2,),), ((w3,),), (a,) = _weight_sums(W.profile[None])
         A, B = centered(toeplitz(W.profile)), centered(S.values)
         assert a == pytest.approx(A[0], rel=1e-12)
         assert M.s_row == pytest.approx(B.sum(axis=1), rel=1e-12)
@@ -206,10 +207,10 @@ def test_moment_walk_matches_dense_reference_at_any_block_size(batch, n, weight,
     S = build_similarity_matrix(series, neg_l1())
     W = build_weight_matrix(n, parse_weight_spec(weight))
     M = moment_summary(S)
-    w1, w2, w3, a = _weight_sums(W)
+    (w1,), ((w2,),), ((w3,),), (a,) = _weight_sums(W.profile[None])
     got = {
         **{name: getattr(M, name) for name in ("s1", "s2", "s3", "s_row", "s_abs_row", "lag_sums")},
-        "w1": w1, "w2": w2, "w3": w3, "a": a, "zc": _raw_moments(M, W)[2],
+        "w1": w1, "w2": w2, "w3": w3, "a": a, "zc": _raw_moments(M, W.profile[None])[2][0],
     }
 
     pairs = n * (n - 1)
@@ -239,7 +240,7 @@ def test_moment_summary_dimension_mismatch():
     # the summary of a 4-point S meets a 5-point W where the moments are formed
     M = moment_summary(SimilarityMatrix.from_square(np.zeros((4, 4))))
     with pytest.raises(ShapeMismatch):
-        _raw_moments(M, build_weight_matrix(5, default_weight()))
+        _raw_moments(M, build_weight_matrix(5, default_weight()).profile[None])
 
 
 def test_similarity_matrix_requires_exact_symmetry():

@@ -72,7 +72,7 @@ def random_weight_spec(rng):
 
 def diagnostics_of(S: SimilarityMatrix, W):
     M = moment_summary(S)
-    return regularity_diagnostics(M, _raw_moments(M, W)[2])
+    return regularity_diagnostics(M, _raw_moments(M, W.profile[None])[2][0])
 
 
 def iid_series(rng, n: int, p: int) -> ObservationSeries:
@@ -111,7 +111,7 @@ class TestComputeZ:
         W = build_weight_matrix(4, default_weight())
         z = compute_z(off_diag_ones(4), W)
         assert z == pytest.approx(-8.0, rel=1e-12)
-        assert z == pytest.approx(_weight_sums(W)[0], rel=1e-14)
+        assert z == pytest.approx(_weight_sums(W.profile[None])[0][0], rel=1e-14)
 
     def test_two_pair_field(self):
         s = np.zeros((3, 3))
@@ -128,13 +128,13 @@ class TestComputeZ:
 class TestPermutationMoments:
     def test_single_pair_anchor(self):
         W = build_weight_matrix(4, default_weight())
-        ez, var = _raw_moments(moment_summary(single_pair()), W)[:2]
+        (ez,), ((var,),) = _raw_moments(moment_summary(single_pair()), W.profile[None])[:2]
         assert ez == pytest.approx(-4.0 / 3.0, rel=1e-14)
         assert var == pytest.approx(0.1155556, abs=1e-6)
 
     def test_constant_field_has_zero_variance(self):
         W = build_weight_matrix(4, default_weight())
-        ez, var = _raw_moments(moment_summary(off_diag_ones(4)), W)[:2]
+        (ez,), ((var,),) = _raw_moments(moment_summary(off_diag_ones(4)), W.profile[None])[:2]
         assert ez == pytest.approx(-8.0, rel=1e-12)
         assert var == 0.0
 
@@ -142,7 +142,7 @@ class TestPermutationMoments:
         W = build_weight_matrix(3, default_weight())
         M = moment_summary(off_diag_ones(3))
         with pytest.raises(TooFewObservations):
-            _raw_moments(M, W)
+            _raw_moments(M, W.profile[None])
 
 
 class TestEnumerateMoments:
@@ -162,7 +162,7 @@ class TestEnumerateMoments:
         W = build_weight_matrix(4, default_weight())
         S = single_pair()
         ez_e, var_e = enumerate_moments(S, W)
-        ez_c, var_c = _raw_moments(moment_summary(S), W)[:2]
+        (ez_c,), ((var_c,),) = _raw_moments(moment_summary(S), W.profile[None])[:2]
         assert ez_e == pytest.approx(ez_c, rel=1e-12)
         assert var_e == pytest.approx(var_c, rel=1e-12)
 
@@ -178,9 +178,37 @@ class TestEnumerateMoments:
             S = random_sym(rng, n)
             W = build_weight_matrix(n, random_weight_spec(rng))
             ez_e, var_e = enumerate_moments(S, W)
-            ez_c, var_c = _raw_moments(moment_summary(S), W)[:2]
+            (ez_c,), ((var_c,),) = _raw_moments(moment_summary(S), W.profile[None])[:2]
             assert ez_c == pytest.approx(ez_e, rel=1e-10, abs=1e-12)
             assert var_c == pytest.approx(var_e, rel=1e-10, abs=1e-12)
+
+    # the whole m x m covariance of Z over the weights, against its mean over
+    # all n! orders; each entry is held relative to the root of its two
+    # variances, the scale on which rounding of a near-zero covariance shows
+    @pytest.mark.parametrize("field", ["random", "knn"])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_covariance_agrees_with_enumeration(self, n, field):
+        texts = (
+            "default",
+            "cosine:l=7",
+            "abs_cosine:l=3",
+            "geometric:rho=0.5",
+            "fourier:alpha=0.5,l=4;alpha=0.5,l=6",
+        )
+        Ws = [build_weight_matrix(n, parse_weight_spec(text)) for text in texts]
+        rng = np.random.default_rng(300 + n)
+        if field == "random":
+            S = random_sym(rng, n)
+        else:
+            S = pairwise_similarity(knn_affinity(2, neg_l2()), iid_series(rng, n, 3))
+        zs = np.stack([enumerate_z(S, W) for W in Ws], axis=1)
+        every = zs - zs.mean(axis=0)
+        want = every.T @ every / len(every)
+        e_z, cov, _, clamped = _raw_moments(moment_summary(S), np.stack([W.profile for W in Ws]))
+        scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+        assert np.all(np.abs(cov - want) <= 1e-12 * scale)
+        assert e_z == pytest.approx(zs.mean(axis=0), rel=1e-12)
+        assert not clamped
 
 
 class TestRunTest:
@@ -616,7 +644,8 @@ def draw_inputs(n: int, m: int):
     """Random condensed pairs of an n-point field and m centered lag profiles."""
     s_pairs = np.random.default_rng(n).standard_normal(n * (n - 1) // 2)
     specs = (default_weight(), cosine(4.0), geometric(0.5))[:m]
-    return s_pairs, np.stack([_weight_sums(build_weight_matrix(n, spec))[3] for spec in specs])
+    profiles = np.stack([build_weight_matrix(n, spec).profile for spec in specs])
+    return s_pairs, _weight_sums(profiles)[3]
 
 
 # The stream contract: sha256 of the int64 bytes of sigma for draws 0 to
@@ -796,11 +825,11 @@ class TestLagSumDraws:
         series = iid_series(np.random.default_rng(n), n, 3)
         Ws = [build_weight_matrix(n, spec) for spec in (default_weight(), cosine(4.0))]
         profiles = np.stack([W.profile for W in Ws])
-        centered = np.stack([_weight_sums(W)[3] for W in Ws])
+        centered = _weight_sums(profiles)[3]
         for kernel in (neg_l1(), knn_affinity(2, neg_l2())):
             S = build_similarity_matrix(series, kernel)
             M = moment_summary(S)
-            e_z, _, observed, _ = np.array([_raw_moments(M, W) for W in Ws]).T
+            e_z, _, observed, _ = _raw_moments(M, profiles)
             bound = M.s_abs_max * (2.0 * (n - np.arange(n)) @ np.abs(profiles.T))
             draws = engine._lag_sum_draws(S.condensed, centered, B, seed)
             perms = [np.arange(n), *stream_perms(seed, n, B)]
@@ -836,8 +865,29 @@ class TestMahalanobis:
         m, p = mahalanobis_aggregate(
             series, neg_l1(), [default_weight(), default_weight()], B=2000, seed=3
         )
-        assert m == pytest.approx(single.z_g**2, rel=0.15)
+        assert m == pytest.approx(single.z_g**2, rel=1e-9)
         assert 0.0 < p <= 1.0
+
+    def test_statistic_does_not_depend_on_the_draws(self):
+        # the covariance is exact, so only the p-value reads the draws
+        series = iid_or_var1("var1", 30, 4)
+        specs = [default_weight(), cosine(4.0), geometric(0.5)]
+        m, _ = mahalanobis_aggregate(series, neg_l1(), specs, B=500, seed=0)
+        for B, seed in [(500, 1), (501, 0), (2000, 9)]:
+            assert mahalanobis_aggregate(series, neg_l1(), specs, B=B, seed=seed)[0] == m
+
+    # the centered weights of lags 1 to 3 span two directions, so a third
+    # weight repeats what the first two carry: Sigma is singular, and its
+    # pseudo-inverse gives the M and p of the first two
+    @pytest.mark.parametrize("kind", ["iid", "var1"])
+    def test_a_dependent_weight_adds_nothing(self, kind):
+        series = iid_or_var1(kind, 4, 3)
+        specs = [parse_weight_spec(t) for t in ("default", "cosine:l=7", "geometric:rho=0.5")]
+        for seed in range(20):
+            m3, p3 = mahalanobis_aggregate(series, neg_l1(), specs, B=500, seed=seed)
+            m2, p2 = mahalanobis_aggregate(series, neg_l1(), specs[:2], B=500, seed=seed)
+            assert m3 == pytest.approx(m2, rel=1e-9)
+            assert p3 == p2
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(21)
@@ -908,6 +958,10 @@ class TestMahalanobis:
         S = build_similarity_matrix(series, neg_l1())
         Ws = [build_weight_matrix(n, spec) for spec in specs]
         e_z = [enumerate_moments(S, W)[0] for W in Ws]
+        # the covariance over all n! orders; at n = 4 the three weights are
+        # linearly dependent, so it is singular and taken pseudo-inverse
+        every = np.stack([enumerate_z(S, W) - ez for W, ez in zip(Ws, e_z)], axis=1)
+        inverse = np.linalg.pinv(every.T @ every / len(every), engine._PINV_REL, True)
 
         def d(pi):
             permuted = SimilarityMatrix.from_square(S.values[np.ix_(pi, pi)])
@@ -915,11 +969,9 @@ class TestMahalanobis:
 
         perms = stream_perms(seed, n, B)
         d_perm = np.array([d(pi) for pi in perms])
-        sigma = np.cov(d_perm, rowvar=False, ddof=1)
-        sigma += 1e-8 * (np.trace(sigma) / len(Ws)) * np.eye(len(Ws))
         d_obs = d(np.arange(n))
-        m_obs = d_obs @ np.linalg.solve(sigma, d_obs)
-        m_perm = np.einsum("bk,kb->b", d_perm, np.linalg.solve(sigma, d_perm.T))
+        m_obs = d_obs @ inverse @ d_obs
+        m_perm = np.einsum("bk,kl,bl->b", d_perm, inverse, d_perm)
         keeps = np.array([np.all(np.abs(np.diff(pi)) == 1) for pi in perms])
         assert keeps.any()
         assert np.abs(m_perm[~keeps] - m_obs).min() > 1e-6 * m_obs

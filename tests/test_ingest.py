@@ -55,6 +55,25 @@ class TestGridConfig:
         with pytest.raises(InvalidValue, match="must be integers"):
             GridConfig(**changes)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"lat_min": "35"},
+            {"lat_max": True},
+            {"lon_min": float("nan")},
+            {"lon_max": float("inf")},
+            {"lat_min": -float("inf")},
+            {"lon_min": None},
+        ],
+    )
+    def test_box_bounds_must_be_finite_reals(self, changes):
+        with pytest.raises(InvalidValue, match="must be finite real numbers"):
+            GridConfig(**changes)
+
+    def test_box_bounds_take_any_real_type(self):
+        grid = GridConfig(lat_min=np.float32(35.5), lat_max=36, lon_min=np.int64(139), lon_max=140.0)
+        assert grid.cell(35.7, 139.5) == (8, 10)
+
     def test_rows_and_cols_take_any_integer_type(self):
         grid = GridConfig(rows=np.int64(2), cols=np.uint8(3))
         assert grid.cell(35.89, 139.99) == (1, 2)
