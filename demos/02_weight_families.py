@@ -41,10 +41,16 @@ for name, spec in families:
 
 print("\nseries with dependence only at lag 4 (n=100, p=40)")
 series = lag4_series(100, 40, seed=0)
+p_values = {}
 for name, spec in families:
     r = run_test(series, kernels.neg_l1(), spec)
     print(f"  {name:16s} Z_G = {r.z_g:+7.3f}   p = {r.p_value:.4f}")
+    p_values[name] = r.p_value
 
 # The default profile barely reacts while anything with mass at lag 4
 # rejects outright. Choosing the weight is choosing the alternative you
 # care about; demo 06 shows how to hedge across several at once.
+short = p_values["default"]
+assert short >= 0.05, f"the default should miss lag 4, got p = {short}"
+for name in ("geometric r=0.8", "cosine l=4", "abs_cosine l=4"):
+    assert p_values[name] < 0.05, f"{name} should reject lag 4, got p = {p_values[name]}"

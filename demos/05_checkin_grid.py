@@ -38,10 +38,15 @@ print(f"dropped outside box: {result.dropped_outside_box}")
 
 # Matrix observations plug straight in; the Frobenius kernel compares whole
 # daily maps.
+p_values = {}
 for name, spec in [("default", weights.default_weight()),
                    ("abs_cosine l=7", weights.abs_cosine(7.0))]:
     r = run_test(result.series, kernels.frobenius(), spec)
     print(f"  {name:15s} Z_G = {r.z_g:+7.3f}   p = {r.p_value:.4f}")
+    p_values[name] = r.p_value
 
 # The weekly cycle sits at lag 7, exactly where the period-7 weight puts
 # its mass and where the short-lag default has almost none.
+short, weekly = p_values["default"], p_values["abs_cosine l=7"]
+assert short >= 0.05, f"the default should miss the weekly cycle, got p = {short}"
+assert weekly < 0.05, f"abs_cosine l=7 should reject the weekly cycle, got p = {weekly}"

@@ -10,23 +10,27 @@ same keys and values.
 :class:`Spec`, the base of ``KernelSpec`` and ``WeightSpec``, reads, checks
 and writes both forms from each family's :class:`Param` rows in its ``TABLE``.
 Simulation models and experiment plans have no text form but read their JSON
-form through the same functions.
+form through the same functions, and every dataclass with ``Param`` rows
+(specs, models, check-in records and grids) reads its own fields with
+:func:`read_fields` too, through :func:`validate`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 import operator
 from typing import Any, Callable, ClassVar, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BadWeightParam, ParseError
+from .errors import BadWeightParam, InvalidValue, ParseError
+
+
+_REAL = (float, int, numbers.Real)  # builtins first: an ABC's isinstance check is slow
 
 
 def real(value):
     """A real number as given, so a spec writes back the JSON it was read from."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, _REAL):
         raise TypeError(f"not a real number: {value!r}")
     return value
 
@@ -36,6 +40,14 @@ def integer(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"not an integer: {value!r}")
     return operator.index(value)
+
+
+def _check_count(value, what: str) -> int:
+    """value as an int; what ``integer`` refuses, a bool or 2.0 too, is an InvalidValue."""
+    try:
+        return integer(value)
+    except TypeError:
+        raise InvalidValue(f"{what} must be an integer, got {value!r}") from None
 
 
 def real_float(value) -> float:
@@ -119,36 +131,36 @@ def family_of(obj: Any, families: Mapping, short: Mapping[str, str], what: str) 
     return name, rest
 
 
-def read_fields(obj: Any, params: Sequence[Param], where: str) -> dict:
+def read_fields(obj: Any, params: Sequence[Param], where: str, error=ParseError) -> dict:
     """Field values read from every key of the JSON object ``obj``.
 
     A non-object, a key no parameter has, two keys for one field, a missing
-    required parameter or a value ``Param.read`` rejects is a ParseError.
+    required parameter or a value ``Param.read`` rejects raises ``error``.
     """
     if not isinstance(obj, Mapping):
-        raise ParseError(f"{where} must be a JSON object")
+        raise error(f"{where} must be a JSON object")
     by_key = {key: p for p in params for key in (p.field, p.key)}
     values = {}
     for key, raw in obj.items():
         p = by_key.get(key)
         if p is None:
-            raise ParseError(f"{where} has no parameter {key!r}")
+            raise error(f"{where} has no parameter {key!r}")
         if p.field in values:
-            raise ParseError(f"{where} repeats parameter {p.key!r}")
+            raise error(f"{where} repeats parameter {p.key!r}")
         try:
             values[p.field] = p.read(raw)
         except (TypeError, ValueError):
-            raise ParseError(f"{where} parameter {key!r} has a bad value {raw!r}") from None
+            raise error(f"{where} parameter {key!r} has a bad value {raw!r}") from None
     for p in params:
         if p.required and p.field not in values:
-            raise ParseError(f"{where} requires parameter {p.key!r}")
+            raise error(f"{where} requires parameter {p.key!r}")
     return values
 
 
 def check_range(p: Param, value, where: str, error=BadWeightParam) -> None:
     """A real value must be finite and lie in (p.low, p.high)."""
     # inf or NaN would pass an open or missing bound
-    if isinstance(value, numbers.Real) and not -math.inf < value < math.inf:
+    if isinstance(value, _REAL) and not -math.inf < value < math.inf:
         raise error(f"{where} requires a finite {p.key}, got {value}")
     if p.low is None or p.low < value and (p.high is None or value < p.high):
         return
@@ -156,31 +168,18 @@ def check_range(p: Param, value, where: str, error=BadWeightParam) -> None:
     raise error(f"{where} requires {p.key} {bound}, got {value}")
 
 
-def validate(spec, params: Sequence[Param], where: str, error=BadWeightParam) -> None:
-    """Check and normalize the fields of a frozen spec dataclass in place.
-
-    A field outside ``params`` must be None and a required one must be set;
-    every set value is converted by ``Param.read`` and range-checked. A
-    failed check raises ``error``.
-    """
-    own = {p.field: p for p in params}
-    for f in dataclasses.fields(spec):
-        if f.name == "family":
-            continue
-        p = own.get(f.name)
-        value = getattr(spec, f.name)
-        if value is None:
-            if p is not None and p.required:
-                raise error(f"{where} requires parameter {p.key!r}")
-        elif p is None:
-            raise error(f"{where} takes no parameter {f.name!r}")
-        else:
-            try:
-                value = p.read(value)
-            except (TypeError, ValueError):
-                raise error(f"{where} parameter {p.key!r} has a bad value {value!r}") from None
-            check_range(p, value, where, error)
-            object.__setattr__(spec, f.name, value)
+def validate(spec, params: Sequence[Param], where: str, error: type) -> None:
+    """Read a frozen dataclass's set fields, all but ``family``, through
+    :func:`read_fields`, range-check each and write it back; a failure
+    raises ``error``."""
+    fields = vars(spec)  # written directly, past the frozen __setattr__
+    values = read_fields(
+        {f: v for f, v in fields.items() if v is not None and f != "family"}, params, where, error
+    )
+    for p in params:
+        if p.field in values:
+            check_range(p, values[p.field], where, error)
+    fields.update(values)
 
 
 def to_text(name: str, params: Sequence[Param], rows: Sequence[Sequence]) -> str:
@@ -197,12 +196,11 @@ class Spec:
     TABLE: ClassVar[Mapping[str, Sequence[Param]]]  # family -> its Params, in text order
     SHORT: ClassVar[Mapping[str, str]] = {}  # family -> its text name; both are read
     WHAT: ClassVar[str]  # the noun in messages
-    ERROR: ClassVar[type] = BadWeightParam  # raised for a bad family or field
 
     def __post_init__(self):
         if self.family not in self.TABLE:
-            raise self.ERROR(f"unknown {self.WHAT} family {self.family!r}")
-        validate(self, self.TABLE[self.family], self.name, self.ERROR)
+            raise BadWeightParam(f"unknown {self.WHAT} family {self.family!r}")
+        validate(self, self.TABLE[self.family], self.name, BadWeightParam)
 
     @property
     def name(self) -> str:

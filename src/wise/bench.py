@@ -27,8 +27,8 @@ from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from ._grammar import Param, integer, read_fields, real, string
-from .engine import TestConfig, _check_count, run_test
+from ._grammar import Param, _check_count, integer, read_fields, real, string
+from .engine import TestConfig, run_test
 from .errors import ExperimentError, InvalidValue, ParseError, WiseError
 from .kernels import KernelSpec, _fill_in_forks, thread_count
 from .simgen import ModelSpec, generate, model_spec_from_json_obj, replicate_spec
@@ -62,6 +62,9 @@ class ExperimentPlan:
                 f"reported rates need at least 100 replications, got {self.replications}"
             )
         _check_count(self.master_seed, "master_seed")
+        for name, kind in (("model", ModelSpec), ("kernel", KernelSpec), ("weight", WeightSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidValue(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         # alpha, method and B are checked here once, as every replication uses them
         self.test_config(0)
 

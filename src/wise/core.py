@@ -13,6 +13,7 @@ from typing import Union
 
 import numpy as np
 
+from ._grammar import _check_count
 from .errors import InvalidValue, ShapeMismatch, TooFewObservations
 from .kernels import KernelSpec, pairwise_similarity
 from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
@@ -61,6 +62,7 @@ def build_weight_matrix(n: int, spec: WeightSpec) -> WeightMatrix:
     """Lag weights w(|i-j|) for n observations, held as the profile w(0..n-1)."""
     if not isinstance(spec, WeightSpec):
         raise InvalidValue(f"weight must be a WeightSpec, got {type(spec).__name__}")
+    n = _check_count(n, "n")
     if n < 2:
         raise TooFewObservations(f"weight matrix needs n >= 2, got {n}")
     return WeightMatrix(weight_profile(spec, np.arange(n)))

@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import SeedSequence, default_rng
 from scipy.special import ndtr
 
-from ._grammar import integer
+from ._grammar import _check_count
 from .core import _BATCH_PAIRS, build_similarity_matrix, build_weight_matrix, moment_summary
 from .errors import DegenerateVariance, InvalidValue, ShapeMismatch, TooFewObservations
 from .kernels import _fill_in_forks, thread_count
@@ -57,14 +57,6 @@ _FORK_PAIR_DRAWS = 2**26
 # draws per seeded generator of the permutation stream; it enters every
 # seeded p, so it is fixed and depends on nothing else
 _STREAM_BLOCK = 64
-
-
-def _check_count(value, what: str) -> int:
-    """value as an int; what ``integer`` refuses, a bool or 2.0 too, is an InvalidValue."""
-    try:
-        return integer(value)
-    except TypeError:
-        raise InvalidValue(f"{what} must be an integer, got {value!r}") from None
 
 
 def _check_seed(seed) -> int:
@@ -360,6 +352,8 @@ def rearrangement_bounds(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, f
 
 def _observed(series: ObservationSeries, kernel, weight_specs: Sequence):
     """S, its walk M, the (m, n) profiles and their moments: what both tests start with."""
+    if not isinstance(series, ObservationSeries):
+        raise InvalidValue(f"series must be an ObservationSeries, got {type(series).__name__}")
     n = series.n
     if n < 4:
         raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")
@@ -389,6 +383,8 @@ def run_test(
     """
     if config is None:
         config = TestConfig()
+    elif not isinstance(config, TestConfig):
+        raise InvalidValue(f"config must be a TestConfig, got {type(config).__name__}")
     S, M, profiles, (e_z, cov, z_c, clamped) = _observed(series, kernel, [weight_spec])
     ez, var, zc = float(e_z[0]), float(cov[0, 0]), float(z_c[0])
     try:

@@ -14,18 +14,34 @@ the target time zone (default +09:00). Day bucketing happens in that zone.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ._grammar import integer, real
+from ._grammar import Param, integer, real, validate
 from .errors import BadRange, InvalidValue
 from .types import ObservationSeries
 
 TOKYO = timezone(timedelta(hours=9))
+
+
+def _timestamp(value) -> datetime:
+    """A datetime as given; a string or a date is rejected."""
+    if not isinstance(value, datetime):
+        raise TypeError(f"not a datetime: {value!r}")
+    return value
+
+
+# a record's timestamp is a datetime and its coordinates finite reals; a
+# grid's bounds are finite reals, and its rows and cols positive integers
+_RECORD = (Param("timestamp", read=_timestamp), Param("lat", read=real), Param("lon", read=real))
+_GRID = (
+    *(Param(f, read=real) for f in ("lat_min", "lat_max", "lon_min", "lon_max")),
+    Param("rows", read=integer, low=0),
+    Param("cols", read=integer, low=0),
+)
 
 
 @dataclass(frozen=True)
@@ -35,10 +51,7 @@ class CheckinRecord:
     lon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise InvalidValue(
-                f"check-in coordinates must be finite, got ({self.lat}, {self.lon})"
-            )
+        validate(self, _RECORD, "check-in", InvalidValue)
 
 
 @dataclass(frozen=True)
@@ -53,25 +66,11 @@ class GridConfig:
     cols: int = 20
 
     def __post_init__(self):
-        bounds = (self.lat_min, self.lat_max, self.lon_min, self.lon_max)
-        try:
-            finite = all(math.isfinite(real(value)) for value in bounds)
-        except TypeError:
-            finite = False
-        if not finite:
-            raise InvalidValue(f"box bounds must be finite real numbers, got {bounds}")
+        validate(self, _GRID, "grid", InvalidValue)
         if not self.lat_min < self.lat_max:
             raise InvalidValue("lat_min must be below lat_max")
         if not self.lon_min < self.lon_max:
             raise InvalidValue("lon_min must be below lon_max")
-        try:
-            rows, cols = integer(self.rows), integer(self.cols)
-        except TypeError:
-            raise InvalidValue(
-                f"rows and cols must be integers, got {self.rows!r} and {self.cols!r}"
-            ) from None
-        if rows < 1 or cols < 1:
-            raise InvalidValue("grid needs at least one row and one column")
 
     def cell(self, lat: float, lon: float) -> Optional[Tuple[int, int]]:
         """Cell indices for a coordinate, or None when outside the box.

@@ -197,6 +197,21 @@ class TestPlanValidation:
         with pytest.raises(InvalidValue):
             tiny_plan(method="jackknife")
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"model": "setting1.1"},
+            {"model": {"setting": "setting1.1"}},
+            {"kernel": "neg_l1"},
+            {"kernel": {"family": "neg_l1"}},
+            {"weight": "default"},
+            {"weight": None},
+        ],
+    )
+    def test_model_kernel_and_weight_must_be_specs(self, changes):
+        with pytest.raises(InvalidValue, match=next(iter(changes))):
+            tiny_plan(**changes)
+
 
 # each of these differs from a valid plan file in one key
 REJECTED_PLANS = {

@@ -124,6 +124,16 @@ def test_weight_matrix_needs_two_points():
         build_weight_matrix(1, default_weight())
 
 
+@pytest.mark.parametrize("n", [5.5, 5.0, True, "5", None])
+def test_weight_matrix_size_must_be_an_integer(n):
+    with pytest.raises(InvalidValue, match="n must be an integer"):
+        build_weight_matrix(n, default_weight())
+
+
+def test_weight_matrix_size_takes_any_integer_type():
+    assert build_weight_matrix(np.int64(5), default_weight()).profile.shape == (5,)
+
+
 def test_weight_sums_default_weight_n4():
     # w(1..3) = -0.5, -0.8, -0.9 and w_bar = -8/12; centered lags 1/6, -2/15,
     # -7/30 occur 6, 4, 2 times, and the raw row sums -2.2, -1.8, -1.8, -2.2

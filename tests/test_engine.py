@@ -430,6 +430,15 @@ class TestPrecomputedSimilarity:
         with pytest.raises(InvalidValue, match="WeightSpec"):
             mahalanobis_aggregate(series, neg_l1(), ["default", cosine(4.0)], B=500, seed=0)
 
+    @pytest.mark.parametrize(
+        "series", [np.zeros((40, 6)), [[0.0] * 6] * 40, None], ids=["array", "list", "none"]
+    )
+    def test_a_series_that_is_not_an_observation_series_is_an_invalid_value(self, series):
+        with pytest.raises(InvalidValue, match="ObservationSeries"):
+            run_test(series, neg_l1(), default_weight())
+        with pytest.raises(InvalidValue, match="ObservationSeries"):
+            mahalanobis_aggregate(series, neg_l1(), self.WEIGHTS, B=500, seed=0)
+
 
 class TestLargeN:
     # at n = 2500 the uncentered moment algebra called these nulls degenerate
@@ -551,6 +560,11 @@ class TestConfigValidation:
     def test_alpha_must_be_a_real_number(self, alpha):
         with pytest.raises(InvalidValue, match="alpha"):
             TestConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("config", [{"alpha": 0.1}, "analytic", 0.05])
+    def test_run_test_refuses_what_is_not_a_test_config(self, config):
+        with pytest.raises(InvalidValue, match="TestConfig"):
+            run_test(iid_or_var1("iid", 40, 6), neg_l1(), default_weight(), config)
 
 
 class TestDiagnostics:

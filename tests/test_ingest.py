@@ -43,16 +43,16 @@ class TestGridConfig:
         assert grid.cell(0.999, 1.999) == (3, 7)
 
     def test_degenerate_boxes_rejected(self):
-        with pytest.raises(InvalidValue):
+        with pytest.raises(InvalidValue, match="lat_min"):
             GridConfig(lat_min=35.9, lat_max=35.5)
-        with pytest.raises(InvalidValue):
+        with pytest.raises(InvalidValue, match="lon_min"):
             GridConfig(lon_min=140.0, lon_max=139.0)
-        with pytest.raises(InvalidValue):
+        with pytest.raises(InvalidValue, match="rows"):
             GridConfig(rows=0)
 
     @pytest.mark.parametrize("changes", [{"rows": 2.5}, {"rows": "3"}, {"cols": True}])
     def test_rows_and_cols_must_be_integers(self, changes):
-        with pytest.raises(InvalidValue, match="must be integers"):
+        with pytest.raises(InvalidValue, match=next(iter(changes))):
             GridConfig(**changes)
 
     @pytest.mark.parametrize(
@@ -67,7 +67,7 @@ class TestGridConfig:
         ],
     )
     def test_box_bounds_must_be_finite_reals(self, changes):
-        with pytest.raises(InvalidValue, match="must be finite real numbers"):
+        with pytest.raises(InvalidValue, match=next(iter(changes))):
             GridConfig(**changes)
 
     def test_box_bounds_take_any_real_type(self):
@@ -78,9 +78,21 @@ class TestGridConfig:
         grid = GridConfig(rows=np.int64(2), cols=np.uint8(3))
         assert grid.cell(35.89, 139.99) == (1, 2)
 
-    def test_record_coordinates_must_be_finite(self):
-        with pytest.raises(InvalidValue):
-            CheckinRecord(datetime(2012, 4, 3), float("nan"), 139.5)
+    @pytest.mark.parametrize("field", ["lat", "lon"])
+    @pytest.mark.parametrize("bad", ["35", True, None, float("nan"), float("inf"), -float("inf")])
+    def test_record_coordinates_must_be_finite(self, field, bad):
+        coords = {"lat": 35.7, "lon": 139.5, field: bad}
+        with pytest.raises(InvalidValue, match=field):
+            CheckinRecord(datetime(2012, 4, 3), **coords)
+
+    @pytest.mark.parametrize("bad", ["2012-04-03", date(2012, 4, 3), None])
+    def test_record_timestamp_must_be_a_datetime(self, bad):
+        with pytest.raises(InvalidValue, match="timestamp"):
+            CheckinRecord(bad, 35.7, 139.5)
+
+    def test_record_coordinates_take_any_real_type(self):
+        record = CheckinRecord(datetime(2012, 4, 3), np.float32(35.7), 139)
+        assert ingest_checkins([record]).kept == 1
 
 
 class TestIngest:
