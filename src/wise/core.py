@@ -1,28 +1,45 @@
 """Series validation, the similarity matrix, lag weights and moment sums.
 
-Lag weights stay a Toeplitz profile, so their sums cost O(n). S stays
-pdist's condensed vector of the pairs i < j, read in one centered walk over
-blocks of rows that reads no weight and yields every sum of S the moments,
-the regularity ratios and Z - EZ need (see MomentSummary).
+Lag weights stay a Toeplitz profile, so their sums cost O(n). S is read in
+one centered walk over the tiles of kernels._tiles, whose rows depend on n
+alone. The walk reads no weight and yields every sum of S the moments, the
+regularity ratios and Z - EZ need (see MomentSummary). A held S, pdist's
+condensed vector of the pairs i < j, is walked tile by tile; from
+_STREAM_PAIRS pairs on, the analytic test walks the kernel's tiles as they
+are made and never holds S (kernel_summary).
+
+Only the absolute row sums need the mean m of the pairs before their pass.
+So from _STREAM_PAIRS pairs on, held or not, the walk is centered at c, the
+mean of a balanced pilot: the pairs within groups of _PILOT_ROWS rows of a
+fixed permutation. The linear and quadratic sums are corrected to m at the
+end, and the absolute ones through the pairs in a band about c (see
+_summary). Below that size a held S is centered at its mean.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from ._grammar import _check_count
 from .errors import InvalidValue, ShapeMismatch, TooFewObservations
-from .kernels import KernelSpec, pairwise_similarity
+from .kernels import (
+    KernelSpec,
+    _scatter,
+    _tiles,
+    pairwise_similarity,
+    pilot_similarity,
+    tile_similarity,
+)
 from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
 from .weights import WeightSpec, weight_profile
 
 Kernel = Union[KernelSpec, SimilarityMatrix]
 
-# a walk over the pairs (moment sums, permutation draws) takes about this
-# many at a time
+# the permutation draws bin about this many pairs at a time
 _BATCH_PAIRS = 1 << 16
 
 
@@ -47,6 +64,8 @@ def build_similarity_matrix(series: ObservationSeries, kernel: Kernel) -> Simila
     it is. The diagonal holds the kernel's self-similarity; moment sums
     exclude it downstream.
     """
+    if not isinstance(series, ObservationSeries):
+        raise InvalidValue(f"series must be an ObservationSeries, got {type(series).__name__}")
     if isinstance(kernel, KernelSpec):
         return pairwise_similarity(kernel, series)
     if not isinstance(kernel, SimilarityMatrix):
@@ -68,76 +87,224 @@ def build_weight_matrix(n: int, spec: WeightSpec) -> WeightMatrix:
     return WeightMatrix(weight_profile(spec, np.arange(n)))
 
 
+# a pairwise kernel of this many pairs or more is not held for the analytic
+# test: its walk runs on the kernel's tiles (8 MiB of S)
+_STREAM_PAIRS = 2**20
+# rows per group of the pilot: every row of a group of 32 sits in 31 pilot pairs
+_PILOT_ROWS = 32
+# the band of each tile holds the pairs within this many standard errors of
+# the pilot mean of the center, ...
+_BAND_SE = 8.0
+# ... and at most an eighth of the tile's pairs plus this many, or the walk
+# is taken again about the exact mean
+_BAND_SPARE = 1024
+# tiles whose bands are applied at once at the end of the walk
+_BAND_TILES = 64
+
+
+def _streams(kernel: Kernel, n: int) -> bool:
+    """Whether the analytic test walks this kernel's tiles without holding S."""
+    return (
+        isinstance(kernel, KernelSpec)
+        and kernel.family != "knn_affinity"
+        and n * (n - 1) // 2 >= _STREAM_PAIRS
+    )
+
+
 @lru_cache(maxsize=8)
-def _upper(rows: int, cols: int) -> np.ndarray:
-    """Read-only mask of the entries (r, c) with c >= r."""
-    mask = np.arange(cols) >= np.arange(rows)[:, None]
+def _pilot_groups(n: int) -> Tuple[np.ndarray, ...]:
+    """Groups of _PILOT_ROWS rows of a fixed permutation of n, each sorted; the
+    last holds the rest."""
+    rows = np.random.default_rng(0).permutation(n)
+    groups = tuple(np.sort(rows[a : a + _PILOT_ROWS]) for a in range(0, n, _PILOT_ROWS))
+    for g in groups:
+        g.flags.writeable = False
+    return groups
+
+
+@lru_cache(maxsize=8)
+def _pilot_index(n: int) -> np.ndarray:
+    """Condensed positions of the pilot pairs, in kernels.pilot_similarity's order."""
+    index = []
+    for g in _pilot_groups(n):
+        i, j = (g[r] for r in np.triu_indices(len(g), 1))
+        index.append(i * (2 * n - 1 - i) // 2 + j - i - 1)
+    out = np.concatenate(index)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=8)
+def _lower(k: int) -> np.ndarray:
+    """Read-only mask of the entries (r, c) with c < r of a k x k head."""
+    mask = np.arange(k) < np.arange(k)[:, None]
     mask.flags.writeable = False
     return mask
+
+
+def _finite(*values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise InvalidValue("similarity matrix contains NaN or infinite entries")
+
+
+# the band of a walk about the mean: no pair
+_NO_BAND = (np.zeros(0, np.int32), np.zeros(0))
+
+
+def _tile_sums(buffer: np.ndarray, k: int, cols: int, c: float, eps: Optional[float]):
+    """The walk's sums of one tile, in kernels._scatter's layout, about c.
+
+    Returns the sum and extremes of S over the tile's pairs, s2 of u = S - c,
+    the rows' and the columns' sums of u, |u| and sign u (3 x k and 3 x
+    cols), the lag sums D_1 .. D_cols of u, and the band: the flat positions
+    and values of the pairs with |u| < eps, or None past its cap. With eps
+    None, c is the mean of S, and the signs and the band are not taken.
+    buffer is overwritten.
+    """
+    rect = buffer[: k * cols].reshape(k, cols)
+    head, lower = rect[:, :k], _lower(k)
+    # left of the pairs lie the diagonal and pairs of other tiles: a pair of
+    # this tile stands in for them in the extremes, then 0 in every sum
+    np.copyto(head, rect[0, 0], where=lower)
+    high, low = float(rect.max()), float(rect.min())
+    _finite(high, low)
+    np.copyto(head, 0.0, where=lower)
+    total = float(rect.sum())
+    np.subtract(rect, c, out=rect)
+    np.copyto(head, 0.0, where=lower)
+    buffer[k * cols :] = 0.0
+    # einsum sums in numpy: a BLAS dot may start threads of its own
+    s2 = float(np.einsum("i,i->", buffer, buffer))
+    # with row stride cols + 1, column x holds the pairs at lag x + 1; a row
+    # runs on into the zeros left of the next row's pairs, the last one into
+    # the spare row
+    lags = buffer[: k * (cols + 1)].reshape(k, cols + 1)[:, :cols].sum(0)
+    rows, columns = np.zeros((3, k)), np.zeros((3, cols))
+    rows[0], columns[0] = rect.sum(1), rect.sum(0)
+    work = np.abs(rect)
+    rows[1], columns[1] = work.sum(1), work.sum(0)
+    if eps is None:
+        return total, high, low, s2, rows, columns, lags, _NO_BAND
+    inside = work < eps
+    inside[:, :k][lower] = False
+    at = np.flatnonzero(inside)
+    band = None
+    if len(at) <= k * cols // 8 + _BAND_SPARE:
+        band = (at.astype(np.int32), rect.reshape(-1)[at])
+    np.sign(rect, out=work)
+    rows[2], columns[2] = work.sum(1), work.sum(0)
+    return total, high, low, s2, rows, columns, lags, band
+
+
+def _pilot_center(pilot: np.ndarray) -> Tuple[float, float]:
+    """The center c and band margin eps of a walk from the pilot's values:
+    their mean (their one value, if they hold one) and _BAND_SE standard
+    errors of it."""
+    c = float(pilot.mean())
+    _finite(c)
+    d = pilot - c
+    spread = math.sqrt(float(np.einsum("i,i->", d, d)) / len(pilot))
+    if spread == 0.0:
+        c = float(pilot[0])
+    return c, _BAND_SE * spread / math.sqrt(len(pilot))
+
+
+def _summary(n: int, walk, c: float, eps: Optional[float]) -> MomentSummary:
+    """MomentSummary from walk(c, eps), which yields the _tile_sums of each
+    tile of kernels._tiles(n) in order.
+
+    The tiles' sums are added here in tile order, so they do not depend on
+    which thread took which tile. With delta = m - c, m the mean of the
+    pairs, the sums of u = S - c become sums of B = S - m: the row and lag
+    sums lose delta per pair and s2 loses pairs * delta^2. The absolute row
+    sums are sum |u| - delta sum sign u, plus |u - delta| - |u| + delta sign u
+    on the pairs where u - delta and u differ in sign, all in the band
+    |u| < eps while |delta| < eps. When delta is not that small or a band
+    passes its cap, the walk is taken again about m with eps None. With eps
+    None, c is m but for rounding, and |u| stands for |B|, as delta is.
+    """
+    pairs = n * (n - 1)
+    bounds = _tiles(n)
+    while True:
+        sums = np.zeros((3, n))
+        lag_sums = np.zeros(n)
+        total, s2, high, low = 0.0, 0.0, -math.inf, math.inf
+        bands = []
+        for t, tile in zip(bounds, walk(c, eps)):
+            part, hi, lo, sq, rows, columns, lags, band = tile
+            total += part
+            s2 += sq
+            high, low = max(high, hi), min(low, lo)
+            sums[:, t : t + rows.shape[1]] += rows
+            sums[:, t + 1 :] += columns
+            lag_sums[1 : len(lags) + 1] += lags
+            if band is None:
+                bands = None
+            elif bands is not None and len(band[0]):
+                # copied here, so a worker's allocator does not keep the
+                # space of every tile's band until the walk ends
+                bands.append((t, band[0].copy(), band[1].copy()))
+        delta = float(sums[0].sum()) / pairs
+        if eps is None or bands is not None and (abs(delta) < eps or delta == 0.0):
+            break
+        c, eps = 2.0 * total / pairs, None
+    s1 = 2.0 * total
+    m = s1 / pairs
+    s_row = sums[0] - (n - 1) * delta
+    lag_sums[1:] -= delta * (n - np.arange(1, n))
+    s_abs_row = sums[1] - delta * sums[2]
+    # a run of _BAND_TILES tiles at a time, so the band is not copied whole
+    for a in range(0, len(bands), _BAND_TILES):
+        run = bands[a : a + _BAND_TILES]
+        i = np.concatenate([t + at // (n - 1 - t) for t, at, _ in run])
+        j = np.concatenate([t + 1 + at % (n - 1 - t) for t, at, _ in run])
+        u = np.concatenate([u for _, _, u in run])
+        change = np.abs(u - delta) - np.abs(u) + delta * np.sign(u)
+        s_abs_row += np.bincount(i, change, n) + np.bincount(j, change, n)
+    return MomentSummary(
+        s1=s1,
+        s2=2.0 * s2 - pairs * delta * delta,
+        s3=float(s_row @ s_row),
+        s_row=s_row,
+        s_abs_row=s_abs_row,
+        s_abs_max=max(high - m, m - low),
+        lag_sums=lag_sums,
+    )
 
 
 def moment_summary(S: SimilarityMatrix) -> MomentSummary:
     """Centered off-diagonal sums of S feeding the permutation-null moments.
 
-    One walk over S.condensed in blocks of _BATCH_PAIRS // n whole rows, so
-    of at most _BATCH_PAIRS pairs. A block is centered by s1 / pairs and
-    scattered into a zero grid of row stride n - 1: row r holds pair
-    (r0 + r, r0 + 1 + c) at column c >= r. Each pair i < j adds to the row
-    sums at i and at j, which are the grid's row and column sums, and to the
-    lag sum D_(j-i), the column sums of the same grid read with row stride
-    n. The grid's absolute values then give the regularity sums. Nothing
-    n x n is made, and every sum is taken on the calling thread in the same
-    order whatever the thread count.
+    The walk of _summary over S's tiles, each scattered from S.condensed
+    into the layout of the kernel's tiles, about the pilot's center from
+    _STREAM_PAIRS pairs on, so a held S gives the numbers that
+    kernel_summary gives without holding S; below that, about the mean of
+    S.condensed. Nothing n x n is made.
     """
+    if not isinstance(S, SimilarityMatrix):
+        raise InvalidValue(f"S must be a SimilarityMatrix, got {type(S).__name__}")
     n = S.n
     if n < 2:
         raise TooFewObservations(f"moment sums need n >= 2, got {n}")
-    pairs = n * (n - 1)
-    s1 = 2.0 * float(S.condensed.sum())
-    m0 = s1 / pairs
-    width = n - 1
-    step = min(width, max(1, _BATCH_PAIRS // n))
-    # one spare zero row: the lag view of the last row runs into it. Row r's
-    # lags past the block's width read zeros, in row r to the right of the
-    # pairs or in row r + 1 left of column r + 1
-    grid = np.zeros((step + 1, width))
-    lag_rows = grid.reshape(-1)[: step * n].reshape(step, n)
-    upper = _upper(step, width)
-    centered = np.empty(step * width)
-    s_row, s_abs_row, lag_sums = np.zeros((3, n))
-    s2, s_abs_max, lo = 0.0, 0.0, 0
-    for r0 in range(0, width, step):
-        cols = width - r0
-        k = min(step, cols)
-        hi = lo + k * cols - k * (k - 1) // 2
-        block = np.subtract(S.condensed[lo:hi], m0, out=centered[: hi - lo])
-        lo = hi
-        # einsum sums in numpy: a BLAS dot may thread, which costs more
-        # than it saves on one block and stalls when the cores are busy
-        s2 += float(np.einsum("i,i->", block, block))
-        # the columns the last block held past this one's width
-        grid[:, cols : cols + step] = 0.0
-        rows = grid[:k, :cols]
-        rows[upper[:k, :cols]] = block
-        s_row[r0 : r0 + k] += rows.sum(1)
-        s_row[r0 + 1 :] += rows.sum(0)
-        lag_sums[1 : cols + 1] += lag_rows[:k, :cols].sum(0)
-        np.abs(rows, out=rows)
-        s_abs_row[r0 : r0 + k] += rows.sum(1)
-        s_abs_row[r0 + 1 :] += rows.sum(0)
-        s_abs_max = max(s_abs_max, float(rows.max()))
-    # m0 carries the rounding of a large sum; m is the mean the centered
-    # pairs still hold, and s_row and s2 are corrected to the exact mean. D_t
-    # needs no correction: a centered weight sums to zero over the pairs, so
-    # m drops out of 2 sum_t a(t) D_t, whose terms do not cancel as w's would
-    m = float(s_row.sum()) / pairs
-    s_row -= (n - 1) * m
-    return MomentSummary(
-        s1=s1,
-        s2=2.0 * s2 - pairs * m * m,
-        s3=float(s_row @ s_row),
-        s_row=s_row,
-        s_abs_row=s_abs_row,
-        s_abs_max=s_abs_max,
-        lag_sums=lag_sums,
-    )
+    bounds = _tiles(n)
+
+    def walk(c, eps):
+        for t, u in zip(bounds, bounds[1:]):
+            k, cols = u - t, n - 1 - t
+            pairs = S.condensed[t * (2 * n - 1 - t) // 2 : u * (2 * n - 1 - u) // 2]
+            yield _tile_sums(_scatter(pairs, k, cols), k, cols, c, eps)
+
+    if n * (n - 1) // 2 >= _STREAM_PAIRS:
+        return _summary(n, walk, *_pilot_center(S.condensed[_pilot_index(n)]))
+    return _summary(n, walk, float(S.condensed.sum()) / len(S.condensed), None)
+
+
+def kernel_summary(series: ObservationSeries, spec: KernelSpec) -> MomentSummary:
+    """moment_summary of the kernel's S, taken on the kernel's tiles as they
+    are made, so S is never held (see kernels.tile_similarity)."""
+    n = series.n
+
+    def walk(c, eps):
+        return tile_similarity(spec, series, lambda tile, k, cols: _tile_sums(tile, k, cols, c, eps))
+
+    return _summary(n, walk, *_pilot_center(pilot_similarity(spec, series, _pilot_groups(n))))

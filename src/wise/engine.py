@@ -30,7 +30,14 @@ from numpy.random import SeedSequence, default_rng
 from scipy.special import ndtr
 
 from ._grammar import _check_count
-from .core import _BATCH_PAIRS, build_similarity_matrix, build_weight_matrix, moment_summary
+from .core import (
+    _BATCH_PAIRS,
+    _streams,
+    build_similarity_matrix,
+    build_weight_matrix,
+    kernel_summary,
+    moment_summary,
+)
 from .errors import DegenerateVariance, InvalidValue, ShapeMismatch, TooFewObservations
 from .kernels import _fill_in_forks, thread_count
 from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
@@ -312,6 +319,8 @@ def regularity_diagnostics(M: MomentSummary, zc: float) -> DiagnosticsReport:
     zc / sqrt(n), with zc = Z - EZ from _raw_moments. Raises
     DegenerateVariance when Xt is zero to rounding (see _check_spread).
     """
+    if not isinstance(M, MomentSummary):
+        raise InvalidValue(f"M must be a MomentSummary, got {type(M).__name__}")
     n = M.n
     if n < 4:
         raise TooFewObservations(f"diagnostics need n >= 4, got n={n}")
@@ -337,6 +346,10 @@ def rearrangement_bounds(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, f
     between. The entries come from the profile and the pairs: w(t) fills
     n places at t = 0 and 2(n - t) after, S_ii one place and S_ij two.
     """
+    if not isinstance(S, SimilarityMatrix):
+        raise InvalidValue(f"S must be a SimilarityMatrix, got {type(S).__name__}")
+    if not isinstance(W, WeightMatrix):
+        raise InvalidValue(f"W must be a WeightMatrix, got {type(W).__name__}")
     if S.n != W.n:
         raise ShapeMismatch(f"dimension mismatch: S is {S.n}x{S.n}, W is {W.n}x{W.n}")
     n = S.n
@@ -350,16 +363,20 @@ def rearrangement_bounds(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, f
     return lower, upper
 
 
-def _observed(series: ObservationSeries, kernel, weight_specs: Sequence):
-    """S, its walk M, the (m, n) profiles and their moments: what both tests start with."""
+def _observed(series: ObservationSeries, kernel, weight_specs: Sequence, hold: bool = True):
+    """S, its walk M, the (m, n) profiles and their moments: what both tests start with.
+
+    Unless hold, a kernel large enough to stream (core._streams) is walked
+    on its tiles as they are made, and S is None.
+    """
     if not isinstance(series, ObservationSeries):
         raise InvalidValue(f"series must be an ObservationSeries, got {type(series).__name__}")
     n = series.n
     if n < 4:
         raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")
-    S = build_similarity_matrix(series, kernel)
+    S = build_similarity_matrix(series, kernel) if hold or not _streams(kernel, n) else None
     profiles = np.stack([build_weight_matrix(n, spec).profile for spec in weight_specs])
-    M = moment_summary(S)
+    M = kernel_summary(series, kernel) if S is None else moment_summary(S)
     return S, M, profiles, _raw_moments(M, profiles)
 
 
@@ -375,7 +392,9 @@ def run_test(
     series' n observations, and ``weight_spec`` a WeightSpec (see
     build_similarity_matrix and build_weight_matrix). A precomputed S gives
     what the spec that made it gives, since only S.condensed and S.diagonal
-    are read.
+    are read. The analytic method with a spec of core._STREAM_PAIRS pairs or
+    more, knn aside, never holds S (see core.kernel_summary); it gives the
+    numbers of the S that spec makes.
 
     With a degenerate null (constant similarity field) the result carries
     p = 1 and a warning instead of raising: a field with no variation holds
@@ -385,7 +404,9 @@ def run_test(
         config = TestConfig()
     elif not isinstance(config, TestConfig):
         raise InvalidValue(f"config must be a TestConfig, got {type(config).__name__}")
-    S, M, profiles, (e_z, cov, z_c, clamped) = _observed(series, kernel, [weight_spec])
+    S, M, profiles, (e_z, cov, z_c, clamped) = _observed(
+        series, kernel, [weight_spec], hold=config.method == "permutation"
+    )
     ez, var, zc = float(e_z[0]), float(cov[0, 0]), float(z_c[0])
     try:
         diagnostics = regularity_diagnostics(M, zc)

@@ -123,12 +123,19 @@ def ingest_checkins(
     """
     if grid is None:
         grid = GridConfig()
+    elif not isinstance(grid, GridConfig):
+        raise InvalidValue(f"grid must be a GridConfig, got {type(grid).__name__}")
+    for name, day in (("start", start), ("end", end)):
+        if day is not None and not isinstance(day, date):
+            raise InvalidValue(f"{name} must be a date, got {type(day).__name__}")
     if start is not None and end is not None and end < start:
         raise BadRange(f"date range is inverted: {start} > {end}")
 
     binned: List[Tuple[date, int, int]] = []
     dropped_box = 0
     for rec in records:
+        if not isinstance(rec, CheckinRecord):
+            raise InvalidValue(f"records must be CheckinRecords, got {type(rec).__name__}")
         cell = grid.cell(rec.lat, rec.lon)
         if cell is None:
             dropped_box += 1

@@ -17,6 +17,11 @@ integral uses the trapezoidal rule on that grid. Quantile observations are
 discretized quantile functions on a uniform probability grid, so the mean
 absolute difference is the discrete 1-Wasserstein distance.
 
+pairwise_similarity holds S as pdist's condensed vector. For the analytic
+test at large n, tile_similarity instead hands S to a visitor one tile at a
+time, each a cdist rectangle or the tail's pdist triangle, and holds none
+of it after; every pair has the value pairwise_similarity gives it.
+
 The knn_affinity kernel is defined at matrix level only: entry (i, j) is 1
 when each point is among the other's k nearest under a base distance, 1/2
 when only one direction holds, else 0. Distance ties are broken by the
@@ -32,9 +37,11 @@ import os
 import signal
 import sys
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -161,7 +168,8 @@ def knn_affinity(k: int, base: Optional[KernelSpec] = None) -> KernelSpec:
 # larger is a single pdist call
 _BLOCK_OPS = 2**24
 # pairs in one cdist call of a block, whatever the row length: the call's
-# rectangle is the one buffer each worker adds
+# rectangle is the one buffer each worker adds. The moment walk's tiles hold
+# as many (see _tiles)
 _TILE_PAIRS = 2**15
 
 
@@ -291,6 +299,15 @@ def _fill(d: np.ndarray, flat: np.ndarray, metric: str, starts: List[int], a: in
             d[starts[i] : starts[i + 1]] = rect[i - t, i - t :]
 
 
+def _rows(family: _Family, flat: np.ndarray) -> np.ndarray:
+    """The rows the family's metric reads: prescaled, in one C-ordered copy at
+    most, since each tile's cdist would otherwise copy the rows after it."""
+    flat = np.ascontiguousarray(flat, dtype=np.float64)
+    if family.prescale is not None:
+        flat = flat * family.prescale(flat.shape[1])
+    return flat
+
+
 def _distance(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
     """Fresh condensed pdist vector of the rows of ``flat`` under the family's metric.
 
@@ -301,10 +318,7 @@ def _distance(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
     tiles' cdist calls and copies.
     """
     family = _FAMILIES[spec.family]
-    # one C-ordered copy at most: each tile's cdist would otherwise copy the rows after it
-    flat = np.ascontiguousarray(flat, dtype=np.float64)
-    if family.prescale is not None:
-        flat = flat * family.prescale(flat.shape[1])
+    flat = _rows(family, flat)
     n, p = flat.shape
     d = np.empty(n * (n - 1) // 2)
     bounds = _blocks(n, p)
@@ -340,11 +354,7 @@ def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> Similari
     The diagonal is the transform of a zero distance: 1 for ``gaussian``,
     -0.0 for the negated distances, 0 for knn.
     """
-    if series.kind not in spec.accepts():
-        raise KernelMismatch(
-            f"kernel {spec.family} accepts kinds {spec.accepts()}, got {series.kind!r}"
-        )
-    flat = series.data.reshape(series.n, -1)
+    flat = _flat(spec, series)
     if spec.family == "knn_affinity":
         s, diagonal = _knn_affinity(flat, spec.k, spec.base), np.zeros(series.n)
     else:
@@ -353,6 +363,114 @@ def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> Similari
     # the fresh vector is handed over read-only, so it is not copied
     s.flags.writeable = False
     return SimilarityMatrix(s, diagonal)
+
+
+def _flat(spec: KernelSpec, series: ObservationSeries) -> np.ndarray:
+    """The series' observations as rows, once the kernel accepts their kind."""
+    if series.kind not in spec.accepts():
+        raise KernelMismatch(
+            f"kernel {spec.family} accepts kinds {spec.accepts()}, got {series.kind!r}"
+        )
+    return series.data.reshape(series.n, -1)
+
+
+@lru_cache(maxsize=8)
+def _upper(rows: int, cols: int) -> np.ndarray:
+    """Read-only mask of the entries (r, c) with c >= r."""
+    mask = np.arange(cols) >= np.arange(rows)[:, None]
+    mask.flags.writeable = False
+    return mask
+
+
+def _tiles(n: int) -> List[int]:
+    """Row bounds of the tiles of the pairs i < j of n rows, from 0 to n - 1.
+
+    Tile [t, u) holds the pairs of rows t to u - 1: one row, or as many as
+    keep it within _TILE_PAIRS pairs. The last tile is the tail triangle of
+    the most rows whose pairs fit in _TILE_PAIRS. The bounds depend on n
+    alone, so every sum taken tile by tile is the same however the tiles
+    are made and on however many threads.
+    """
+    # the largest m with m (m - 1) / 2 <= _TILE_PAIRS
+    tail = max(0, n - (1 + math.isqrt(1 + 8 * _TILE_PAIRS)) // 2)
+    bounds = [0]
+    while bounds[-1] < tail:
+        t = bounds[-1]
+        bounds.append(min(tail, t + max(1, _TILE_PAIRS // (n - 1 - t))))
+    return bounds + [max(n - 1, 0)]
+
+
+def _scatter(pairs: np.ndarray, k: int, cols: int) -> np.ndarray:
+    """A tile's pairs, in pdist's order, as a fresh tile buffer.
+
+    The buffer holds k + 1 rows of cols: row r holds the pairs of row t + r
+    at columns c >= r, column c being row t + 1 + c, the entries left of
+    them are 0 and the last row is spare. A tile's cdist rectangle has the
+    same layout.
+    """
+    buffer = np.zeros((k + 1) * cols)
+    buffer[: k * cols].reshape(k, cols)[_upper(k, cols)] = pairs
+    return buffer
+
+
+def _similarity(spec: KernelSpec, d: np.ndarray, p: int) -> np.ndarray:
+    """S from distances d of a family with a formula, in place."""
+    if _FAMILIES[spec.family].per_column:
+        d /= p
+    return _transform(spec, d)
+
+
+def pilot_similarity(spec: KernelSpec, series: ObservationSeries, groups) -> np.ndarray:
+    """S of the pairs within each group of rows, group by group in pdist's
+    order; each group's rows are sorted, so each pair's value is its value in
+    S."""
+    flat = _rows(_FAMILIES[spec.family], _flat(spec, series))
+    d = np.concatenate([pdist(flat[g], _FAMILIES[spec.family].metric) for g in groups])
+    return _similarity(spec, d, flat.shape[1])
+
+
+def tile_similarity(
+    spec: KernelSpec, series: ObservationSeries, visit: Callable[[np.ndarray, int, int], object]
+) -> Iterator:
+    """visit(buffer, k, cols) on each tile of S, in tile order (see _tiles),
+    without holding S; a family with a formula only.
+
+    A tile is one cdist rectangle of its k rows against the rows after its
+    first, or the tail's pdist triangle scattered into the same layout (see
+    _scatter); the entries left of column r in row r hold no pair of the
+    tile. The tiles run on a thread pool made for the call, at most two per
+    thread ahead of the one handed back, and visit runs on the thread that
+    made the tile. Each pair's value is its value in pairwise_similarity.
+    """
+    family = _FAMILIES[spec.family]
+    flat = _rows(family, _flat(spec, series))
+    n, p = flat.shape
+    bounds = _tiles(n)
+
+    def tile(t: int, u: int):
+        k, cols = u - t, n - 1 - t
+        if u == bounds[-1]:
+            buffer = _scatter(_similarity(spec, pdist(flat[t:], family.metric), p), k, cols)
+        else:
+            buffer = np.empty((k + 1) * cols)
+            rect = buffer[: k * cols].reshape(k, cols)
+            _similarity(spec, cdist(flat[t:u], flat[t + 1 :], family.metric, out=rect), p)
+        return visit(buffer, k, cols)
+
+    spans = list(zip(bounds, bounds[1:]))
+    workers = thread_count()
+    if workers == 1:
+        for t, u in spans:
+            yield tile(t, u)
+        return
+    with ThreadPoolExecutor(workers, thread_name_prefix="wise-kernel") as pool:
+        ahead = deque()
+        for t, u in spans:
+            ahead.append(pool.submit(tile, t, u))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:

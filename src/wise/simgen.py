@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from ._grammar import Param, family_of, integer, read_fields, real, string, validate
-from .errors import BadModelParam, ParseError
+from .errors import BadModelParam, InvalidValue, ParseError
 from .types import ObservationSeries
 
 
@@ -249,6 +249,8 @@ def _ar1(coef: float, e: np.ndarray, axis: int) -> np.ndarray:
 
 def generate(spec: ModelSpec) -> ObservationSeries:
     """Draw one series from the model; pure in (spec, seed)."""
+    if not isinstance(spec, ModelSpec):
+        raise InvalidValue(f"model must be a ModelSpec, got {type(spec).__name__}")
     rng = np.random.default_rng(spec.seed)
     n, p = spec.n, spec.p
     fam = spec.family

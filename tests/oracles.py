@@ -116,6 +116,24 @@ def long_double_centered_moments(S: np.ndarray, profile: np.ndarray):
     return zc, var
 
 
+def long_double_ratios(S: np.ndarray):
+    """ratio1, ratio2 and ratio3 of regularity_diagnostics in long double,
+    one row of the centered S at a time, as a reference for float64 code."""
+    ld = np.longdouble
+    n = S.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    s_bar = sum(S[i][off[i]].astype(ld).sum() for i in range(n)) / (n * (n - 1))
+    b2 = top = ld(0)
+    abs_rows = np.zeros(n, ld)
+    for i in range(n):
+        b = np.abs(S[i].astype(ld) - s_bar)
+        b[i] = 0
+        b2 += (b * b).sum()
+        abs_rows[i] = b.sum()
+        top = max(top, b.max())
+    return n * top * top / b2, abs_rows.max() ** 2 / (n * b2), (abs_rows * abs_rows).sum() / (n * b2)
+
+
 def _masked_uniform(rng, p: int, low: float, high: float, band_div: float) -> np.ndarray:
     a = rng.uniform(low, high, size=(p, p))
     idx = np.arange(p)

@@ -246,6 +246,42 @@ def test_moment_walk_matches_dense_reference_at_any_block_size(batch, n, weight,
     assert M.s_abs_max == np.abs(S.condensed - M.s1 / pairs).max()
 
 
+@pytest.mark.parametrize("n", [1449, 1500])
+@pytest.mark.parametrize("margin", [8.0, 0.0], ids=["band", "second pass"])
+def test_pilot_walk_matches_dense_reference(n, margin, monkeypatch):
+    # from core._STREAM_PAIRS pairs on the walk is centered at the pilot mean
+    # and corrected to the exact mean; a margin of 0 takes a second pass
+    monkeypatch.setattr(core, "_BAND_SE", margin)
+    assert n * (n - 1) // 2 >= core._STREAM_PAIRS
+    x = np.random.default_rng(n).standard_normal((n, 3))
+    S = build_similarity_matrix(ObservationSeries("vector", x), gaussian(1.5))
+    M = moment_summary(S)
+    off = ~np.eye(n, dtype=bool)
+    s = S.values
+    B = np.where(off, s - s[off].mean(), 0.0)
+    want = {
+        "s1": s[off].sum(), "s2": (B * B).sum(), "s3": (B.sum(1) ** 2).sum(), "s_row": B.sum(1),
+        "s_abs_row": np.abs(B).sum(1), "lag_sums": np.array([np.trace(B, t) for t in range(n)]),
+    }
+    scale = {"s1": np.abs(s[off]).sum(), "s_row": np.abs(B).sum(1).max(), "lag_sums": n * np.abs(B).max()}
+    for name, value in want.items():
+        tol = 1e-12 * scale.get(name, np.max(np.abs(value)))
+        assert np.abs(getattr(M, name) - value).max() <= tol, name
+    assert M.s_abs_max == np.abs(S.condensed - M.s1 / (n * (n - 1))).max()
+
+
+@pytest.mark.parametrize("S", [np.zeros(6), np.zeros((4, 4)), None], ids=["pairs", "square", "none"])
+def test_moment_summary_of_what_is_not_a_similarity_matrix_is_an_invalid_value(S):
+    with pytest.raises(InvalidValue, match="SimilarityMatrix"):
+        moment_summary(S)
+
+
+@pytest.mark.parametrize("series", [np.zeros((10, 3)), None], ids=["array", "none"])
+def test_similarity_of_what_is_not_a_series_is_an_invalid_value(series):
+    with pytest.raises(InvalidValue, match="ObservationSeries"):
+        build_similarity_matrix(series, neg_l1())
+
+
 def test_moment_summary_dimension_mismatch():
     # the summary of a 4-point S meets a 5-point W where the moments are formed
     M = moment_summary(SimilarityMatrix.from_square(np.zeros((4, 4))))

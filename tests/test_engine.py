@@ -18,9 +18,10 @@ from oracles import (
     enumerate_moments,
     enumerate_z,
     long_double_centered_moments,
+    long_double_ratios,
     random_sym,
 )
-from wise import engine, kernels
+from wise import core, engine, kernels
 from wise.core import build_similarity_matrix, build_weight_matrix, moment_summary
 from wise.engine import (
     TestConfig,
@@ -31,8 +32,21 @@ from wise.engine import (
     regularity_diagnostics,
     run_test,
 )
-from wise.errors import DegenerateVariance, InvalidValue, ShapeMismatch, TooFewObservations
-from wise.kernels import knn_affinity, neg_l1, neg_l2, pairwise_similarity, parse_kernel_spec
+from wise.errors import (
+    DegenerateVariance,
+    InvalidValue,
+    KernelMismatch,
+    ShapeMismatch,
+    TooFewObservations,
+)
+from wise.kernels import (
+    knn_affinity,
+    neg_l1,
+    neg_l2,
+    neg_sq_l2_scaled,
+    pairwise_similarity,
+    parse_kernel_spec,
+)
 from wise.types import ObservationSeries, SimilarityMatrix
 from wise.weights import (
     abs_cosine,
@@ -518,6 +532,144 @@ class TestLargeN:
         assert len(seen) == 1
 
 
+class TestStreamedWalk:
+    """From core._STREAM_PAIRS pairs on, the analytic test walks the kernel's
+    tiles as they are made and never holds S. The walk of a held S takes the
+    same tiles about the same center, so every number is the same."""
+
+    n = 1600  # 1 279 200 pairs
+
+    @staticmethod
+    def numbers(r):
+        d = r.diagnostics
+        return repr((r.z, r.e_z, r.var_z, r.z_g, r.p_value, d.ratio1, d.ratio2, d.ratio3, d.warnings))
+
+    @staticmethod
+    def passes(monkeypatch):
+        """The list of the streamed walks' passes, one entry per pass."""
+        seen, real = [], core.tile_similarity
+        monkeypatch.setattr(core, "tile_similarity", lambda *a: seen.append(1) or real(*a))
+        return seen
+
+    @staticmethod
+    def unheld(monkeypatch):
+        def refuse(series, kernel):
+            raise AssertionError("S was built")
+
+        monkeypatch.setattr(engine, "build_similarity_matrix", refuse)
+
+    def test_the_size_is_above_the_streaming_size(self):
+        assert self.n * (self.n - 1) // 2 >= core._STREAM_PAIRS
+
+    @pytest.mark.parametrize("weight", ["default", "cosine:l=4"])
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("neg_l1", "vector"),
+            ("neg_l2", "vector"),
+            ("gaussian:sigma=2", "vector"),
+            ("functional_l2", "function"),
+        ],
+    )
+    def test_streamed_held_and_precomputed_s_agree_on_any_thread_count(
+        self, text, kind, weight, monkeypatch
+    ):
+        spec, w = parse_kernel_spec(text), parse_weight_spec(weight)
+        series = ObservationSeries(kind, iid_or_var1("var1", self.n, 8).data)
+        S = pairwise_similarity(spec, series)
+        held = self.numbers(run_test(series, S, w))
+        with monkeypatch.context() as m:
+            self.unheld(m)
+            for threads in ("1", "2", "3"):
+                m.setenv("WISE_THREADS", threads)
+                assert self.numbers(run_test(series, spec, w)) == held
+        assert self.numbers(run_test(series, SimilarityMatrix.from_square(S.values), w)) == held
+
+    def test_permutation_moments_equal_the_streamed_ones(self):
+        series = iid_or_var1("var1", self.n, 8)
+        spec, w = parse_kernel_spec("gaussian:sigma=2"), cosine(4.0)
+        perm = run_test(series, spec, w, TestConfig(method="permutation", permutations=100, seed=2))
+        analytic = run_test(series, spec, w)
+        assert (perm.z, perm.e_z, perm.var_z) == (analytic.z, analytic.e_z, analytic.var_z)
+
+    @pytest.mark.parametrize(
+        "name, value", [("_BAND_SE", 0.0), ("_BAND_SPARE", -(2**40))], ids=["margin", "cap"]
+    )
+    def test_a_second_pass_about_the_mean_gives_the_same_numbers(self, name, value, monkeypatch):
+        # a margin of 0 holds no delta, and a negative cap no band: either way
+        # the walk is taken again about the exact mean
+        series = iid_or_var1("var1", self.n, 8)
+        want = run_test(series, neg_l1(), cosine(4.0))
+        passes = self.passes(monkeypatch)
+        monkeypatch.setattr(core, name, value)
+        got = run_test(series, neg_l1(), cosine(4.0))
+        assert len(passes) == 2
+        for field in ("z", "e_z", "var_z", "z_g", "p_value"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12), field
+        for field in ("ratio1", "ratio2", "ratio3", "alignment"):
+            assert getattr(got.diagnostics, field) == pytest.approx(
+                getattr(want.diagnostics, field), rel=1e-12
+            ), field
+        S = pairwise_similarity(neg_l1(), series)
+        assert self.numbers(run_test(series, S, cosine(4.0))) == self.numbers(got)
+
+    @pytest.mark.parametrize("text", ["neg_l1", "gaussian:sigma=2"])
+    def test_a_constant_field_streams_in_one_pass_and_reports_p_one(self, text, monkeypatch):
+        series = ObservationSeries("vector", np.full((self.n, 3), 0.7))
+        passes = self.passes(monkeypatch)
+        self.unheld(monkeypatch)
+        r = run_test(series, parse_kernel_spec(text), default_weight())
+        assert len(passes) == 1
+        assert (r.z_g, r.p_value) == (0.0, 1.0)
+        assert any("identically zero" in w for w in r.diagnostics.warnings)
+
+    def test_ratios_match_long_double_reference_on_t1_data(self):
+        n = 1500
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((n, 3)) / np.abs(rng.standard_normal((n, 1)))
+        series = ObservationSeries("vector", x)
+        d = run_test(series, neg_l1(), default_weight()).diagnostics
+        want = long_double_ratios(pairwise_similarity(neg_l1(), series).values)
+        assert [d.ratio1, d.ratio2, d.ratio3] == pytest.approx([float(r) for r in want], rel=1e-12)
+
+    def test_analytic_memory_at_n_3000_is_below_a_quarter_of_s(self):
+        n = 3000
+        series = ObservationSeries("vector", np.random.default_rng(3).standard_normal((n, 20)))
+        tracemalloc.start()
+        try:
+            run_test(series, neg_l1(), default_weight())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n * (n - 1) // 2 * 8
+
+    def test_s_is_held_below_the_streaming_size_and_for_knn(self, monkeypatch):
+        built, real = [], engine.build_similarity_matrix
+        monkeypatch.setattr(
+            engine, "build_similarity_matrix", lambda s, k: built.append((s.n, k)) or real(s, k)
+        )
+        for n in (1448, 1449):
+            run_test(iid_or_var1("iid", n, 2), neg_l1(), default_weight())
+        run_test(iid_or_var1("iid", 1449, 2), knn_affinity(3), default_weight())
+        assert built == [(1448, neg_l1()), (1449, knn_affinity(3))]
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(700, 701)], ids=["all", "one"])
+    def test_a_non_finite_similarity_is_refused_as_when_held(self, rows):
+        # squared distances of 1e200 overflow to inf
+        x = iid_or_var1("iid", self.n, 2).data.copy()
+        x[rows] *= 1e200
+        series = ObservationSeries("vector", x)
+        with pytest.raises(InvalidValue, match="NaN or infinite"):
+            pairwise_similarity(neg_sq_l2_scaled(), series)
+        with pytest.raises(InvalidValue, match="NaN or infinite"):
+            run_test(series, neg_sq_l2_scaled(), default_weight())
+
+    def test_a_kernel_of_another_kind_is_refused_as_when_held(self):
+        series = ObservationSeries("function", iid_or_var1("iid", self.n, 4).data)
+        with pytest.raises(KernelMismatch):
+            run_test(series, neg_l1(), default_weight())
+
+
 class TestConfigValidation:
     def test_alpha_range(self):
         with pytest.raises(InvalidValue):
@@ -597,6 +749,11 @@ class TestDiagnostics:
         with pytest.raises(TooFewObservations):
             diagnostics_of(off_diag_ones(3), build_weight_matrix(3, default_weight()))
 
+    @pytest.mark.parametrize("M", [np.zeros(6), None], ids=["array", "none"])
+    def test_a_summary_that_is_not_a_moment_summary_is_an_invalid_value(self, M):
+        with pytest.raises(InvalidValue, match="MomentSummary"):
+            regularity_diagnostics(M, 0.0)
+
 
 class TestRearrangementBounds:
     def test_identity_z_always_inside(self):
@@ -652,6 +809,13 @@ class TestRearrangementBounds:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatch):
             rearrangement_bounds(off_diag_ones(4), build_weight_matrix(5, default_weight()))
+
+    def test_arguments_of_other_types_are_an_invalid_value(self):
+        W = build_weight_matrix(4, default_weight())
+        with pytest.raises(InvalidValue, match="SimilarityMatrix"):
+            rearrangement_bounds(np.zeros(6), None)
+        with pytest.raises(InvalidValue, match="WeightMatrix"):
+            rearrangement_bounds(off_diag_ones(4), W.profile)
 
 
 def draw_inputs(n: int, m: int):

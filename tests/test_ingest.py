@@ -150,6 +150,19 @@ class TestIngest:
                 end=date(2012, 4, 1),
             )
 
+    def test_records_must_be_checkin_records(self):
+        with pytest.raises(InvalidValue, match="CheckinRecord"):
+            ingest_checkins([(datetime(2012, 4, 3, 10), 35.7, 139.5)])
+
+    def test_grid_must_be_a_grid_config(self):
+        with pytest.raises(InvalidValue, match="GridConfig"):
+            ingest_checkins([rec("2012-04-03T10:00:00", 35.7, 139.5)], grid={"rows": 2})
+
+    @pytest.mark.parametrize("field", ["start", "end"])
+    def test_range_ends_must_be_dates(self, field):
+        with pytest.raises(InvalidValue, match=field):
+            ingest_checkins([rec("2012-04-03T10:00:00", 35.7, 139.5)], **{field: "2012-04-03"})
+
     def test_no_usable_records_and_no_range(self):
         with pytest.raises(BadRange):
             ingest_checkins([rec("2012-04-03T10:00:00", 0.0, 0.0)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import svar_per_step, var1_per_step
-from wise.errors import BadModelParam, ParseError
+from wise.errors import BadModelParam, InvalidValue, ParseError
 from wise.simgen import (
     FAMILIES,
     ModelSpec,
@@ -112,6 +112,12 @@ GOLDEN = {
 def test_seed_contract_is_bit_identical(name, seed, burn_in):
     data = generate(from_setting(name, 37, 11, seed=seed, burn_in=burn_in)).data
     assert hashlib.sha256(data.tobytes()).hexdigest() == GOLDEN[name, seed, burn_in]
+
+
+@pytest.mark.parametrize("spec", [{"family": "iid_normal"}, "setting1.1", None])
+def test_generate_refuses_what_is_not_a_model_spec(spec):
+    with pytest.raises(InvalidValue, match="ModelSpec"):
+        generate(spec)
 
 
 class TestDrawOrder:
