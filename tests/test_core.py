@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import toeplitz
 
 from oracles import random_sym
-from wise import core
+from wise import core, kernels
 from wise.core import (
     build_similarity_matrix,
     build_weight_matrix,
@@ -268,6 +268,28 @@ def test_pilot_walk_matches_dense_reference(n, margin, monkeypatch):
         tol = 1e-12 * scale.get(name, np.max(np.abs(value)))
         assert np.abs(getattr(M, name) - value).max() <= tol, name
     assert M.s_abs_max == np.abs(S.condensed - M.s1 / (n * (n - 1))).max()
+
+
+# with the streaming size at one pair every n streams; tiles of 1 pair are
+# one row each, of 7 a few rows with a tail of 4 rows, of 64 a tail of 12
+@pytest.mark.parametrize("tile", [1, 7, 64, 2**15])
+@pytest.mark.parametrize("n", [4, 5, 9, 64, 65, 257])
+def test_streamed_walk_matches_held_walk_and_dense_reference_at_any_tile_size(n, tile, monkeypatch):
+    monkeypatch.setattr(core, "_STREAM_PAIRS", 1)
+    monkeypatch.setattr(kernels, "_TILE_PAIRS", tile)
+    series = ObservationSeries("vector", np.random.default_rng(n).standard_normal((n, 3)))
+    S = build_similarity_matrix(series, gaussian(1.0))
+    streamed, held = core.kernel_summary(series, gaussian(1.0)), moment_summary(S)
+    names = ("s1", "s2", "s3", "s_row", "s_abs_row", "s_abs_max", "lag_sums")
+    for name in names:
+        assert np.array_equal(getattr(streamed, name), getattr(held, name)), name
+    off = ~np.eye(n, dtype=bool)
+    s = S.values
+    B = np.where(off, s - s[off].mean(), 0.0)
+    scale = np.abs(B).sum()
+    assert np.abs(held.s_abs_row - np.abs(B).sum(1)).max() <= 1e-12 * scale
+    assert np.abs(held.lag_sums - [np.trace(B, t) for t in range(n)]).max() <= 1e-12 * scale
+    assert held.s2 == pytest.approx((B * B).sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("S", [np.zeros(6), np.zeros((4, 4)), None], ids=["pairs", "square", "none"])
