@@ -28,6 +28,7 @@ from ._grammar import _check_count
 from .errors import InvalidValue, ShapeMismatch, TooFewObservations
 from .kernels import (
     KernelSpec,
+    _row_start,
     _scatter,
     _tiles,
     pairwise_similarity,
@@ -128,7 +129,7 @@ def _pilot_index(n: int) -> np.ndarray:
     index = []
     for g in _pilot_groups(n):
         i, j = (g[r] for r in np.triu_indices(len(g), 1))
-        index.append(i * (2 * n - 1 - i) // 2 + j - i - 1)
+        index.append(_row_start(i, n) + j - i - 1)
     out = np.concatenate(index)
     out.flags.writeable = False
     return out
@@ -291,7 +292,7 @@ def moment_summary(S: SimilarityMatrix) -> MomentSummary:
     def walk(c, eps):
         for t, u in zip(bounds, bounds[1:]):
             k, cols = u - t, n - 1 - t
-            pairs = S.condensed[t * (2 * n - 1 - t) // 2 : u * (2 * n - 1 - u) // 2]
+            pairs = S.condensed[_row_start(t, n) : _row_start(u, n)]
             yield _tile_sums(_scatter(pairs, k, cols), k, cols, c, eps)
 
     if n * (n - 1) // 2 >= _STREAM_PAIRS:
@@ -302,7 +303,18 @@ def moment_summary(S: SimilarityMatrix) -> MomentSummary:
 def kernel_summary(series: ObservationSeries, spec: KernelSpec) -> MomentSummary:
     """moment_summary of the kernel's S, taken on the kernel's tiles as they
     are made, so S is never held (see kernels.tile_similarity)."""
+    if not isinstance(series, ObservationSeries):
+        raise InvalidValue(f"series must be an ObservationSeries, got {type(series).__name__}")
+    if not isinstance(spec, KernelSpec):
+        raise InvalidValue(f"kernel must be a KernelSpec, got {type(spec).__name__}")
+    if spec.family == "knn_affinity":
+        raise InvalidValue(
+            "kernel knn_affinity is defined at matrix level only, so its S cannot be"
+            " walked tile by tile; take moment_summary of its held S"
+        )
     n = series.n
+    if n < 2:
+        raise TooFewObservations(f"moment sums need n >= 2, got {n}")
 
     def walk(c, eps):
         return tile_similarity(spec, series, lambda tile, k, cols: _tile_sums(tile, k, cols, c, eps))

@@ -39,7 +39,7 @@ from .core import (
     moment_summary,
 )
 from .errors import DegenerateVariance, InvalidValue, ShapeMismatch, TooFewObservations
-from .kernels import _fill_in_forks, thread_count
+from .kernels import _fill_in_forks, _row_start, thread_count
 from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
 
 # each side as the statistic whose upper tail rejects
@@ -244,7 +244,7 @@ def _lag_sum_draws(s_pairs: np.ndarray, centered: np.ndarray, B: int, seed: int)
     h = n // 2
     index = np.arange(n)
     # pair (a, a+d) is at starts[a] + d in pdist's order
-    starts = index * (2 * n - index - 1) // 2 - 1
+    starts = _row_start(index, n) - 1
     fold = np.empty((h, n))
     for t in range(1, h + 1):
         fold[t - 1, : n - t] = s_pairs[starts[: n - t] + t]

@@ -17,10 +17,13 @@ integral uses the trapezoidal rule on that grid. Quantile observations are
 discretized quantile functions on a uniform probability grid, so the mean
 absolute difference is the discrete 1-Wasserstein distance.
 
-pairwise_similarity holds S as pdist's condensed vector. For the analytic
+The pairs i < j are cut one way, into the tiles of _tiles(n): each a cdist
+rectangle of a few rows against the rows after them, or the tail's pdist
+triangle. pairwise_similarity holds S as pdist's condensed vector, filled
+from the tiles on a thread pool once the input is large. For the analytic
 test at large n, tile_similarity instead hands S to a visitor one tile at a
-time, each a cdist rectangle or the tail's pdist triangle, and holds none
-of it after; every pair has the value pairwise_similarity gives it.
+time and holds none of it after. Either way every pair has the value one
+pdist call gives it.
 
 The knn_affinity kernel is defined at matrix level only: entry (i, j) is 1
 when each point is among the other's k nearest under a base distance, 1/2
@@ -108,9 +111,9 @@ class _Family(NamedTuple):
         return self.metric is not None and self.transform is None
 
 
-# family -> formula and parameters. The condensed pdist output d becomes S
-# in place: negated, or put through ``transform``. knn_affinity has no
-# formula of its own; see _knn_affinity.
+# family -> formula and parameters. pdist's distances d become S in place:
+# negated, or put through ``transform`` (see _similarity). knn_affinity has
+# no formula of its own; see _knn_affinity.
 _FAMILIES = {
     "neg_l1": _Family(("vector",), "cityblock"),
     "neg_l2": _Family(("vector",), "euclidean"),
@@ -164,12 +167,11 @@ def knn_affinity(k: int, base: Optional[KernelSpec] = None) -> KernelSpec:
     return KernelSpec("knn_affinity", k=k, base=base)
 
 
-# pair x feature operations in one block of the pairwise kernel; an input no
-# larger is a single pdist call
+# pair x feature operations up to which a held S is one pdist call; above
+# it, and on more than one thread, S is filled tile by tile (see _condensed)
 _BLOCK_OPS = 2**24
-# pairs in one cdist call of a block, whatever the row length: the call's
-# rectangle is the one buffer each worker adds. The moment walk's tiles hold
-# as many (see _tiles)
+# pairs in one tile of _tiles, whatever the row length: a tile's cdist
+# rectangle is the one buffer each worker adds
 _TILE_PAIRS = 2**15
 
 
@@ -256,49 +258,6 @@ def _fill_in_forks(
             os.waitpid(pid, 0)
 
 
-def _blocks(n: int, p: int) -> List[int]:
-    """Row bounds of the blocks of the condensed pairs, from 0 to n.
-
-    Each block holds about _BLOCK_OPS pair x feature operations. The last
-    is the tail triangle of the most rows whose pairs fit in one block, so
-    an input that fits is the single block [0, n].
-    """
-    pairs = max(1, _BLOCK_OPS // max(p, 1))
-    # the largest m with m (m - 1) / 2 <= pairs
-    tail = max(0, n - (1 + math.isqrt(1 + 8 * pairs)) // 2)
-    bounds, count = [0], 0
-    for i in range(tail):
-        count += n - 1 - i
-        if count >= pairs:
-            bounds.append(i + 1)
-            count = 0
-    if bounds[-1] != tail:
-        bounds.append(tail)
-    return bounds + [n]
-
-
-def _fill(d: np.ndarray, flat: np.ndarray, metric: str, starts: List[int], a: int, b: int) -> None:
-    """Pairs of rows a to b - 1 into their slice of d, where row i's pairs
-    are d[starts[i]:starts[i + 1]], as pdist orders them.
-
-    Rows go in tiles of at most _TILE_PAIRS pairs, one cdist call each: the
-    tile [t, u) against rows t + 1 on fills a rectangle whose row i - t
-    holds row i's pairs from column i - t on.
-    """
-    n = flat.shape[0]
-    if b == n:
-        pdist(flat[a:], metric, out=d[starts[a] :])
-        return
-    rows = max(1, _TILE_PAIRS // (n - 1 - a))
-    buffer = np.empty(min(rows, b - a) * (n - 1 - a))
-    for t in range(a, b, rows):
-        u = min(t + rows, b)
-        rect = buffer[: (u - t) * (n - 1 - t)].reshape(u - t, n - 1 - t)
-        cdist(flat[t:u], flat[t + 1 :], metric, out=rect)
-        for i in range(t, u):
-            d[starts[i] : starts[i + 1]] = rect[i - t, i - t :]
-
-
 def _rows(family: _Family, flat: np.ndarray) -> np.ndarray:
     """The rows the family's metric reads: prescaled, in one C-ordered copy at
     most, since each tile's cdist would otherwise copy the rows after it."""
@@ -306,45 +265,6 @@ def _rows(family: _Family, flat: np.ndarray) -> np.ndarray:
     if family.prescale is not None:
         flat = flat * family.prescale(flat.shape[1])
     return flat
-
-
-def _distance(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
-    """Fresh condensed pdist vector of the rows of ``flat`` under the family's metric.
-
-    An input of more than one block is filled block by block on a thread
-    pool made for the call. Each block writes pdist's own numbers for its
-    pairs into the vector, so the result is byte-identical at any block size
-    and thread count. One thread makes one pdist call, which saves the
-    tiles' cdist calls and copies.
-    """
-    family = _FAMILIES[spec.family]
-    flat = _rows(family, flat)
-    n, p = flat.shape
-    d = np.empty(n * (n - 1) // 2)
-    bounds = _blocks(n, p)
-    workers = thread_count() if len(bounds) > 2 else 1
-    if workers == 1:
-        pdist(flat, family.metric, out=d)
-    else:
-        starts = [i * (2 * n - 1 - i) // 2 for i in range(n + 1)]
-        with ThreadPoolExecutor(workers, thread_name_prefix="wise-kernel") as pool:
-            futures = [
-                pool.submit(_fill, d, flat, family.metric, starts, a, b)
-                for a, b in zip(bounds, bounds[1:])
-            ]
-        # the pool has waited for every block, so none still writes into d
-        # when an error is raised
-        for future in futures:
-            future.result()
-    if family.per_column:
-        d /= p
-    return d
-
-
-def _transform(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
-    """S from distances d of a family with a formula, in place."""
-    transform = _FAMILIES[spec.family].transform
-    return np.negative(d, out=d) if transform is None else transform(d, spec)
 
 
 def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> SimilarityMatrix:
@@ -356,10 +276,9 @@ def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> Similari
     """
     flat = _flat(spec, series)
     if spec.family == "knn_affinity":
-        s, diagonal = _knn_affinity(flat, spec.k, spec.base), np.zeros(series.n)
+        s, diagonal = _knn_affinity(series, spec.k, spec.base), np.zeros(series.n)
     else:
-        s = _transform(spec, _distance(spec, flat))
-        diagonal = _transform(spec, np.zeros(series.n))
+        s, diagonal = _condensed(spec, flat), _similarity(spec, np.zeros(series.n), flat.shape[1])
     # the fresh vector is handed over read-only, so it is not copied
     s.flags.writeable = False
     return SimilarityMatrix(s, diagonal)
@@ -400,6 +319,12 @@ def _tiles(n: int) -> List[int]:
     return bounds + [max(n - 1, 0)]
 
 
+def _row_start(i, n: int):
+    """Where row i's pairs start in pdist's condensed vector of n rows, for
+    an int or an integer array i; row n - 1's start is the vector's length."""
+    return i * (2 * n - 1 - i) // 2
+
+
 def _scatter(pairs: np.ndarray, k: int, cols: int) -> np.ndarray:
     """A tile's pairs, in pdist's order, as a fresh tile buffer.
 
@@ -414,10 +339,58 @@ def _scatter(pairs: np.ndarray, k: int, cols: int) -> np.ndarray:
 
 
 def _similarity(spec: KernelSpec, d: np.ndarray, p: int) -> np.ndarray:
-    """S from distances d of a family with a formula, in place."""
-    if _FAMILIES[spec.family].per_column:
+    """S from distances d of a family with a formula, in place: divided by
+    the row length p if the family is per column, then negated or put
+    through its transform."""
+    family = _FAMILIES[spec.family]
+    if family.per_column:
         d /= p
-    return _transform(spec, d)
+    return np.negative(d, out=d) if family.transform is None else family.transform(d, spec)
+
+
+def _condensed(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
+    """Fresh condensed S of the rows of flat, in pdist's order.
+
+    On one thread, or at no more than _BLOCK_OPS pair x feature operations,
+    this is one pdist call. Otherwise the tiles of _tiles(n) run on a thread
+    pool made for the call, in runs of consecutive tiles. A tile is a cdist
+    rectangle, whose rows' pairs are copied into their slice of S, or the
+    tail's pdist triangle, written into its slice; the worker then puts the
+    slice through the formula. Each pair holds pdist's own number, so S is
+    byte-identical at any tile size and thread count.
+    """
+    family = _FAMILIES[spec.family]
+    flat = _rows(family, flat)
+    n, p = flat.shape
+    d = np.empty(n * (n - 1) // 2)
+    workers = thread_count()
+    if workers == 1 or len(d) * p <= _BLOCK_OPS:
+        pdist(flat, family.metric, out=d)
+        return _similarity(spec, d, p)
+    bounds = _tiles(n)
+
+    def fill(spans):
+        for t, u in spans:
+            a = _row_start(t, n)
+            if u == bounds[-1]:
+                pdist(flat[t:], family.metric, out=d[a:])
+            else:
+                rect = cdist(flat[t:u], flat[t + 1 :], family.metric)
+                for i in range(t, u):
+                    d[_row_start(i, n) : _row_start(i + 1, n)] = rect[i - t, i - t :]
+            _similarity(spec, d[a : _row_start(u, n)], p)
+
+    # about four runs per worker: one pool task each, so a tile costs no
+    # task of its own, and a worker the host slows hands its share on
+    spans = list(zip(bounds, bounds[1:]))
+    step = -(-len(spans) // (4 * workers))
+    with ThreadPoolExecutor(workers, thread_name_prefix="wise-kernel") as pool:
+        futures = [pool.submit(fill, spans[r : r + step]) for r in range(0, len(spans), step)]
+    # the pool has waited for every run, so none still writes into d when
+    # an error is raised
+    for future in futures:
+        future.result()
+    return d
 
 
 def pilot_similarity(spec: KernelSpec, series: ObservationSeries, groups) -> np.ndarray:
@@ -473,11 +446,13 @@ def tile_similarity(
             yield ahead.popleft().result()
 
 
-def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:
-    n = flat.shape[0]
+def _knn_affinity(series: ObservationSeries, k: int, base: KernelSpec) -> np.ndarray:
+    n = series.n
     if k >= n:
         raise BadWeightParam(f"knn requires k < n, got k={k}, n={n}")
-    a = squareform(_distance(base, flat))
+    # the base's S is its negated distances, and negating back is exact
+    a = squareform(pairwise_similarity(base, series).condensed)
+    np.negative(a, out=a)
     np.fill_diagonal(a, np.inf)
     # stable argsort on each row: equal distances keep index order; ravel
     # copies the k nearest, so the n x n order is freed at once

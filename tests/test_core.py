@@ -17,7 +17,7 @@ from wise.errors import (
     ShapeMismatch,
     TooFewObservations,
 )
-from wise.kernels import gaussian, neg_l1
+from wise.kernels import gaussian, knn_affinity, neg_l1
 from wise.types import ObservationSeries, SimilarityMatrix, WeightMatrix
 from wise.weights import cosine, default_weight, fourier, geometric, mixed, parse_weight_spec
 
@@ -302,6 +302,30 @@ def test_moment_summary_of_what_is_not_a_similarity_matrix_is_an_invalid_value(S
 def test_similarity_of_what_is_not_a_series_is_an_invalid_value(series):
     with pytest.raises(InvalidValue, match="ObservationSeries"):
         build_similarity_matrix(series, neg_l1())
+
+
+SERIES = ObservationSeries("vector", np.zeros((10, 3)))
+
+
+@pytest.mark.parametrize(
+    "series, spec, match",
+    [
+        (np.zeros((10, 3)), neg_l1(), "ObservationSeries, got ndarray"),
+        (None, neg_l1(), "ObservationSeries, got NoneType"),
+        (SERIES, "neg_l1", "KernelSpec, got str"),
+        (SERIES, None, "KernelSpec, got NoneType"),
+        (SERIES, knn_affinity(3), "knn_affinity"),
+    ],
+    ids=["array", "no series", "spec text", "no spec", "knn"],
+)
+def test_kernel_summary_of_bad_input_is_an_invalid_value(series, spec, match):
+    with pytest.raises(InvalidValue, match=match):
+        core.kernel_summary(series, spec)
+
+
+def test_kernel_summary_of_one_observation_is_too_few():
+    with pytest.raises(TooFewObservations, match="n >= 2"):
+        core.kernel_summary(ObservationSeries("vector", np.zeros((1, 3))), neg_l1())
 
 
 def test_moment_summary_dimension_mismatch():

@@ -519,8 +519,9 @@ class TestLargeN:
         assert (perm.z, perm.e_z, perm.var_z) == (analytic.z, analytic.e_z, analytic.var_z)
 
     def test_analytic_result_does_not_depend_on_the_thread_count(self, monkeypatch):
-        # small blocks put the kernel on the pool; the walk after it stays on
-        # the calling thread, so every reported number is the same
+        # a small _BLOCK_OPS puts the kernel's tiles on the pool; the walk
+        # after it stays on the calling thread, so every reported number is
+        # the same
         monkeypatch.setattr(kernels, "_BLOCK_OPS", 100)
         series = iid_or_var1("var1", 600, 40)
         seen = set()

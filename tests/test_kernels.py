@@ -10,7 +10,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from forks import assert_no_child_left, count_forks
 from oracles import pair_similarity
-from wise import kernels
+from wise import core, kernels
+from wise.core import moment_summary
 from wise.errors import BadWeightParam, KernelMismatch, ParseError
 from wise.kernels import (
     KernelSpec,
@@ -353,10 +354,11 @@ def test_knn_equals_inline_construction(base, ties):
     assert_layout(pairwise_similarity(spec, series), want)
 
 
-# the kernel fills S in blocks of this many pair x feature operations: 1 puts
-# every row in a block of its own, 100 a few rows together and 10^4 tens of
-# rows. A block's cdist calls take tiles of 1 row, of at least 2 rows (a cap
-# of 2n pairs) or of the whole block
+# up to _BLOCK_OPS pair x feature operations S is one pdist call, and past it
+# (on more than one thread) it is filled from the tiles of _tiles(n): 1 puts
+# every case on the tiles, 100 all but n = 4, and 10^4 only n = 301 and the
+# functional series at n = 50. The tiles hold 1 row, at least 2 rows (a cap
+# of 2n pairs) or, at 2^16 pairs, every row in the tail's one pdist triangle
 @pytest.mark.parametrize("tile", ["1 row", "2 rows", "many rows"])
 @pytest.mark.parametrize("block_ops", [1, 100, 10**4])
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -368,7 +370,7 @@ def test_blocked_kernel_is_byte_identical_to_pdist(family, n, threads, block_ops
     monkeypatch.setattr(kernels, "_TILE_PAIRS", {"1 row": 1, "2 rows": 2 * n, "many rows": 2**16}[tile])
     series, spec, want = _inline(family, ties=False, n=n)
     # freed at once, so the kernel's own buffer is likely this one: a pair
-    # no block fills reads NaN, not a value left by an earlier call
+    # no tile fills reads NaN, not a value left by an earlier call
     np.full(n * (n - 1) // 2, np.nan)
     S = pairwise_similarity(spec, series)
     assert S.condensed.tobytes() == want[np.triu_indices(n, 1)].tobytes()
@@ -380,33 +382,51 @@ def test_blocked_kernel_is_byte_identical_to_pdist(family, n, threads, block_ops
 def test_blocked_kernel_reads_any_memory_layout(spec, layout, threads, monkeypatch):
     wide = np.random.default_rng(5).standard_normal((60, 36))
     x = wide[:, ::2] if layout == "sliced" else np.asfortranarray(wide)
-    want = kernels._distance(spec, np.ascontiguousarray(x))  # one pdist call
+    want = kernels._condensed(spec, np.ascontiguousarray(x))  # one pdist call
     monkeypatch.setenv("WISE_THREADS", threads)
     monkeypatch.setattr(kernels, "_BLOCK_OPS", 100)
-    assert kernels._distance(spec, x).tobytes() == want.tobytes()
+    monkeypatch.setattr(kernels, "_TILE_PAIRS", 100)  # cdist tiles of 1 to 5 rows
+    assert kernels._condensed(spec, x).tobytes() == want.tobytes()
 
 
 def _blocked_setup(monkeypatch):
-    """Two threads and small blocks; returns a series and its neg_l1 pairs."""
+    """Two threads and the tile pass: cdist tiles of 2 to 5 rows, then the
+    tail's pdist triangle of 14 rows; returns a series and its neg_l1 pairs."""
     monkeypatch.setenv("WISE_THREADS", "2")
     monkeypatch.setattr(kernels, "_BLOCK_OPS", 100)
+    monkeypatch.setattr(kernels, "_TILE_PAIRS", 100)
     series = _series("vector", (5,), False, n=50)
     return series, -pdist(series.data, "cityblock")
 
 
-def test_an_error_in_a_block_reaches_the_caller(monkeypatch):
+# the two passes over the tiles on the kernel's pool
+TILE_PASSES = {
+    "held fill": lambda series: pairwise_similarity(neg_l1(), series),
+    "streamed walk": lambda series: core.kernel_summary(series, neg_l1()),
+}
+
+
+@pytest.mark.parametrize("caller", list(TILE_PASSES))
+def test_an_error_in_a_block_reaches_the_caller(caller, monkeypatch):
     series, want = _blocked_setup(monkeypatch)
 
     def broken(*args, **kwargs):
-        raise MemoryError("no room for this block")
+        raise MemoryError("no room for this tile")
 
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "cdist", broken)
         with pytest.raises(MemoryError, match="no room"):
-            pairwise_similarity(neg_l1(), series)
-    # the failed call waited for every block before raising and took its
+            TILE_PASSES[caller](series)
+    # the failed call waited for every tile before raising and took its
     # pool down with it, so the next call starts clean on a pool of its own
     assert pairwise_similarity(neg_l1(), series).condensed.tobytes() == want.tobytes()
+    if caller == "streamed walk":
+        # the walk of pdist's pairs held, about the same center
+        monkeypatch.setattr(core, "_STREAM_PAIRS", 1)
+        held = moment_summary(pairwise_similarity(neg_l1(), series))
+        streamed = TILE_PASSES[caller](series)
+        for name in ("s1", "s2", "s3", "s_row", "s_abs_row", "s_abs_max", "lag_sums"):
+            assert np.array_equal(getattr(streamed, name), getattr(held, name)), name
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -491,9 +511,9 @@ def test_a_fan_out_inside_a_range_forks_no_further(monkeypatch):
 
 
 def test_blocked_kernel_memory_at_n_2000(monkeypatch):
-    # p = 2 gives the widest tiles: blocks of 2^21 operations make rows 0 to
-    # 551 one block of 951 000 pairs and the rest the tail, whose pdist
-    # writes into S. Only the block's tile is extra, capped at 2^15 pairs
+    # p = 2 gives the widest tiles. At 2^21 operations S is filled from the
+    # tiles: tiles of 16 rows, then the tail, whose pdist writes into S. Only
+    # each worker's cdist rectangle is extra, capped at 2^15 pairs
     n = 2000
     monkeypatch.setenv("WISE_THREADS", "2")
     monkeypatch.setattr(kernels, "_BLOCK_OPS", 2**21)
