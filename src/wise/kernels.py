@@ -17,7 +17,7 @@ integral uses the trapezoidal rule on that grid. Quantile observations are
 discretized quantile functions on a uniform probability grid, so the mean
 absolute difference is the discrete 1-Wasserstein distance.
 
-The pairs i < j are cut one way, into the tiles of _tiles(n): each a cdist
+The pairs i < j are cut one way, into the tiles of _tiles: each a cdist
 rectangle of a few rows against the rows after them, or the tail's pdist
 triangle. pairwise_similarity holds S as pdist's condensed vector, filled
 from the tiles on a thread pool once the input is large. For the analytic
@@ -44,6 +44,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,10 +169,11 @@ def knn_affinity(k: int, base: Optional[KernelSpec] = None) -> KernelSpec:
 
 
 # pair x feature operations up to which a held S is one pdist call; above
-# it, and on more than one thread, S is filled tile by tile (see _condensed)
+# it, and on more than one thread, S is filled from tiles of at most this
+# many operations each (see _condensed)
 _BLOCK_OPS = 2**24
-# pairs in one tile of _tiles, whatever the row length: a tile's cdist
-# rectangle is the one buffer each worker adds
+# the most pairs in one tile of _tiles, and the moment walk's cap whatever
+# the row length: a tile's cdist rectangle is the one buffer each worker adds
 _TILE_PAIRS = 2**15
 
 
@@ -276,7 +278,7 @@ def pairwise_similarity(spec: KernelSpec, series: ObservationSeries) -> Similari
     """
     flat = _flat(spec, series)
     if spec.family == "knn_affinity":
-        s, diagonal = _knn_affinity(series, spec.k, spec.base), np.zeros(series.n)
+        s, diagonal = _knn_affinity(flat, spec.k, spec.base), np.zeros(series.n)
     else:
         s, diagonal = _condensed(spec, flat), _similarity(spec, np.zeros(series.n), flat.shape[1])
     # the fresh vector is handed over read-only, so it is not copied
@@ -301,21 +303,22 @@ def _upper(rows: int, cols: int) -> np.ndarray:
     return mask
 
 
-def _tiles(n: int) -> List[int]:
+def _tiles(n: int, pairs: Optional[int] = None) -> List[int]:
     """Row bounds of the tiles of the pairs i < j of n rows, from 0 to n - 1.
 
     Tile [t, u) holds the pairs of rows t to u - 1: one row, or as many as
-    keep it within _TILE_PAIRS pairs. The last tile is the tail triangle of
-    the most rows whose pairs fit in _TILE_PAIRS. The bounds depend on n
-    alone, so every sum taken tile by tile is the same however the tiles
-    are made and on however many threads.
+    keep it within ``pairs`` pairs (default _TILE_PAIRS). The last tile is
+    the tail triangle of the most rows whose pairs fit in ``pairs``. The
+    bounds depend on n and ``pairs`` alone, so every sum taken tile by tile
+    is the same however the tiles are made and on however many threads.
     """
-    # the largest m with m (m - 1) / 2 <= _TILE_PAIRS
-    tail = max(0, n - (1 + math.isqrt(1 + 8 * _TILE_PAIRS)) // 2)
+    pairs = _TILE_PAIRS if pairs is None else pairs
+    # the largest m with m (m - 1) / 2 <= pairs
+    tail = max(0, n - (1 + math.isqrt(1 + 8 * pairs)) // 2)
     bounds = [0]
     while bounds[-1] < tail:
         t = bounds[-1]
-        bounds.append(min(tail, t + max(1, _TILE_PAIRS // (n - 1 - t))))
+        bounds.append(min(tail, t + max(1, pairs // (n - 1 - t))))
     return bounds + [max(n - 1, 0)]
 
 
@@ -352,12 +355,13 @@ def _condensed(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
     """Fresh condensed S of the rows of flat, in pdist's order.
 
     On one thread, or at no more than _BLOCK_OPS pair x feature operations,
-    this is one pdist call. Otherwise the tiles of _tiles(n) run on a thread
-    pool made for the call, in runs of consecutive tiles. A tile is a cdist
-    rectangle, whose rows' pairs are copied into their slice of S, or the
-    tail's pdist triangle, written into its slice; the worker then puts the
-    slice through the formula. Each pair holds pdist's own number, so S is
-    byte-identical at any tile size and thread count.
+    this is one pdist call. Otherwise the tiles of _tiles, each of at most
+    _BLOCK_OPS operations, run on a thread pool made for the call, in runs
+    of consecutive tiles. A tile is a cdist rectangle, whose rows' pairs are
+    copied into their slice of S, or the tail's pdist triangle, written into
+    its slice; the worker then puts the slice through the formula. Each pair
+    holds pdist's own number, so S is byte-identical at any tile size and
+    thread count.
     """
     family = _FAMILIES[spec.family]
     flat = _rows(family, flat)
@@ -367,7 +371,8 @@ def _condensed(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
     if workers == 1 or len(d) * p <= _BLOCK_OPS:
         pdist(flat, family.metric, out=d)
         return _similarity(spec, d, p)
-    bounds = _tiles(n)
+    # wide rows make smaller tiles, so there are still tiles for every worker
+    bounds = _tiles(n, min(_TILE_PAIRS, max(1, _BLOCK_OPS // p)))
 
     def fill(spans):
         for t, u in spans:
@@ -380,12 +385,13 @@ def _condensed(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
                     d[_row_start(i, n) : _row_start(i + 1, n)] = rect[i - t, i - t :]
             _similarity(spec, d[a : _row_start(u, n)], p)
 
-    # about four runs per worker: one pool task each, so a tile costs no
-    # task of its own, and a worker the host slows hands its share on
-    spans = list(zip(bounds, bounds[1:]))
-    step = -(-len(spans) // (4 * workers))
+    # runs of consecutive tiles of about equal pairs, about eight per worker:
+    # one pool task each, so a tile costs no task of its own, and a worker
+    # the host slows hands its share on
+    share = len(d) / (8 * workers)
+    runs = groupby(zip(bounds, bounds[1:]), lambda span: _row_start(span[0], n) // share)
     with ThreadPoolExecutor(workers, thread_name_prefix="wise-kernel") as pool:
-        futures = [pool.submit(fill, spans[r : r + step]) for r in range(0, len(spans), step)]
+        futures = [pool.submit(fill, list(run)) for _, run in runs]
     # the pool has waited for every run, so none still writes into d when
     # an error is raised
     for future in futures:
@@ -446,12 +452,12 @@ def tile_similarity(
             yield ahead.popleft().result()
 
 
-def _knn_affinity(series: ObservationSeries, k: int, base: KernelSpec) -> np.ndarray:
-    n = series.n
+def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:
+    n = flat.shape[0]
     if k >= n:
         raise BadWeightParam(f"knn requires k < n, got k={k}, n={n}")
     # the base's S is its negated distances, and negating back is exact
-    a = squareform(pairwise_similarity(base, series).condensed)
+    a = squareform(_condensed(base, flat))
     np.negative(a, out=a)
     np.fill_diagonal(a, np.inf)
     # stable argsort on each row: equal distances keep index order; ravel

@@ -11,7 +11,6 @@ from scipy.spatial.distance import pdist, squareform
 from forks import assert_no_child_left, count_forks
 from oracles import pair_similarity
 from wise import core, kernels
-from wise.core import moment_summary
 from wise.errors import BadWeightParam, KernelMismatch, ParseError
 from wise.kernels import (
     KernelSpec,
@@ -354,11 +353,25 @@ def test_knn_equals_inline_construction(base, ties):
     assert_layout(pairwise_similarity(spec, series), want)
 
 
+def test_knn_of_base_distances_that_overflow_is_a_graph():
+    # the shifted rows are equal to each other and an inf distance from the
+    # rest, past the float64 range: the graph is built as from finite ones
+    data = np.random.default_rng(8).standard_normal((12, 3))
+    data[::3] += 1e200
+    series = ObservationSeries("vector", data)
+    with np.errstate(over="ignore"):
+        dist = squareform(pdist(data, "euclidean"))
+        S = pairwise_similarity(knn_affinity(3, neg_l2()), series)
+    assert np.isinf(dist).any()
+    assert_layout(S, _knn(dist, 3))
+
+
 # up to _BLOCK_OPS pair x feature operations S is one pdist call, and past it
-# (on more than one thread) it is filled from the tiles of _tiles(n): 1 puts
+# (on more than one thread) it is filled from the tiles of _tiles: 1 puts
 # every case on the tiles, 100 all but n = 4, and 10^4 only n = 301 and the
-# functional series at n = 50. The tiles hold 1 row, at least 2 rows (a cap
-# of 2n pairs) or, at 2^16 pairs, every row in the tail's one pdist triangle
+# functional series at n = 50. A tile holds at most _TILE_PAIRS pairs, here
+# 1, 2n or 2^16, and at most _BLOCK_OPS operations, so at 1 every tile is
+# one row and at 100 at most 20 pairs
 @pytest.mark.parametrize("tile", ["1 row", "2 rows", "many rows"])
 @pytest.mark.parametrize("block_ops", [1, 100, 10**4])
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -384,8 +397,9 @@ def test_blocked_kernel_reads_any_memory_layout(spec, layout, threads, monkeypat
     x = wide[:, ::2] if layout == "sliced" else np.asfortranarray(wide)
     want = kernels._condensed(spec, np.ascontiguousarray(x))  # one pdist call
     monkeypatch.setenv("WISE_THREADS", threads)
-    monkeypatch.setattr(kernels, "_BLOCK_OPS", 100)
-    monkeypatch.setattr(kernels, "_TILE_PAIRS", 100)  # cdist tiles of 1 to 5 rows
+    # 1800 / 36 columns allows the 100 pairs: cdist tiles of 1 to 5 rows
+    monkeypatch.setattr(kernels, "_BLOCK_OPS", 1800)
+    monkeypatch.setattr(kernels, "_TILE_PAIRS", 100)
     assert kernels._condensed(spec, x).tobytes() == want.tobytes()
 
 
@@ -393,7 +407,7 @@ def _blocked_setup(monkeypatch):
     """Two threads and the tile pass: cdist tiles of 2 to 5 rows, then the
     tail's pdist triangle of 14 rows; returns a series and its neg_l1 pairs."""
     monkeypatch.setenv("WISE_THREADS", "2")
-    monkeypatch.setattr(kernels, "_BLOCK_OPS", 100)
+    monkeypatch.setattr(kernels, "_BLOCK_OPS", 500)  # 500 / 5 columns: 100 pairs
     monkeypatch.setattr(kernels, "_TILE_PAIRS", 100)
     series = _series("vector", (5,), False, n=50)
     return series, -pdist(series.data, "cityblock")
@@ -420,13 +434,6 @@ def test_an_error_in_a_block_reaches_the_caller(caller, monkeypatch):
     # the failed call waited for every tile before raising and took its
     # pool down with it, so the next call starts clean on a pool of its own
     assert pairwise_similarity(neg_l1(), series).condensed.tobytes() == want.tobytes()
-    if caller == "streamed walk":
-        # the walk of pdist's pairs held, about the same center
-        monkeypatch.setattr(core, "_STREAM_PAIRS", 1)
-        held = moment_summary(pairwise_similarity(neg_l1(), series))
-        streamed = TILE_PASSES[caller](series)
-        for name in ("s1", "s2", "s3", "s_row", "s_abs_row", "s_abs_max", "lag_sums"):
-            assert np.array_equal(getattr(streamed, name), getattr(held, name)), name
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
