@@ -40,9 +40,6 @@ from .weights import WeightSpec, weight_profile
 
 Kernel = Union[KernelSpec, SimilarityMatrix]
 
-# the permutation draws bin about this many pairs at a time
-_BATCH_PAIRS = 1 << 16
-
 
 def validate_series(raw, kind: str) -> ObservationSeries:
     """Turn untyped tabular input into a validated series.
@@ -174,15 +171,16 @@ def _tile_sums(buffer: np.ndarray, k: int, cols: int, c: float, eps: Optional[fl
     np.subtract(rect, c, out=rect)
     np.copyto(head, 0.0, where=lower)
     buffer[k * cols :] = 0.0
-    # einsum sums in numpy: a BLAS dot may start threads of its own
-    s2 = float(np.einsum("i,i->", buffer, buffer))
     # with row stride cols + 1, column x holds the pairs at lag x + 1; a row
     # runs on into the zeros left of the next row's pairs, the last one into
     # the spare row
     lags = buffer[: k * (cols + 1)].reshape(k, cols + 1)[:, :cols].sum(0)
     rows, columns = np.zeros((3, k)), np.zeros((3, cols))
     rows[0], columns[0] = rect.sum(1), rect.sum(0)
-    work = np.abs(rect)
+    # pairwise, not running: the variance's b = s2 - 2 s3 / (n - 2) cancels
+    work = np.multiply(rect, rect)
+    s2 = float(work.sum())
+    np.abs(rect, out=work)
     rows[1], columns[1] = work.sum(1), work.sum(0)
     if eps is None:
         return total, high, low, s2, rows, columns, lags, _NO_BAND

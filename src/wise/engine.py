@@ -7,7 +7,8 @@ The statistic aggregates the similarity field against lag weights,
 and is calibrated against the permutation null: the distribution of Z when
 the series is re-indexed by a uniformly random permutation. Its mean and
 variance under that null have closed forms in the off-diagonal sums
-(w1, w2, w3, S1, S2, S3), so the standardized statistic
+(w1, w2, w3, S1, S2, S3); the variance is two nonnegative terms in the
+doubly centered weights and similarities, so the standardized statistic
 
     Z_G = (Z - EZ) / sqrt(varZ)
 
@@ -31,7 +32,6 @@ from scipy.special import ndtr
 
 from ._grammar import _check_count
 from .core import (
-    _BATCH_PAIRS,
     _streams,
     build_similarity_matrix,
     build_weight_matrix,
@@ -51,7 +51,8 @@ SIDES = tuple(_ORIENT)
 # kernel's rounding of a constant field is caught, while a field whose spread
 # is 1e-11 of its level still holds digits and is tested
 _DEGENERATE_RMS_REL = 1e-13
-# negative varZ beyond rounding noise means the moment formula was misfed
+# a doubly centered squared norm below -_CLAMP_REL of its raw one is beyond
+# rounding: the walk's sums or the profiles were misfed
 _CLAMP_REL = 1e-9
 # permuted Z - EZ this fraction of its bound from the observed value is a tie
 _TIE_REL = 1e-10
@@ -61,6 +62,8 @@ _PINV_REL = 1e-10
 # draws x folded pairs from which the draws are split across forked
 # processes; below it a fork's round trip (about 4 ms) outweighs the work
 _FORK_PAIR_DRAWS = 2**26
+# the permutation draws bin about this many pairs at a time
+_BATCH_PAIRS = 1 << 16
 # draws per seeded generator of the permutation stream; it enters every
 # seeded p, so it is fixed and depends on nothing else
 _STREAM_BLOCK = 64
@@ -163,14 +166,15 @@ def _weight_sums(profiles: np.ndarray) -> Tuple[np.ndarray, ...]:
     return w1, (A[:, None] * A[None]) @ lag_count, R @ R.T, A
 
 
-def _raw_moments(
-    M: MomentSummary, profiles: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """(EZ, cov, Z - EZ, clamped) of an (m, n) stack of profiles on the summary M of S.
+def _raw_moments(M: MomentSummary, profiles: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(EZ, cov, Z - EZ) of an (m, n) stack of profiles on the summary M of S.
 
     EZ = w1 * s_bar and Z - EZ = 2 sum_t a(t) D_t are m-vectors. cov is the
-    m x m Daniels-Mantel form in the centered sums, so nothing cancels before
-    the four terms; its diagonal, each weight's varZ, is clamped at 0.
+    m x m Daniels-Mantel covariance as two nonnegative terms (Mantel 1967;
+    Hubert 1987), 2 b G / (n(n-3)) + 4 s3 w3 / ((n-1)(n-2)^2), where
+    b = s2 - 2 s3 / (n-2) is the squared norm of the doubly centered S and
+    G = w2 - 2 w3 / (n-2) the Gram matrix of the doubly centered weights;
+    b and G's diagonal are clamped at 0 against rounding.
     """
     n, k = M.n, profiles.shape[1]
     if n < 4:
@@ -178,19 +182,14 @@ def _raw_moments(
     if k != n:
         raise ShapeMismatch(f"dimension mismatch: S is {n}x{n}, W is {k}x{k}")
     w1, w2, w3, A = _weight_sums(profiles)
-    s1, s2, s3 = M.s1, M.s2, M.s3
-    ez = w1 * s1 / (n * (n - 1))
-    t1 = 4.0 * (n + 1) * w3 * s3 / (n * (n - 1) * (n - 2) * (n - 3))
-    t2 = 2.0 * w2 * s2 / (n * (n - 3))
-    t3 = -4.0 * w2 * s3 / (n * (n - 2) * (n - 3))
-    t4 = -4.0 * w3 * s2 / (n * (n - 2) * (n - 3))
-    cov = t1 + t2 + t3 + t4
-    var = cov.diagonal().copy()
-    if (var < -_CLAMP_REL * (abs(t1) + abs(t2) + abs(t3) + abs(t4)).diagonal()).any():
-        raise InvalidValue(f"variance formula produced {var.min()}, far below rounding tolerance")
-    negative = var < 0.0
-    np.fill_diagonal(cov, np.where(negative, 0.0, var))
-    return ez, cov, 2.0 * (A @ M.lag_sums), bool(negative.any())
+    b = M.s2 - 2.0 * M.s3 / (n - 2)
+    G = w2 - 2.0 * w3 / (n - 2)
+    g = G.diagonal()
+    if b < -_CLAMP_REL * M.s2 or (g < -_CLAMP_REL * w2.diagonal()).any():
+        raise InvalidValue(f"doubly centered norms {b} and {g.min()} are negative beyond rounding")
+    np.fill_diagonal(G, np.maximum(g, 0.0))
+    cov = 2.0 * max(b, 0.0) * G / (n * (n - 3)) + 4.0 * M.s3 * w3 / ((n - 1) * (n - 2) ** 2)
+    return w1 * M.s1 / (n * (n - 1)), cov, 2.0 * (A @ M.lag_sums)
 
 
 def _zc_bounds(M: MomentSummary, profiles: np.ndarray) -> np.ndarray:
@@ -404,7 +403,7 @@ def run_test(
         config = TestConfig()
     elif not isinstance(config, TestConfig):
         raise InvalidValue(f"config must be a TestConfig, got {type(config).__name__}")
-    S, M, profiles, (e_z, cov, z_c, clamped) = _observed(
+    S, M, profiles, (e_z, cov, z_c) = _observed(
         series, kernel, [weight_spec], hold=config.method == "permutation"
     )
     ez, var, zc = float(e_z[0]), float(cov[0, 0]), float(z_c[0])
@@ -416,8 +415,6 @@ def run_test(
         diagnostics = DiagnosticsReport(nan, nan, nan, zc / math.sqrt(M.n), (str(exc),))
         degenerate_field = True
     extra = list(diagnostics.warnings)
-    if clamped:
-        extra.append("variance formula returned a tiny negative value; clamped to 0")
 
     if degenerate_field or var == 0.0:
         if not degenerate_field:
@@ -475,7 +472,7 @@ def mahalanobis_aggregate(
     if B < 500:
         raise InvalidValue(f"need at least 500 permutations, got {B}")
     seed = _check_seed(seed)
-    S, M, profiles, (_, cov, d_obs, _) = _observed(series, kernel, weight_specs)
+    S, M, profiles, (_, cov, d_obs) = _observed(series, kernel, weight_specs)
     _check_spread(M)
     inverse = np.linalg.pinv(cov, _PINV_REL, True)
     x_obs = inverse @ d_obs

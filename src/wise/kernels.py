@@ -459,9 +459,10 @@ def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:
     # the base's S is its negated distances, and negating back is exact
     a = squareform(_condensed(base, flat))
     np.negative(a, out=a)
-    np.fill_diagonal(a, np.inf)
-    # stable argsort on each row: equal distances keep index order; ravel
-    # copies the k nearest, so the n x n order is freed at once
+    # NaN sorts after inf, so no point is its own neighbour; equal distances
+    # keep index order in a stable argsort, and ravel copies the k nearest,
+    # so the n x n order is freed at once
+    np.fill_diagonal(a, np.nan)
     neighbors = np.argsort(a, axis=1, kind="stable")[:, :k].ravel()
     # the distances' buffer becomes (A + A^T) / 2: each edge adds 0.5 both ways
     a.fill(0.0)

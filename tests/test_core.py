@@ -203,16 +203,16 @@ def test_moment_summary_row_sum_identities():
         assert M.s_abs_row == pytest.approx(np.abs(B).sum(axis=1), rel=1e-12)
 
 
-# _BATCH_PAIRS = 1 and 7 put one row in each block at these n, 64 several
-# rows at small n with a ragged last block, 3000 a run of blocks of many
-# rows at n = 64 to 257, and 2^16 every row in one block up to n = 65. The
-# walk never reads the weight; each weight checks its own sums and the zc
-# that its profile makes of the walk's lag sums at this block size
+# a held S is walked on the tiles of _tiles(n), of at most _TILE_PAIRS
+# pairs: 1 makes every tile one row, 7 a few rows with a tail of 4 rows, 64
+# a tail of 11, and 2^15 one tail triangle of up to 256 rows. The walk never
+# reads the weight; each weight checks its own sums and the zc that its
+# profile makes of the walk's lag sums at this tile size
 @pytest.mark.parametrize("weight", ["default", "geometric:rho=0.5", "cosine:l=4"])
 @pytest.mark.parametrize("n", [4, 5, 9, 64, 65, 257])
-@pytest.mark.parametrize("batch", [1, 7, 64, 3000, 1 << 16])
-def test_moment_walk_matches_dense_reference_at_any_block_size(batch, n, weight, monkeypatch):
-    monkeypatch.setattr(core, "_BATCH_PAIRS", batch)
+@pytest.mark.parametrize("tile", [1, 7, 64, 2**15])
+def test_moment_walk_matches_dense_reference_at_any_tile_size(tile, n, weight, monkeypatch):
+    monkeypatch.setattr(kernels, "_TILE_PAIRS", tile)
     series = ObservationSeries("vector", np.random.default_rng(n).standard_normal((n, 3)))
     S = build_similarity_matrix(series, neg_l1())
     W = build_weight_matrix(n, parse_weight_spec(weight))

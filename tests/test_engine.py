@@ -4,6 +4,7 @@ import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,6 +159,13 @@ class TestPermutationMoments:
         with pytest.raises(TooFewObservations):
             _raw_moments(M, W.profile[None])
 
+    def test_a_misfed_summary_is_an_invalid_value(self):
+        # no field of 4 points has s3 > (n - 2) s2 / 2: the doubly centered
+        # norm of S comes out negative beyond rounding
+        M = replace(moment_summary(single_pair()), s3=2.0)
+        with pytest.raises(InvalidValue, match="beyond rounding"):
+            _raw_moments(M, build_weight_matrix(4, default_weight()).profile[None])
+
 
 class TestEnumerateMoments:
     def test_three_point_oracle(self):
@@ -218,11 +226,32 @@ class TestEnumerateMoments:
         zs = np.stack([enumerate_z(S, W) for W in Ws], axis=1)
         every = zs - zs.mean(axis=0)
         want = every.T @ every / len(every)
-        e_z, cov, _, clamped = _raw_moments(moment_summary(S), np.stack([W.profile for W in Ws]))
+        e_z, cov, _ = _raw_moments(moment_summary(S), np.stack([W.profile for W in Ws]))
         scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
         assert np.all(np.abs(cov - want) <= 1e-12 * scale)
         assert e_z == pytest.approx(zs.mean(axis=0), rel=1e-12)
-        assert not clamped
+        assert np.all(np.diag(cov) >= 0.0)
+
+    # S_ij = f_i + f_j off the diagonal is all row effect, so its doubly
+    # centered part is 0 and varZ is the row-sum term alone; a circulant S
+    # has equal row sums, so s3 = 0 and varZ is the doubly centered term alone
+    @pytest.mark.parametrize("weight", ["default", "cosine:l=4", "geometric:rho=0.5"])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_each_variance_term_alone_agrees_with_enumeration(self, n, weight):
+        W = build_weight_matrix(n, parse_weight_spec(weight))
+        _, ((w2,),), ((w3,),), _ = _weight_sums(W.profile[None])
+        rng = np.random.default_rng(400 + n)
+        f, h = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n // 2 + 1)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        row_term = lambda M: 4.0 * M.s3 * w3 / ((n - 1) * (n - 2) ** 2)
+        centered_term = lambda M: 2.0 * M.s2 * (w2 - 2.0 * w3 / (n - 2)) / (n * (n - 3))
+        additive, circulant = sim(f[:, None] + f[None, :]), sim(h[np.minimum(lag, n - lag)])
+        for S, term in ((additive, row_term), (circulant, centered_term)):
+            M = moment_summary(S)
+            _, var_e = enumerate_moments(S, W)
+            (_,), ((var_c,),) = _raw_moments(M, W.profile[None])[:2]
+            assert term(M) == pytest.approx(var_e, rel=1e-10)
+            assert var_c == pytest.approx(var_e, rel=1e-10)
 
 
 class TestRunTest:
@@ -483,6 +512,19 @@ class TestLargeN:
         zc, var = long_double_centered_moments(S.values, weight_profile(default_weight(), np.arange(n)))
         zc_got = np.longdouble(res.z_g) * np.sqrt(np.longdouble(res.var_z))
         assert abs(zc_got - zc) / np.sqrt(var) < 2e-12
+
+    # every distance of constant data ties, so knn makes a sparse, structured
+    # field whose s2 a running sum once took to 1.6e-13, which the variance's
+    # one cancellation, b = s2 - 2 s3 / (n - 2), multiplied by s2 / b
+    @pytest.mark.parametrize("weight", ["default", "cosine:l=4"])
+    def test_var_z_of_a_tied_knn_field_matches_long_double_reference(self, weight):
+        n = 400
+        series = ObservationSeries("vector", np.ones((n, 3)))
+        kernel, spec = parse_kernel_spec("knn:k=3"), parse_weight_spec(weight)
+        res = run_test(series, kernel, spec)
+        S = build_similarity_matrix(series, kernel).values
+        _, var = long_double_centered_moments(S, weight_profile(spec, np.arange(n)))
+        assert abs(res.var_z - var) <= 1e-12 * var
 
     def test_analytic_memory_at_n_2000(self):
         # S stays pdist's condensed half; nothing n x n is made on the way
@@ -1008,7 +1050,7 @@ class TestLagSumDraws:
         for kernel in (neg_l1(), knn_affinity(2, neg_l2())):
             S = build_similarity_matrix(series, kernel)
             M = moment_summary(S)
-            e_z, _, observed, _ = _raw_moments(M, profiles)
+            e_z, _, observed = _raw_moments(M, profiles)
             bound = M.s_abs_max * (2.0 * (n - np.arange(n)) @ np.abs(profiles.T))
             draws = engine._lag_sum_draws(S.condensed, centered, B, seed)
             perms = [np.arange(n), *stream_perms(seed, n, B)]

@@ -309,10 +309,10 @@ def _series(kind, shape, ties, n=30):
 
 def _knn(dist, k):
     """(A + A^T) / 2 of each point's k nearest under the square distances
-    ``dist``, ties to the lower index."""
+    ``dist``, ties to the lower index; NaN sorts last, so never itself."""
     n = dist.shape[0]
     dist = dist.copy()
-    np.fill_diagonal(dist, np.inf)
+    np.fill_diagonal(dist, np.nan)
     a = np.zeros((n, n))
     for i in range(n):
         a[i, np.argsort(dist[i], kind="stable")[:k]] = 1.0
@@ -353,16 +353,20 @@ def test_knn_equals_inline_construction(base, ties):
     assert_layout(pairwise_similarity(spec, series), want)
 
 
-def test_knn_of_base_distances_that_overflow_is_a_graph():
-    # the shifted rows are equal to each other and an inf distance from the
-    # rest, past the float64 range: the graph is built as from finite ones
+# the shifted rows are equal to each other and an inf distance from the
+# rest, past the float64 range: the graph is built as from finite ones. One
+# shifted row is an inf distance from every other row, as an inf diagonal
+# would be from itself, and still takes 3 neighbours, none of them itself
+@pytest.mark.parametrize("shifted", [slice(None, None, 3), 1], ids=["every third row", "one row"])
+def test_knn_of_base_distances_that_overflow_is_a_graph(shifted):
     data = np.random.default_rng(8).standard_normal((12, 3))
-    data[::3] += 1e200
+    data[shifted] += 1e200
     series = ObservationSeries("vector", data)
     with np.errstate(over="ignore"):
         dist = squareform(pdist(data, "euclidean"))
         S = pairwise_similarity(knn_affinity(3, neg_l2()), series)
     assert np.isinf(dist).any()
+    assert (S.values != 0.0).sum(axis=1).min() >= 3
     assert_layout(S, _knn(dist, 3))
 
 
