@@ -205,12 +205,13 @@ def test_moment_summary_row_sum_identities():
 
 # a held S is walked on the tiles of _tiles(n), of at most _TILE_PAIRS
 # pairs: 1 makes every tile one row, 7 a few rows with a tail of 4 rows, 64
-# a tail of 11, and 2^15 one tail triangle of up to 256 rows. The walk never
-# reads the weight; each weight checks its own sums and the zc that its
-# profile makes of the walk's lag sums at this tile size
+# a tail of 11, 1000 a run of tiles of several rows each before a tail of
+# 45 from n = 64 on, and 2^15 one tail triangle of up to 256 rows. The walk
+# never reads the weight; each weight checks its own sums and the zc that
+# its profile makes of the walk's lag sums at this tile size
 @pytest.mark.parametrize("weight", ["default", "geometric:rho=0.5", "cosine:l=4"])
 @pytest.mark.parametrize("n", [4, 5, 9, 64, 65, 257])
-@pytest.mark.parametrize("tile", [1, 7, 64, 2**15])
+@pytest.mark.parametrize("tile", [1, 7, 64, 1000, 2**15])
 def test_moment_walk_matches_dense_reference_at_any_tile_size(tile, n, weight, monkeypatch):
     monkeypatch.setattr(kernels, "_TILE_PAIRS", tile)
     series = ObservationSeries("vector", np.random.default_rng(n).standard_normal((n, 3)))
