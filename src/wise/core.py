@@ -150,7 +150,7 @@ _NO_BAND = (np.zeros(0, np.int32), np.zeros(0))
 
 
 def _tile_sums(buffer: np.ndarray, k: int, cols: int, c: float, eps: Optional[float]):
-    """The walk's sums of one tile, in kernels._scatter's layout, about c.
+    """The walk's sums of one tile, in kernels._tile's layout, about c.
 
     Returns the sum and extremes of S over the tile's pairs, s2 of u = S - c,
     the rows' and the columns' sums of u, |u| and sign u (3 x k and 3 x

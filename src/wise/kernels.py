@@ -17,13 +17,13 @@ integral uses the trapezoidal rule on that grid. Quantile observations are
 discretized quantile functions on a uniform probability grid, so the mean
 absolute difference is the discrete 1-Wasserstein distance.
 
-The pairs i < j are cut one way, into the tiles of _tiles: each a cdist
-rectangle of a few rows against the rows after them, or the tail's pdist
-triangle. pairwise_similarity holds S as pdist's condensed vector, filled
-from the tiles on a thread pool once the input is large. For the analytic
-test at large n, tile_similarity instead hands S to a visitor one tile at a
-time and holds none of it after. Either way every pair has the value one
-pdist call gives it.
+The pairs i < j are cut one way, into the tiles of _tiles: each one cdist
+rectangle of a few rows against the rows after the first, within a cap on
+its entries, made by _tile. pairwise_similarity holds S as pdist's
+condensed vector, filled from the tiles on a thread pool once the input is
+large. For the analytic test at large n, tile_similarity instead hands S to
+a visitor one tile at a time and holds none of it after. Either way every
+pair has the value one pdist call gives it.
 
 The knn_affinity kernel is defined at matrix level only: entry (i, j) is 1
 when each point is among the other's k nearest under a base distance, 1/2
@@ -73,6 +73,9 @@ class KernelSpec(Spec):
         if self.family == "knn_affinity" and self.base is None:
             object.__setattr__(self, "base", KernelSpec("neg_l1"))
         super().__post_init__()
+        # the gaussian divides by sigma^2, which must be a positive float
+        if self.sigma is not None and not 0.0 < self.sigma * self.sigma < math.inf:
+            raise BadWeightParam(f"gaussian requires sigma squared in (0, inf), got {self.sigma}")
         if self.base is not None and not _FAMILIES[self.base.family].distance:
             raise BadWeightParam(
                 f"knn base must be a distance kernel, got {self.base.family!r}"
@@ -172,8 +175,9 @@ def knn_affinity(k: int, base: Optional[KernelSpec] = None) -> KernelSpec:
 # it, and on more than one thread, S is filled from tiles of at most this
 # many operations each (see _condensed)
 _BLOCK_OPS = 2**24
-# the most pairs in one tile of _tiles, and the moment walk's cap whatever
-# the row length: a tile's cdist rectangle is the one buffer each worker adds
+# the most entries in one tile's cdist rectangle (see _tiles), and the
+# moment walk's cap whatever the row length: that rectangle is the one
+# buffer each worker adds
 _TILE_PAIRS = 2**15
 
 
@@ -303,23 +307,21 @@ def _upper(rows: int, cols: int) -> np.ndarray:
     return mask
 
 
-def _tiles(n: int, pairs: Optional[int] = None) -> List[int]:
+def _tiles(n: int, cap: Optional[int] = None) -> List[int]:
     """Row bounds of the tiles of the pairs i < j of n rows, from 0 to n - 1.
 
-    Tile [t, u) holds the pairs of rows t to u - 1: one row, or as many as
-    keep it within ``pairs`` pairs (default _TILE_PAIRS). The last tile is
-    the tail triangle of the most rows whose pairs fit in ``pairs``. The
-    bounds depend on n and ``pairs`` alone, so every sum taken tile by tile
-    is the same however the tiles are made and on however many threads.
+    Tile [t, u) is rows t to u - 1 against the rows after t: one row, or as
+    many as keep its rectangle, (u - t) (n - 1 - t) entries, within ``cap``
+    (default _TILE_PAIRS). The bounds depend on n and ``cap`` alone, so
+    every sum taken tile by tile is the same however the tiles are made and
+    on however many threads.
     """
-    pairs = _TILE_PAIRS if pairs is None else pairs
-    # the largest m with m (m - 1) / 2 <= pairs
-    tail = max(0, n - (1 + math.isqrt(1 + 8 * pairs)) // 2)
+    cap = _TILE_PAIRS if cap is None else cap
     bounds = [0]
-    while bounds[-1] < tail:
+    while bounds[-1] < n - 1:
         t = bounds[-1]
-        bounds.append(min(tail, t + max(1, pairs // (n - 1 - t))))
-    return bounds + [max(n - 1, 0)]
+        bounds.append(min(n - 1, t + max(1, cap // (n - 1 - t))))
+    return bounds
 
 
 def _row_start(i, n: int):
@@ -329,13 +331,8 @@ def _row_start(i, n: int):
 
 
 def _scatter(pairs: np.ndarray, k: int, cols: int) -> np.ndarray:
-    """A tile's pairs, in pdist's order, as a fresh tile buffer.
-
-    The buffer holds k + 1 rows of cols: row r holds the pairs of row t + r
-    at columns c >= r, column c being row t + 1 + c, the entries left of
-    them are 0 and the last row is spare. A tile's cdist rectangle has the
-    same layout.
-    """
+    """A tile's pairs, in pdist's order, in the layout of _tile's buffer,
+    with 0 left of them; the walk of a held S reads its tiles so."""
     buffer = np.zeros((k + 1) * cols)
     buffer[: k * cols].reshape(k, cols)[_upper(k, cols)] = pairs
     return buffer
@@ -351,17 +348,32 @@ def _similarity(spec: KernelSpec, d: np.ndarray, p: int) -> np.ndarray:
     return np.negative(d, out=d) if family.transform is None else family.transform(d, spec)
 
 
+def _tile(spec: KernelSpec, rows: np.ndarray, t: int, u: int) -> np.ndarray:
+    """Tile [t, u) of the S of the n rows (see _tiles) as a fresh buffer of
+    k + 1 rows of cols, k = u - t and cols = n - 1 - t.
+
+    Its first k rows are the cdist rectangle of rows t to u - 1 against the
+    rows after t, put through the formula: row r holds the pairs of row
+    t + r at columns c >= r, column c being row t + 1 + c. The entries left
+    of them hold no pair of the tile, and the last row is spare.
+    """
+    k, cols = u - t, len(rows) - 1 - t
+    buffer = np.empty((k + 1) * cols)
+    rect = buffer[: k * cols].reshape(k, cols)
+    cdist(rows[t:u], rows[t + 1 :], _FAMILIES[spec.family].metric, out=rect)
+    _similarity(spec, rect, rows.shape[1])
+    return buffer
+
+
 def _condensed(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
     """Fresh condensed S of the rows of flat, in pdist's order.
 
     On one thread, or at no more than _BLOCK_OPS pair x feature operations,
-    this is one pdist call. Otherwise the tiles of _tiles, each of at most
+    this is one pdist call. Otherwise the tiles of _tiles, each within
     _BLOCK_OPS operations, run on a thread pool made for the call, in runs
-    of consecutive tiles. A tile is a cdist rectangle, whose rows' pairs are
-    copied into their slice of S, or the tail's pdist triangle, written into
-    its slice; the worker then puts the slice through the formula. Each pair
-    holds pdist's own number, so S is byte-identical at any tile size and
-    thread count.
+    of consecutive tiles, and each row's pairs are copied from its tile
+    into their slice of S. Each pair holds pdist's own number, so S is
+    byte-identical at any tile size and thread count.
     """
     family = _FAMILIES[spec.family]
     flat = _rows(family, flat)
@@ -376,14 +388,9 @@ def _condensed(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
 
     def fill(spans):
         for t, u in spans:
-            a = _row_start(t, n)
-            if u == bounds[-1]:
-                pdist(flat[t:], family.metric, out=d[a:])
-            else:
-                rect = cdist(flat[t:u], flat[t + 1 :], family.metric)
-                for i in range(t, u):
-                    d[_row_start(i, n) : _row_start(i + 1, n)] = rect[i - t, i - t :]
-            _similarity(spec, d[a : _row_start(u, n)], p)
+            rect = _tile(spec, flat, t, u).reshape(u - t + 1, n - 1 - t)
+            for i in range(t, u):
+                d[_row_start(i, n) : _row_start(i + 1, n)] = rect[i - t, i - t :]
 
     # runs of consecutive tiles of about equal pairs, about eight per worker:
     # one pool task each, so a tile costs no task of its own, and a worker
@@ -414,27 +421,17 @@ def tile_similarity(
     """visit(buffer, k, cols) on each tile of S, in tile order (see _tiles),
     without holding S; a family with a formula only.
 
-    A tile is one cdist rectangle of its k rows against the rows after its
-    first, or the tail's pdist triangle scattered into the same layout (see
-    _scatter); the entries left of column r in row r hold no pair of the
-    tile. The tiles run on a thread pool made for the call, at most two per
-    thread ahead of the one handed back, and visit runs on the thread that
-    made the tile. Each pair's value is its value in pairwise_similarity.
+    buffer is the tile's k + 1 rows of cols from _tile. The tiles run on a
+    thread pool made for the call, at most two per thread ahead of the one
+    handed back, and visit runs on the thread that made the tile. Each
+    pair's value is its value in pairwise_similarity.
     """
-    family = _FAMILIES[spec.family]
-    flat = _rows(family, _flat(spec, series))
-    n, p = flat.shape
+    flat = _rows(_FAMILIES[spec.family], _flat(spec, series))
+    n = len(flat)
     bounds = _tiles(n)
 
     def tile(t: int, u: int):
-        k, cols = u - t, n - 1 - t
-        if u == bounds[-1]:
-            buffer = _scatter(_similarity(spec, pdist(flat[t:], family.metric), p), k, cols)
-        else:
-            buffer = np.empty((k + 1) * cols)
-            rect = buffer[: k * cols].reshape(k, cols)
-            _similarity(spec, cdist(flat[t:u], flat[t + 1 :], family.metric, out=rect), p)
-        return visit(buffer, k, cols)
+        return visit(_tile(spec, flat, t, u), u - t, n - 1 - t)
 
     spans = list(zip(bounds, bounds[1:]))
     workers = thread_count()

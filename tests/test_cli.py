@@ -111,6 +111,14 @@ class TestTestCommand:
     def test_unknown_kernel_family_is_usage_error(self, series_csv):
         assert main(["test", "--input", series_csv, "--similarity", "cosine_sim"]) == 2
 
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+    def test_gaussian_sigma_whose_square_overflows_or_underflows_is_usage_error(
+        self, series_csv, capsys, sigma
+    ):
+        code = main(["test", "--input", series_csv, "--similarity", f"gaussian:sigma={sigma}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["test", "--input", str(tmp_path / "nope.csv")]) == 1
 

@@ -203,12 +203,14 @@ def test_moment_summary_row_sum_identities():
         assert M.s_abs_row == pytest.approx(np.abs(B).sum(axis=1), rel=1e-12)
 
 
-# a held S is walked on the tiles of _tiles(n), of at most _TILE_PAIRS
-# pairs: 1 makes every tile one row, 7 a few rows with a tail of 4 rows, 64
-# a tail of 11, 1000 a run of tiles of several rows each before a tail of
-# 45 from n = 64 on, and 2^15 one tail triangle of up to 256 rows. The walk
-# never reads the weight; each weight checks its own sums and the zc that
-# its profile makes of the walk's lag sums at this tile size
+# a held S is walked on the tiles of _tiles(n), each one row or a rectangle
+# of at most _TILE_PAIRS entries: 1 makes every tile one row, 7 one-row
+# tiles and one of 2 rows, 64 and 1000 a single tile up to n = 9, and from
+# n = 64 on, 64 one-row tiles that run into tiles of up to 6 rows and 1000
+# tiles of 15 to 29 rows at n = 64 and 65 and of 3 to 28 at n = 257; 2^15
+# makes a single tile but at n = 257, two of 128 rows. The walk never
+# reads the weight; each weight checks its own sums and the zc that its
+# profile makes of the walk's lag sums at this tile size
 @pytest.mark.parametrize("weight", ["default", "geometric:rho=0.5", "cosine:l=4"])
 @pytest.mark.parametrize("n", [4, 5, 9, 64, 65, 257])
 @pytest.mark.parametrize("tile", [1, 7, 64, 1000, 2**15])
@@ -271,8 +273,10 @@ def test_pilot_walk_matches_dense_reference(n, margin, monkeypatch):
     assert M.s_abs_max == np.abs(S.condensed - M.s1 / (n * (n - 1))).max()
 
 
-# with the streaming size at one pair every n streams; tiles of 1 pair are
-# one row each, of 7 a few rows with a tail of 4 rows, of 64 a tail of 12
+# with the streaming size at one pair every n streams; a cap of 1 entry
+# makes every tile one row, 7 one-row tiles and one of 2 rows, 64 a single
+# tile up to n = 9 and tiles of 1 to 6 rows from n = 64 on, and 2^15 a
+# single tile but at n = 257, two of 128 rows
 @pytest.mark.parametrize("tile", [1, 7, 64, 2**15])
 @pytest.mark.parametrize("n", [4, 5, 9, 64, 65, 257])
 def test_streamed_walk_matches_held_walk_and_dense_reference_at_any_tile_size(n, tile, monkeypatch):

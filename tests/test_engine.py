@@ -604,21 +604,36 @@ class TestStreamedWalk:
     def test_the_size_is_above_the_streaming_size(self):
         assert self.n * (self.n - 1) // 2 >= core._STREAM_PAIRS
 
-    @pytest.mark.parametrize("weight", ["default", "cosine:l=4"])
+    # the per-column division and the matrix and quantile kinds need one
+    # weight each: the walk reads no weight
     @pytest.mark.parametrize(
-        "text, kind",
+        "text, kind, weight",
         [
-            ("neg_l1", "vector"),
-            ("neg_l2", "vector"),
-            ("gaussian:sigma=2", "vector"),
-            ("functional_l2", "function"),
+            (text, kind, weight)
+            for text, kind in [
+                ("neg_l1", "vector"),
+                ("neg_l2", "vector"),
+                ("gaussian:sigma=2", "vector"),
+                ("functional_l2", "function"),
+            ]
+            for weight in ["default", "cosine:l=4"]
+        ]
+        + [
+            ("neg_sq_l2_scaled", "vector", "default"),
+            ("frobenius", "matrix", "default"),
+            ("wasserstein1_quantile", "quantile", "default"),
         ],
     )
     def test_streamed_held_and_precomputed_s_agree_on_any_thread_count(
         self, text, kind, weight, monkeypatch
     ):
         spec, w = parse_kernel_spec(text), parse_weight_spec(weight)
-        series = ObservationSeries(kind, iid_or_var1("var1", self.n, 8).data)
+        data = iid_or_var1("var1", self.n, 8).data
+        if kind == "matrix":
+            data = data.reshape(self.n, 2, 4)
+        elif kind == "quantile":
+            data = np.sort(data, axis=1)
+        series = ObservationSeries(kind, data)
         S = pairwise_similarity(spec, series)
         held = self.numbers(run_test(series, S, w))
         with monkeypatch.context() as m:

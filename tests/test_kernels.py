@@ -188,6 +188,10 @@ def test_gaussian_requires_positive_sigma():
         gaussian(-1.0)
     with pytest.raises(BadWeightParam):
         gaussian(math.inf)
+    # sigma^2 overflows to inf past about 1.3e154 and is 0 below about 1e-162
+    for sigma in (1e200, 1e-200):
+        with pytest.raises(BadWeightParam, match="squared"):
+            gaussian(sigma)
 
 
 @pytest.mark.parametrize(
@@ -244,6 +248,9 @@ def test_parse_out_of_range_kernel_parameter():
         parse_kernel_spec("gaussian:sigma=0")
     with pytest.raises(BadWeightParam):
         parse_kernel_spec("gaussian:sigma=inf")
+    for sigma in ("1e200", "1e-200"):
+        with pytest.raises(BadWeightParam, match="squared"):
+            parse_kernel_spec(f"gaussian:sigma={sigma}")
     with pytest.raises(BadWeightParam):
         parse_kernel_spec("knn:k=2,base=gaussian:sigma=1")
 
@@ -373,9 +380,11 @@ def test_knn_of_base_distances_that_overflow_is_a_graph(shifted):
 # up to _BLOCK_OPS pair x feature operations S is one pdist call, and past it
 # (on more than one thread) it is filled from the tiles of _tiles: 1 puts
 # every case on the tiles, 100 all but n = 4, and 10^4 only n = 301 and the
-# functional series at n = 50. A tile holds at most _TILE_PAIRS pairs, here
-# 1, 2n or 2^16, and at most _BLOCK_OPS operations, so at 1 every tile is
-# one row and at 100 at most 20 pairs
+# functional series at n = 50. A tile is one row or a rectangle of at most
+# _TILE_PAIRS entries, here 1, 2n or 2^16, and of at most _BLOCK_OPS
+# operations: at 1 every tile is one row, at 100 tiles have 1 to 4 rows,
+# and at 10^4 with 2^16 every tile has 3 rows or more. Past _BLOCK_OPS the
+# pairs never fit in one rectangle of the cap
 @pytest.mark.parametrize("tile", ["1 row", "2 rows", "many rows"])
 @pytest.mark.parametrize("block_ops", [1, 100, 10**4])
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -393,6 +402,19 @@ def test_blocked_kernel_is_byte_identical_to_pdist(family, n, threads, block_ops
     assert S.condensed.tobytes() == want[np.triu_indices(n, 1)].tobytes()
 
 
+@pytest.mark.parametrize("cap", [1, 7, 64, 1000, 2**15])
+def test_every_tile_is_one_row_or_a_rectangle_within_the_cap(cap):
+    for n in [*range(2, 301), 1449, 4000]:
+        bounds = kernels._tiles(n, cap)
+        assert bounds[0] == 0 and bounds[-1] == n - 1, n
+        for t, u in zip(bounds, bounds[1:]):
+            entries = (u - t) * (n - 1 - t)
+            assert u > t, (n, t)
+            assert u == t + 1 or entries <= cap, (n, t, u)
+            # as many rows as fit: one more would pass the cap
+            assert u == n - 1 or entries + n - 1 - t > cap, (n, t, u)
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("layout", ["fortran", "sliced"])
 @pytest.mark.parametrize("spec", [KernelSpec(f) for f in INLINE] + [gaussian(1.7)], ids=str)
@@ -401,15 +423,16 @@ def test_blocked_kernel_reads_any_memory_layout(spec, layout, threads, monkeypat
     x = wide[:, ::2] if layout == "sliced" else np.asfortranarray(wide)
     want = kernels._condensed(spec, np.ascontiguousarray(x))  # one pdist call
     monkeypatch.setenv("WISE_THREADS", threads)
-    # 1800 / 36 columns allows the 100 pairs: cdist tiles of 1 to 5 rows
+    # 1800 operations allow 50 entries of the 36 columns and all 100 of the
+    # 18 sliced ones: tiles of 1 to 6 and of 1 to 7 rows
     monkeypatch.setattr(kernels, "_BLOCK_OPS", 1800)
     monkeypatch.setattr(kernels, "_TILE_PAIRS", 100)
     assert kernels._condensed(spec, x).tobytes() == want.tobytes()
 
 
 def _blocked_setup(monkeypatch):
-    """Two threads and the tile pass: cdist tiles of 2 to 5 rows, then the
-    tail's pdist triangle of 14 rows; returns a series and its neg_l1 pairs."""
+    """Two threads and the tile pass: tiles of 2 to 9 rows, each of at most
+    100 entries; returns a series and its neg_l1 pairs."""
     monkeypatch.setenv("WISE_THREADS", "2")
     monkeypatch.setattr(kernels, "_BLOCK_OPS", 500)  # 500 / 5 columns: 100 pairs
     monkeypatch.setattr(kernels, "_TILE_PAIRS", 100)
@@ -523,8 +546,8 @@ def test_a_fan_out_inside_a_range_forks_no_further(monkeypatch):
 
 def test_blocked_kernel_memory_at_n_2000(monkeypatch):
     # p = 2 gives the widest tiles. At 2^21 operations S is filled from the
-    # tiles: tiles of 16 rows, then the tail, whose pdist writes into S. Only
-    # each worker's cdist rectangle is extra, capped at 2^15 pairs
+    # tiles: 16 rows at first, 161 at the end. Only each worker's cdist
+    # rectangle is extra, capped at 2^15 entries
     n = 2000
     monkeypatch.setenv("WISE_THREADS", "2")
     monkeypatch.setattr(kernels, "_BLOCK_OPS", 2**21)
