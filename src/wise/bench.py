@@ -279,7 +279,7 @@ def plan_from_json_obj(obj) -> ExperimentPlan:
 
 def load_plan(path: str) -> ExperimentPlan:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ExperimentError(f"cannot read plan {path}: {exc}") from exc

@@ -4,9 +4,9 @@ Lag weights stay a Toeplitz profile, so their sums cost O(n). S is read in
 one centered walk over the tiles of kernels._tiles, whose rows depend on n
 alone. The walk reads no weight and yields every sum of S the moments, the
 regularity ratios and Z - EZ need (see MomentSummary). A held S, pdist's
-condensed vector of the pairs i < j, is walked tile by tile; from
-_STREAM_PAIRS pairs on, the analytic test walks the kernel's tiles as they
-are made and never holds S (kernel_summary).
+condensed vector of the pairs i < j, is walked on the calling thread; from
+_STREAM_PAIRS pairs on, the analytic test walks the kernel's tiles as its
+workers make them and never holds S (kernel_summary).
 
 Only the absolute row sums need the mean m of the pairs before their pass.
 So from _STREAM_PAIRS pairs on, held or not, the walk is centered at c, the
@@ -19,7 +19,7 @@ _summary). Below that size a held S is centered at its mean.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -28,12 +28,16 @@ from ._grammar import _check_count
 from .errors import InvalidValue, ShapeMismatch, TooFewObservations
 from .kernels import (
     KernelSpec,
+    _flat,
     _row_start,
+    _rows,
     _scatter,
+    _tile,
     _tiles,
     pairwise_similarity,
     pilot_similarity,
-    tile_similarity,
+    thread_count,
+    tile_pass,
 )
 from .types import MomentSummary, ObservationSeries, SimilarityMatrix, WeightMatrix
 from .weights import WeightSpec, weight_profile
@@ -208,9 +212,9 @@ def _pilot_center(pilot: np.ndarray) -> Tuple[float, float]:
     return c, _BAND_SE * spread / math.sqrt(len(pilot))
 
 
-def _summary(n: int, walk, c: float, eps: Optional[float]) -> MomentSummary:
-    """MomentSummary from walk(c, eps), which yields the _tile_sums of each
-    tile of kernels._tiles(n) in order.
+def _summary(n: int, make, workers: int, c: float, eps: Optional[float]) -> MomentSummary:
+    """MomentSummary from the _tile_sums of each tile [t, u) of _tiles(n), made
+    by make(t, u) in _tile's layout, one tile per run of tile_pass.
 
     The tiles' sums are added here in tile order, so they do not depend on
     which thread took which tile. With delta = m - c, m the mean of the
@@ -224,12 +228,17 @@ def _summary(n: int, walk, c: float, eps: Optional[float]) -> MomentSummary:
     """
     pairs = n * (n - 1)
     bounds = _tiles(n)
+    runs = [[span] for span in zip(bounds, bounds[1:])]
+
+    def visit(buffer, t, u):
+        return _tile_sums(buffer, u - t, n - 1 - t, c, eps)
+
     while True:
         sums = np.zeros((3, n))
         lag_sums = np.zeros(n)
         total, s2, high, low = 0.0, 0.0, -math.inf, math.inf
         bands = []
-        for t, tile in zip(bounds, walk(c, eps)):
+        for t, (tile,) in zip(bounds, tile_pass(make, runs, visit, workers)):
             part, hi, lo, sq, rows, columns, lags, band = tile
             total += part
             s2 += sq
@@ -278,29 +287,26 @@ def moment_summary(S: SimilarityMatrix) -> MomentSummary:
     into the layout of the kernel's tiles, about the pilot's center from
     _STREAM_PAIRS pairs on, so a held S gives the numbers that
     kernel_summary gives without holding S; below that, about the mean of
-    S.condensed. Nothing n x n is made.
+    S.condensed. Nothing n x n is made. Its tiles are copies of S, which
+    measured faster on the calling thread than on a pool.
     """
     if not isinstance(S, SimilarityMatrix):
         raise InvalidValue(f"S must be a SimilarityMatrix, got {type(S).__name__}")
     n = S.n
     if n < 2:
         raise TooFewObservations(f"moment sums need n >= 2, got {n}")
-    bounds = _tiles(n)
 
-    def walk(c, eps):
-        for t, u in zip(bounds, bounds[1:]):
-            k, cols = u - t, n - 1 - t
-            pairs = S.condensed[_row_start(t, n) : _row_start(u, n)]
-            yield _tile_sums(_scatter(pairs, k, cols), k, cols, c, eps)
+    def make(t, u):
+        return _scatter(S.condensed[_row_start(t, n) : _row_start(u, n)], u - t, n - 1 - t)
 
     if n * (n - 1) // 2 >= _STREAM_PAIRS:
-        return _summary(n, walk, *_pilot_center(S.condensed[_pilot_index(n)]))
-    return _summary(n, walk, float(S.condensed.sum()) / len(S.condensed), None)
+        return _summary(n, make, 1, *_pilot_center(S.condensed[_pilot_index(n)]))
+    return _summary(n, make, 1, float(S.condensed.sum()) / len(S.condensed), None)
 
 
 def kernel_summary(series: ObservationSeries, spec: KernelSpec) -> MomentSummary:
-    """moment_summary of the kernel's S, taken on the kernel's tiles as they
-    are made, so S is never held (see kernels.tile_similarity)."""
+    """moment_summary of the kernel's S, taken on the kernel's tiles as
+    thread_count() workers make them, so S is never held."""
     if not isinstance(series, ObservationSeries):
         raise InvalidValue(f"series must be an ObservationSeries, got {type(series).__name__}")
     if not isinstance(spec, KernelSpec):
@@ -314,7 +320,6 @@ def kernel_summary(series: ObservationSeries, spec: KernelSpec) -> MomentSummary
     if n < 2:
         raise TooFewObservations(f"moment sums need n >= 2, got {n}")
 
-    def walk(c, eps):
-        return tile_similarity(spec, series, lambda tile, k, cols: _tile_sums(tile, k, cols, c, eps))
-
-    return _summary(n, walk, *_pilot_center(pilot_similarity(spec, series, _pilot_groups(n))))
+    rows = _rows(spec, _flat(spec, series))
+    center = _pilot_center(pilot_similarity(spec, rows, _pilot_groups(n)))
+    return _summary(n, partial(_tile, spec, rows), thread_count(), *center)

@@ -182,7 +182,7 @@ def _parse_timestamp(raw: str, lineno: int, path: str) -> datetime:
 def read_checkin_csv(path: str) -> List[CheckinRecord]:
     """Read `timestamp,lat,lon` CSV with ISO-8601 timestamps."""
     out: List[CheckinRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):

@@ -3,8 +3,9 @@
 Vector series are plain CSV, one row per time index, one column per
 coordinate; a header row is detected and skipped. Matrix series are JSON
 lines, each line `{"t": int, "rows": int, "cols": int, "data": [row-major
-reals]}`. Heatmaps are written as plot-ready CSV plus an ASCII PGM (P2)
-image with values scaled from [min, max] to [0, 255].
+reals]}`, each t once and rows, cols >= 1. A file read may start with a
+UTF-8 byte-order mark. Heatmaps are written as plot-ready CSV plus an
+ASCII PGM (P2) image with values scaled from [min, max] to [0, 255].
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import List
 
 import numpy as np
 
+from ._grammar import integer, real_float
 from .errors import InvalidValue, ShapeMismatch
 
 # ---------------------------------------------------------------- vectors
@@ -22,7 +24,7 @@ from .errors import InvalidValue, ShapeMismatch
 
 def load_vector_csv(path: str) -> np.ndarray:
     rows: List[List[float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
@@ -62,8 +64,8 @@ def write_csv(path: str, values: np.ndarray):
 
 
 def load_matrix_jsonl(path: str) -> np.ndarray:
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    entries, seen = [], set()
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -73,12 +75,15 @@ def load_matrix_jsonl(path: str) -> np.ndarray:
             except json.JSONDecodeError as exc:
                 raise InvalidValue(f"{path}:{lineno}: invalid JSON: {exc}") from None
             try:
-                t = int(obj["t"])
-                rows = int(obj["rows"])
-                cols = int(obj["cols"])
-                data = obj["data"]
-            except (KeyError, TypeError, ValueError) as exc:
+                t, rows, cols = (integer(obj[key]) for key in ("t", "rows", "cols"))
+                data = [real_float(v) for v in obj["data"]]  # JSON numbers only
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise InvalidValue(f"{path}:{lineno}: bad record: {exc}") from None
+            if t in seen:
+                raise InvalidValue(f"{path}:{lineno}: t={t} repeats an earlier record")
+            seen.add(t)
+            if rows < 1 or cols < 1:
+                raise ShapeMismatch(f"{path}:{lineno}: {rows}x{cols} record, need 1x1 or more")
             if len(data) != rows * cols:
                 raise ShapeMismatch(
                     f"{path}:{lineno}: data length {len(data)} != rows*cols {rows * cols}"

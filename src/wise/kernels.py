@@ -19,11 +19,11 @@ absolute difference is the discrete 1-Wasserstein distance.
 
 The pairs i < j are cut one way, into the tiles of _tiles: each one cdist
 rectangle of a few rows against the rows after the first, within a cap on
-its entries, made by _tile. pairwise_similarity holds S as pdist's
-condensed vector, filled from the tiles on a thread pool once the input is
-large. For the analytic test at large n, tile_similarity instead hands S to
-a visitor one tile at a time and holds none of it after. Either way every
-pair has the value one pdist call gives it.
+its entries, made by _tile. tile_pass runs every pass over the tiles.
+pairwise_similarity holds S as pdist's condensed vector, filled from the
+tiles once the input is large. core's moment walk takes S's sums tile by
+tile, from a held S or from tiles as they are made, which it does not
+keep. Either way every pair has the value one pdist call gives it.
 
 The knn_affinity kernel is defined at matrix level only: entry (i, j) is 1
 when each point is among the other's k nearest under a base distance, 1/2
@@ -43,9 +43,9 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -264,12 +264,13 @@ def _fill_in_forks(
             os.waitpid(pid, 0)
 
 
-def _rows(family: _Family, flat: np.ndarray) -> np.ndarray:
-    """The rows the family's metric reads: prescaled, in one C-ordered copy at
+def _rows(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
+    """The rows the kernel's metric reads: prescaled, in one C-ordered copy at
     most, since each tile's cdist would otherwise copy the rows after it."""
     flat = np.ascontiguousarray(flat, dtype=np.float64)
-    if family.prescale is not None:
-        flat = flat * family.prescale(flat.shape[1])
+    prescale = _FAMILIES[spec.family].prescale
+    if prescale is not None:
+        flat = flat * prescale(flat.shape[1])
     return flat
 
 
@@ -365,88 +366,75 @@ def _tile(spec: KernelSpec, rows: np.ndarray, t: int, u: int) -> np.ndarray:
     return buffer
 
 
+def tile_pass(make: Callable, runs: Iterable, visit: Callable, workers: int) -> Iterator[list]:
+    """visit(make(t, u), t, u) on each tile [t, u) of each run, a list of
+    consecutive tiles, yielding each run's list of results in run order.
+
+    With one worker the runs run here, one after another. Otherwise each run
+    is one task on a thread pool made for the pass, at most two runs per
+    worker ahead of the one handed back, and a tile is made and visited on
+    the thread that takes its run. An error in a run is raised here once
+    the pool has finished the runs it was given, and takes the pool down.
+    """
+
+    def run(spans):
+        return [visit(make(t, u), t, u) for t, u in spans]
+
+    if workers == 1:
+        yield from map(run, runs)
+        return
+    with ThreadPoolExecutor(workers, thread_name_prefix="wise-kernel") as pool:
+        ahead = deque()
+        for spans in runs:
+            ahead.append(pool.submit(run, spans))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
 def _condensed(spec: KernelSpec, flat: np.ndarray) -> np.ndarray:
     """Fresh condensed S of the rows of flat, in pdist's order.
 
     On one thread, or at no more than _BLOCK_OPS pair x feature operations,
-    this is one pdist call. Otherwise the tiles of _tiles, each within
-    _BLOCK_OPS operations, run on a thread pool made for the call, in runs
-    of consecutive tiles, and each row's pairs are copied from its tile
-    into their slice of S. Each pair holds pdist's own number, so S is
+    this is one pdist call. Otherwise tile_pass runs the tiles of _tiles,
+    each within _BLOCK_OPS operations, on thread_count() workers, in runs of
+    consecutive tiles, and each row's pairs are copied from its tile into
+    their slice of S. Each pair holds pdist's own number, so S is
     byte-identical at any tile size and thread count.
     """
-    family = _FAMILIES[spec.family]
-    flat = _rows(family, flat)
+    flat = _rows(spec, flat)
     n, p = flat.shape
     d = np.empty(n * (n - 1) // 2)
     workers = thread_count()
     if workers == 1 or len(d) * p <= _BLOCK_OPS:
-        pdist(flat, family.metric, out=d)
+        pdist(flat, _FAMILIES[spec.family].metric, out=d)
         return _similarity(spec, d, p)
     # wide rows make smaller tiles, so there are still tiles for every worker
     bounds = _tiles(n, min(_TILE_PAIRS, max(1, _BLOCK_OPS // p)))
 
-    def fill(spans):
-        for t, u in spans:
-            rect = _tile(spec, flat, t, u).reshape(u - t + 1, n - 1 - t)
-            for i in range(t, u):
-                d[_row_start(i, n) : _row_start(i + 1, n)] = rect[i - t, i - t :]
+    def copy(buffer, t, u):
+        rect = buffer.reshape(u - t + 1, n - 1 - t)
+        for i in range(t, u):
+            d[_row_start(i, n) : _row_start(i + 1, n)] = rect[i - t, i - t :]
 
     # runs of consecutive tiles of about equal pairs, about eight per worker:
     # one pool task each, so a tile costs no task of its own, and a worker
     # the host slows hands its share on
     share = len(d) / (8 * workers)
     runs = groupby(zip(bounds, bounds[1:]), lambda span: _row_start(span[0], n) // share)
-    with ThreadPoolExecutor(workers, thread_name_prefix="wise-kernel") as pool:
-        futures = [pool.submit(fill, list(run)) for _, run in runs]
-    # the pool has waited for every run, so none still writes into d when
-    # an error is raised
-    for future in futures:
-        future.result()
+    # an error reaches here once no run still writes into d
+    for _ in tile_pass(partial(_tile, spec, flat), (list(run) for _, run in runs), copy, workers):
+        pass
     return d
 
 
-def pilot_similarity(spec: KernelSpec, series: ObservationSeries, groups) -> np.ndarray:
-    """S of the pairs within each group of rows, group by group in pdist's
-    order; each group's rows are sorted, so each pair's value is its value in
-    S."""
-    flat = _rows(_FAMILIES[spec.family], _flat(spec, series))
-    d = np.concatenate([pdist(flat[g], _FAMILIES[spec.family].metric) for g in groups])
-    return _similarity(spec, d, flat.shape[1])
-
-
-def tile_similarity(
-    spec: KernelSpec, series: ObservationSeries, visit: Callable[[np.ndarray, int, int], object]
-) -> Iterator:
-    """visit(buffer, k, cols) on each tile of S, in tile order (see _tiles),
-    without holding S; a family with a formula only.
-
-    buffer is the tile's k + 1 rows of cols from _tile. The tiles run on a
-    thread pool made for the call, at most two per thread ahead of the one
-    handed back, and visit runs on the thread that made the tile. Each
-    pair's value is its value in pairwise_similarity.
-    """
-    flat = _rows(_FAMILIES[spec.family], _flat(spec, series))
-    n = len(flat)
-    bounds = _tiles(n)
-
-    def tile(t: int, u: int):
-        return visit(_tile(spec, flat, t, u), u - t, n - 1 - t)
-
-    spans = list(zip(bounds, bounds[1:]))
-    workers = thread_count()
-    if workers == 1:
-        for t, u in spans:
-            yield tile(t, u)
-        return
-    with ThreadPoolExecutor(workers, thread_name_prefix="wise-kernel") as pool:
-        ahead = deque()
-        for t, u in spans:
-            ahead.append(pool.submit(tile, t, u))
-            if len(ahead) > 2 * workers:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
+def pilot_similarity(spec: KernelSpec, rows: np.ndarray, groups) -> np.ndarray:
+    """S of the pairs within each group of the rows from _rows, group by
+    group in pdist's order; each group's rows are sorted, so each pair's
+    value is its value in S."""
+    d = np.concatenate([pdist(rows[g], _FAMILIES[spec.family].metric) for g in groups])
+    return _similarity(spec, d, rows.shape[1])
 
 
 def _knn_affinity(flat: np.ndarray, k: int, base: KernelSpec) -> np.ndarray:

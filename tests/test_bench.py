@@ -402,6 +402,11 @@ class TestPlanFiles:
         path.write_text(json.dumps(self.full_obj()), encoding="utf-8")
         assert load_plan(str(path)) == plan_from_json_obj(self.full_obj())
 
+    def test_load_plan_after_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(self.full_obj()), encoding="utf-8-sig")
+        assert load_plan(str(path)) == plan_from_json_obj(self.full_obj())
+
     def test_load_plan_missing_file(self, tmp_path):
         with pytest.raises(ExperimentError):
             load_plan(str(tmp_path / "nope.json"))

@@ -137,6 +137,13 @@ class TestTestCommand:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["p_value"] > 0.0
 
+    def test_matrix_record_of_negative_size_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "frames.jsonl"
+        lines = [{"t": t, "rows": -2, "cols": -3, "data": [float(t)] * 6} for t in range(6)]
+        path.write_text("\n".join(json.dumps(o) for o in lines) + "\n", encoding="utf-8")
+        assert main(["test", "--input", str(path), "--kind", "matrix", "--similarity", "frobenius"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize(
         "kind, similarity",
         [

@@ -590,8 +590,8 @@ class TestStreamedWalk:
     @staticmethod
     def passes(monkeypatch):
         """The list of the streamed walks' passes, one entry per pass."""
-        seen, real = [], core.tile_similarity
-        monkeypatch.setattr(core, "tile_similarity", lambda *a: seen.append(1) or real(*a))
+        seen, real = [], core.tile_pass
+        monkeypatch.setattr(core, "tile_pass", lambda *a: seen.append(1) or real(*a))
         return seen
 
     @staticmethod

@@ -212,6 +212,15 @@ class TestReadCheckinCsv:
         assert records[0].timestamp.tzinfo is None
         assert records[1].timestamp.utcoffset() == timedelta(hours=9)
 
+    @pytest.mark.parametrize("header", ["timestamp,lat,lon\n", ""], ids=["header", "no header"])
+    def test_a_byte_order_mark_is_read_as_no_data(self, tmp_path, header):
+        text = header + "2012-04-03T12:00:00,35.7,139.5\n2012-04-04T12:00:00,35.6,139.2\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert read_checkin_csv(str(marked)) == read_checkin_csv(str(plain))
+        assert len(read_checkin_csv(str(marked))) == 2
+
     def test_headerless_file(self, tmp_path):
         path = self.write(tmp_path, "2012-04-03T12:00:00,35.7,139.5\n")
         assert len(read_checkin_csv(path)) == 1

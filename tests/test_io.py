@@ -52,6 +52,15 @@ class TestVectorCsv:
         with pytest.raises(ShapeMismatch):
             write_csv(str(tmp_path / "bad.csv"), np.zeros(5))
 
+    def test_a_byte_order_mark_is_read_as_no_data(self, tmp_path):
+        # spreadsheet programs begin a UTF-8 CSV with one; its first row is data
+        text = "1.0,2.0\n3.0,4.0\n5.0,6.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_vector_csv(str(marked)).tobytes() == load_vector_csv(str(plain)).tobytes()
+
 
 class TestMatrixJsonl:
     def test_round_trip_is_exact(self, tmp_path):
@@ -102,6 +111,40 @@ class TestMatrixJsonl:
         path = tmp_path / "series.jsonl"
         path.write_text("", encoding="utf-8")
         with pytest.raises(InvalidValue):
+            load_matrix_jsonl(str(path))
+
+    def test_a_byte_order_mark_is_read_as_no_data(self, tmp_path):
+        data = np.random.default_rng(2).standard_normal((3, 2, 2))
+        write_matrix_jsonl(str(tmp_path / "plain.jsonl"), data)
+        marked = tmp_path / "marked.jsonl"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.jsonl").read_bytes())
+        assert np.array_equal(load_matrix_jsonl(str(marked)), data)
+
+    @pytest.mark.parametrize(
+        "records, error, match",
+        [
+            # 0.9 and 0.2 would both read as t = 0
+            ([{"t": 0.9}, {"t": 0.2}], InvalidValue, ":1: bad record"),
+            ([{"t": "1"}], InvalidValue, ":1: bad record"),
+            ([{}, {"rows": 2.0, "cols": 0.5}], InvalidValue, ":2: bad record"),
+            ([{}, {"rows": True}], InvalidValue, ":2: bad record"),
+            # -2 x -3 holds 6 values, and numpy reshapes to neither
+            ([{}, {"rows": -2, "cols": -3, "data": [1.0] * 6}], ShapeMismatch, ":2: -2x-3 record"),
+            ([{"rows": 0, "cols": 0, "data": []}], ShapeMismatch, ":1: 0x0 record"),
+            ([{}, {"t": 1}, {"t": 0}], InvalidValue, ":3: t=0 repeats"),
+            ([{}, {"data": [1.0, "2"]}], InvalidValue, ":2: bad record"),
+            ([{"data": [1.0, 10**400]}], InvalidValue, ":1: bad record"),
+            ([{"data": [[1.0], [2.0]]}], InvalidValue, ":1: bad record"),
+            ([{"data": {"a": 1.0, "b": 2.0}}], InvalidValue, ":1: bad record"),
+        ],
+        ids=["fractional t", "t as text", "fractional size", "size as bool", "negative size",
+             "empty", "repeated t", "value as text", "value past float", "nested values", "values as object"],
+    )
+    def test_a_record_field_of_the_wrong_kind_is_refused(self, tmp_path, records, error, match):
+        path = tmp_path / "series.jsonl"
+        lines = [{"t": t, "rows": 1, "cols": 2, "data": [1.0, 2.0], **r} for t, r in enumerate(records)]
+        path.write_text("\n".join(json.dumps(o) for o in lines) + "\n", encoding="utf-8")
+        with pytest.raises(error, match=match):
             load_matrix_jsonl(str(path))
 
     def test_writer_requires_three_dimensions(self, tmp_path):

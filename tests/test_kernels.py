@@ -488,6 +488,36 @@ def test_a_forked_child_makes_its_own_pool(monkeypatch):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
+def test_a_tile_pass_hands_back_its_runs_in_run_order():
+    # the first run's one tile is the last to finish on three workers
+    runs = [[(0, 1)], [(1, 3), (3, 4)], [(4, 5)], [(5, 7)], [(7, 8), (8, 9)]]
+
+    def visit(tile, t, u):
+        if t == 0:
+            time.sleep(0.2)
+        return tile, t, u
+
+    def make(t, u):
+        return f"tile {t}-{u}"
+
+    want = [[(make(t, u), t, u) for t, u in run] for run in runs]
+    assert list(kernels.tile_pass(make, runs, visit, 3)) == want
+    assert list(kernels.tile_pass(make, runs, visit, 1)) == want
+
+
+def test_the_held_walk_makes_no_thread_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was made")
+
+    n = 400  # several tiles of S
+    assert len(kernels._tiles(n)) > 3
+    series = ObservationSeries("vector", np.random.default_rng(4).standard_normal((n, 3)))
+    S = pairwise_similarity(neg_l1(), series)
+    monkeypatch.setenv("WISE_THREADS", "2")
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", refuse)
+    assert core.moment_summary(S).s1 == pytest.approx(2.0 * S.condensed.sum(), rel=1e-12)
+
+
 def _write(value):
     """A fill that writes value() into each row of its range."""
 
