@@ -9,7 +9,9 @@ reproducible in isolation. The replications of a cell are cut into one
 range per worker: the calling process runs the first and a forked process
 each other (see kernels._fill_in_forks). WISE_THREADS, or ``threads``,
 caps those processes and the kernel threads and draw processes inside
-them together, and the rates are identical at any worker count.
+them together: each range runs as one process of one thread, so at
+``threads=1`` a cell runs on one CPU. The rates are identical at any
+worker count.
 Wall-clock seconds are recorded but excluded from the determinism
 contract.
 """
@@ -30,6 +32,7 @@ import numpy as np
 from ._grammar import Param, _check_count, integer, read_fields, real, string
 from .engine import TestConfig, run_test
 from .errors import ExperimentError, InvalidValue, ParseError, WiseError
+from .io import _open_text
 from .kernels import KernelSpec, _fill_in_forks, thread_count
 from .simgen import ModelSpec, generate, model_spec_from_json_obj, replicate_spec
 from .weights import WeightSpec
@@ -279,7 +282,7 @@ def plan_from_json_obj(obj) -> ExperimentPlan:
 
 def load_plan(path: str) -> ExperimentPlan:
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with _open_text(path, ParseError) as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ExperimentError(f"cannot read plan {path}: {exc}") from exc

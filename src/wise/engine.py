@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import abc
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -458,13 +459,17 @@ def mahalanobis_aggregate(
     """Combine several weight choices into one Mahalanobis-type statistic.
 
     ``kernel`` is a KernelSpec or a precomputed SimilarityMatrix, as in
-    run_test, and each of ``weight_specs`` a WeightSpec. The coordinates
+    run_test, and ``weight_specs`` a sequence of WeightSpecs. The coordinates
     d = Z_k - EZ_k come from one walk of S, and their covariance Sigma is the
     exact one of _raw_moments, so M = d' Sigma^+ d (pseudo-inverse cut at
     _PINV_REL) treats the observed order and each of B shared seeded
     permutations alike. The p-value is their permutation tail, ties counted
     as in run_test; a field run_test calls degenerate raises.
     """
+    if isinstance(weight_specs, str) or not isinstance(weight_specs, abc.Sequence):
+        raise InvalidValue(
+            f"weight_specs must be a sequence of WeightSpecs, got {type(weight_specs).__name__}"
+        )
     m = len(weight_specs)
     if m < 2:
         raise InvalidValue(f"need at least 2 weight specs, got {m}")

@@ -22,6 +22,7 @@ import numpy as np
 
 from ._grammar import Param, integer, real, validate
 from .errors import BadRange, InvalidValue
+from .io import _open_text
 from .types import ObservationSeries
 
 TOKYO = timezone(timedelta(hours=9))
@@ -182,7 +183,7 @@ def _parse_timestamp(raw: str, lineno: int, path: str) -> datetime:
 def read_checkin_csv(path: str) -> List[CheckinRecord]:
     """Read `timestamp,lat,lon` CSV with ISO-8601 timestamps."""
     out: List[CheckinRecord] = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):

@@ -3,15 +3,17 @@
 Vector series are plain CSV, one row per time index, one column per
 coordinate; a header row is detected and skipped. Matrix series are JSON
 lines, each line `{"t": int, "rows": int, "cols": int, "data": [row-major
-reals]}`, each t once and rows, cols >= 1. A file read may start with a
-UTF-8 byte-order mark. Heatmaps are written as plot-ready CSV plus an
-ASCII PGM (P2) image with values scaled from [min, max] to [0, 255].
+reals]}`, each t once and rows, cols >= 1. A file read is UTF-8 text,
+perhaps after a byte-order mark; other text raises InvalidValue naming
+the file. Heatmaps are written as plot-ready CSV plus an ASCII PGM (P2)
+image with values scaled from [min, max] to [0, 255].
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from typing import List
 
 import numpy as np
@@ -19,12 +21,26 @@ import numpy as np
 from ._grammar import integer, real_float
 from .errors import InvalidValue, ShapeMismatch
 
+
+@contextmanager
+def _open_text(path: str, error: type = InvalidValue):
+    """path opened to read as UTF-8 text, after any byte-order mark, with
+    line ends as written (as csv needs them). A byte that does not decode,
+    here or in the block that reads, raises error naming the path rather
+    than a UnicodeDecodeError."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
 # ---------------------------------------------------------------- vectors
 
 
 def load_vector_csv(path: str) -> np.ndarray:
     rows: List[List[float]] = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
@@ -65,7 +81,7 @@ def write_csv(path: str, values: np.ndarray):
 
 def load_matrix_jsonl(path: str) -> np.ndarray:
     entries, seen = [], set()
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -181,19 +181,21 @@ _BLOCK_OPS = 2**24
 _TILE_PAIRS = 2**15
 
 
-# set while this process fills one range of a fan-out beside other ranges
-_in_range = False
+# while this thread fills a range of _fill_in_forks, .on is True here and
+# in the processes it forks
+_in_range = threading.local()
 
 
 def thread_count() -> int:
     """Worker count of the kernel pool, the bench processes and the
-    permutation draw processes: WISE_THREADS if set, else min(4, cpu count).
+    permutation draw processes: WISE_THREADS if set, else the CPUs this
+    process may run on, at most 4.
 
-    While a process fills one range of _fill_in_forks beside other ranges
-    it is 1, so no worker starts workers of its own, and one count caps
-    bench processes, draw processes and kernel threads together.
+    While a thread fills a range of _fill_in_forks it is 1, so no range
+    starts workers of its own, and one count caps bench processes, draw
+    processes and kernel threads together.
     """
-    if _in_range:
+    if getattr(_in_range, "on", False):
         return 1
     env = os.environ.get("WISE_THREADS", "").strip()
     if env:
@@ -201,7 +203,8 @@ def thread_count() -> int:
             return max(1, int(env))
         except ValueError:
             raise InvalidValue(f"WISE_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(4, os.cpu_count() or 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(4, cpus or 1))
 
 
 def _fill_in_forks(
@@ -210,29 +213,27 @@ def _fill_in_forks(
     """fill(out, a, b) fills rows a to b - 1 of out, for each pair of
     consecutive bounds.
 
-    The first range runs here and each other range in a forked child,
+    The first range runs here. Each other range runs in a forked child,
     which fills its rows of one anonymous shared mapping and leaves through
-    os._exit. A child that fails, or cannot be forked, has its range filled
-    here afterwards, so out is the same whichever children succeed. Every
-    child is reaped before this returns or raises; on any exception the
-    children still running are killed first. While the ranges are filled,
-    thread_count() is 1 here and in every child, so a range runs no kernel
-    threads, and a call made inside a range fills all its own ranges in
-    that process. Off Linux, or off the main thread, every range is filled
-    here.
+    os._exit, where forking is allowed: on Linux, on the main thread and
+    outside any range. A range not forked, or whose child fails or cannot
+    be forked, is filled here afterwards, so out is the same whichever
+    children run. Every child is reaped before this returns or raises; on
+    any exception the children still running are killed first. While any
+    range is filled, thread_count() is 1 on this thread and in every child,
+    so each range runs as one process of one thread, and a call made inside
+    a range fills all its own ranges in that process.
     """
-    global _in_range
     ranges = list(zip(bounds, bounds[1:]))
+    was = getattr(_in_range, "on", False)
     forkable = sys.platform == "linux" and threading.current_thread() is threading.main_thread()
-    if len(ranges) == 1 or not forkable or _in_range:
-        for a, b in ranges:
-            fill(out, a, b)
-        return
-    shared = np.frombuffer(mmap.mmap(-1, out.nbytes), out.dtype).reshape(out.shape)
-    children, again = {}, []
-    _in_range = True
+    forked, again = (ranges[1:], []) if forkable and not was else ([], ranges[1:])
+    if forked:
+        shared = np.frombuffer(mmap.mmap(-1, out.nbytes), out.dtype).reshape(out.shape)
+    children = {}
+    _in_range.on = True
     try:
-        for a, b in ranges[1:]:
+        for a, b in forked:
             try:
                 pid = os.fork()
             except OSError:
@@ -257,7 +258,7 @@ def _fill_in_forks(
         for a, b in again:
             fill(out, a, b)
     finally:
-        _in_range = False
+        _in_range.on = was
         for pid in children:
             # an unreaped child exists, if only as a zombie, so kill finds it
             os.kill(pid, signal.SIGKILL)

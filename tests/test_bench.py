@@ -1,10 +1,11 @@
 import json
 import math
+import os
 
 import pytest
 
-from forks import assert_no_child_left
-from wise import bench, weights
+from forks import assert_no_child_left, count_forks
+from wise import bench, engine, weights
 from wise.bench import (
     CSV_COLUMNS,
     ExperimentPlan,
@@ -62,6 +63,21 @@ class TestThreadCount:
         monkeypatch.delenv("WISE_THREADS", raising=False)
         assert 1 <= thread_count() <= 4
 
+    # cpu_count differs from the affinity, so only the affinity gives want
+    @pytest.mark.parametrize("cpus, every, want", [(1, 8, 1), (8, 1, 4)])
+    def test_default_counts_the_cpus_this_process_may_run_on(self, monkeypatch, cpus, every, want):
+        monkeypatch.delenv("WISE_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: every)
+        assert thread_count() == want
+
+    @pytest.mark.parametrize("every, want", [(3, 3), (8, 4), (None, 1)])
+    def test_default_without_affinity_counts_every_cpu(self, monkeypatch, every, want):
+        monkeypatch.delenv("WISE_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: every)
+        assert thread_count() == want
+
 
 class TestRepSeeds:
     def test_deterministic(self):
@@ -98,6 +114,21 @@ class TestRunExperiment:
         assert rows_without_seconds(report_to_csv(serial)) == rows_without_seconds(
             report_to_csv(forked)
         )
+
+    def test_one_worker_runs_a_cell_in_one_process(self, monkeypatch):
+        # outside a range, WISE_THREADS = 2 would split each replication's
+        # draws across two processes
+        monkeypatch.setenv("WISE_THREADS", "2")
+        monkeypatch.setattr(engine, "_FORK_PAIR_DRAWS", 1)
+        plan = tiny_plan(method="permutation", permutations=200)
+        forks = count_forks(monkeypatch)
+        serial = run_experiment(plan, threads=1)
+        assert forks == []
+        forked = run_experiment(plan, threads=2)
+        assert rows_without_seconds(report_to_csv(serial)) == rows_without_seconds(
+            report_to_csv(forked)
+        )
+        assert_no_child_left()
 
     def test_repeated_runs_identical(self):
         plan = tiny_plan()
@@ -415,4 +446,10 @@ class TestPlanFiles:
         path = tmp_path / "plan.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ParseError):
+            load_plan(str(path))
+
+    def test_load_plan_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(self.full_obj()), encoding="utf-16")
+        with pytest.raises(ParseError, match="plan.json is not UTF-8 text"):
             load_plan(str(path))

@@ -122,6 +122,14 @@ class TestTestCommand:
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["test", "--input", str(tmp_path / "nope.csv")]) == 1
 
+    @pytest.mark.parametrize("kind, name", [("vector", "series.csv"), ("matrix", "series.jsonl")])
+    def test_input_that_is_not_utf8_is_data_error(self, tmp_path, capsys, kind, name):
+        # spreadsheet "Unicode text" exports write UTF-16
+        path = tmp_path / name
+        path.write_text("1.0,2.0\n" * 8, encoding="utf-16")
+        assert main(["test", "--input", str(path), "--kind", kind]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text")
+
     def test_short_series_is_data_error(self, tmp_path, capsys):
         path = str(tmp_path / "short.csv")
         write_csv(path, np.zeros((3, 2)))
@@ -249,6 +257,12 @@ class TestBenchCommand:
         path.write_text("{}", encoding="utf-8")
         assert main(["bench", "--plan", str(path)]) == 2
 
+    def test_plan_that_is_not_utf8_is_usage_error(self, plan_file, capsys):
+        path = Path(plan_file)
+        path.write_text(path.read_text(encoding="utf-8"), encoding="utf-16")
+        assert main(["bench", "--plan", plan_file]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {plan_file} is not UTF-8 text")
+
     @pytest.mark.parametrize(
         "model",
         [
@@ -321,6 +335,13 @@ class TestIngestCommand:
     def test_bad_timezone_is_usage_error(self, checkin_csv, tmp_path):
         out = str(tmp_path / "days.jsonl")
         assert main(["ingest", "--input", checkin_csv, "--out", out, "--tz", "tokyo"]) == 2
+
+    def test_input_that_is_not_utf8_is_data_error(self, checkin_csv, tmp_path, capsys):
+        path = Path(checkin_csv)
+        path.write_text(path.read_text(encoding="utf-8"), encoding="utf-16")
+        out = str(tmp_path / "days.jsonl")
+        assert main(["ingest", "--input", checkin_csv, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {checkin_csv} is not UTF-8 text")
 
     def test_inverted_range_is_data_error(self, checkin_csv, tmp_path, capsys):
         out = str(tmp_path / "days.jsonl")

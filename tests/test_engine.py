@@ -1230,6 +1230,20 @@ class TestMahalanobis:
         with pytest.raises(InvalidValue):
             mahalanobis_aggregate(pair_series(), neg_l1(), [default_weight()], B=500, seed=0)
 
+    @pytest.mark.parametrize(
+        "specs, name",
+        [
+            (default_weight(), "WeightSpec"),
+            ("default,cosine:l=4", "str"),
+            ((w for w in [default_weight(), cosine(4.0)]), "generator"),
+            ({default_weight(), cosine(4.0)}, "set"),
+        ],
+        ids=["one spec", "string", "generator", "set"],
+    )
+    def test_specs_that_are_not_a_sequence_are_refused(self, specs, name):
+        with pytest.raises(InvalidValue, match=f"sequence of WeightSpecs, got {name}$"):
+            mahalanobis_aggregate(pair_series(), neg_l1(), specs, B=500, seed=0)
+
     @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
     def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
         with pytest.raises(InvalidValue):

@@ -221,6 +221,12 @@ class TestReadCheckinCsv:
         assert read_checkin_csv(str(marked)) == read_checkin_csv(str(plain))
         assert len(read_checkin_csv(str(marked))) == 2
 
+    def test_text_that_is_not_utf8_is_refused(self, tmp_path):
+        path = tmp_path / "checkins.csv"
+        path.write_text("timestamp,lat,lon\n2012-04-03T12:00:00,35.7,139.5\n", encoding="utf-16")
+        with pytest.raises(InvalidValue, match="checkins.csv is not UTF-8 text"):
+            read_checkin_csv(str(path))
+
     def test_headerless_file(self, tmp_path):
         path = self.write(tmp_path, "2012-04-03T12:00:00,35.7,139.5\n")
         assert len(read_checkin_csv(path)) == 1

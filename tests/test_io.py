@@ -61,6 +61,17 @@ class TestVectorCsv:
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
         assert load_vector_csv(str(marked)).tobytes() == load_vector_csv(str(plain)).tobytes()
 
+    @pytest.mark.parametrize(
+        "text, encoding",
+        [("1.0,2.0\n3.0,4.0\n", "utf-16"), ("température,x\n1.0,2.0\n", "latin-1")],
+        ids=["utf-16", "latin-1 header"],
+    )
+    def test_text_that_is_not_utf8_is_refused(self, tmp_path, text, encoding):
+        path = tmp_path / "series.csv"
+        path.write_text(text, encoding=encoding)
+        with pytest.raises(InvalidValue, match="series.csv is not UTF-8 text"):
+            load_vector_csv(str(path))
+
 
 class TestMatrixJsonl:
     def test_round_trip_is_exact(self, tmp_path):
@@ -119,6 +130,13 @@ class TestMatrixJsonl:
         marked = tmp_path / "marked.jsonl"
         marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.jsonl").read_bytes())
         assert np.array_equal(load_matrix_jsonl(str(marked)), data)
+
+    def test_text_that_is_not_utf8_is_refused(self, tmp_path):
+        path = tmp_path / "series.jsonl"
+        write_matrix_jsonl(str(path), np.zeros((2, 1, 1)))
+        path.write_text(path.read_text(encoding="utf-8"), encoding="utf-16")
+        with pytest.raises(InvalidValue, match="series.jsonl is not UTF-8 text"):
+            load_matrix_jsonl(str(path))
 
     @pytest.mark.parametrize(
         "records, error, match",

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import threading
 import time
 import tracemalloc
 
@@ -536,6 +537,45 @@ def test_every_range_of_a_fan_out_runs_on_one_worker(monkeypatch):
     assert len(forks) == 2
     assert kernels.thread_count() == 3
     assert_no_child_left()
+
+
+def test_one_range_runs_here_on_one_worker(monkeypatch):
+    monkeypatch.setenv("WISE_THREADS", "3")
+    forks = count_forks(monkeypatch)
+    out = np.zeros(3)
+    kernels._fill_in_forks(_write(kernels.thread_count), out, [0, 3])
+    assert out.tolist() == [1.0, 1.0, 1.0]
+    assert forks == []
+    assert kernels.thread_count() == 3
+
+
+def test_ranges_off_the_main_thread_run_here_on_one_worker(monkeypatch):
+    monkeypatch.setenv("WISE_THREADS", "3")
+    forks = count_forks(monkeypatch)
+    entered, release = threading.Event(), threading.Event()
+    out, after = np.zeros(3), []
+
+    def fill(out, a, b):
+        entered.set()
+        release.wait(10)
+        out[a:b] = kernels.thread_count()
+
+    def run():
+        kernels._fill_in_forks(fill, out, [0, 1, 2, 3])
+        after.append(kernels.thread_count())
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    assert entered.wait(10)
+    # the budget is the filling thread's; the main thread keeps its own
+    assert kernels.thread_count() == 3
+    release.set()
+    worker.join(10)
+    assert not worker.is_alive()
+    assert out.tolist() == [1.0, 1.0, 1.0]
+    assert forks == []
+    assert after == [3]
+    assert kernels.thread_count() == 3
 
 
 def test_the_worker_count_returns_after_an_error_in_the_callers_range(monkeypatch):
