@@ -60,10 +60,11 @@ class ExperimentPlan:
             object.__setattr__(self, name, tuple(_check_count(v, name[0]) for v in values))
         if not self.n_values or not self.p_values:
             raise InvalidValue("plan grid must contain at least one n and one p")
-        if _check_count(self.replications, "replications") < 100:
-            raise InvalidValue(
-                f"reported rates need at least 100 replications, got {self.replications}"
-            )
+        reps = _check_count(self.replications, "replications")
+        if reps < 100:
+            raise InvalidValue(f"reported rates need at least 100 replications, got {reps}")
+        if 8 * reps > np.iinfo(np.intp).max:
+            raise InvalidValue(f"{reps} replications: too many for numpy to index")
         _check_count(self.master_seed, "master_seed")
         for name, kind in (("model", ModelSpec), ("kernel", KernelSpec), ("weight", WeightSpec)):
             if not isinstance(getattr(self, name), kind):

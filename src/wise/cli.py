@@ -9,8 +9,9 @@ direct function calls with the same parameters:
     ingest     turn a check-in log into a daily count-matrix series
     heatmap    emit a similarity matrix as CSV and/or PGM image
 
-Exit codes: 0 the command completed (whatever the test decision), 2 usage,
-spec-grammar or parameter errors, 1 data or I/O errors.
+Exit codes: 0 the command completed (whatever the test decision), 2 malformed
+flags or specs (usage, spec-grammar, model-parameter or plan-key errors), 1 data
+or I/O errors and out-of-range test settings, such as alpha, B or the seed.
 """
 
 from __future__ import annotations
@@ -67,13 +68,7 @@ def cmd_test(args) -> int:
     kernel = parse_kernel_spec(args.similarity)
     weight = parse_weight_spec(args.weight)
     method = "permutation" if args.method == "perm" else args.method
-    config = TestConfig(
-        alpha=args.alpha,
-        method=method,
-        permutations=args.perms,
-        seed=args.seed,
-        sidedness=args.sidedness,
-    )
+    config = TestConfig(args.alpha, method, args.perms, args.seed, args.sidedness)
     result = run_test(series, kernel, weight, config)
     if args.json:
         print(json.dumps(result.to_json_obj(), sort_keys=True))

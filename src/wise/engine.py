@@ -16,6 +16,7 @@ can be compared to N(0, 1) without any resampling. A seeded Monte-Carlo
 permutation test is available as a cross-check, and a Mahalanobis-type
 statistic combines several weight choices into one test, standardized by
 their exact covariance: the same closed form, polarized between weights.
+Both tests count one seeded stream of draws by one tie rule (_permutation_p).
 """
 
 from __future__ import annotations
@@ -70,14 +71,6 @@ _BATCH_PAIRS = 1 << 16
 _STREAM_BLOCK = 64
 
 
-def _check_seed(seed) -> int:
-    """seed as an int; the permutation streams take 0 <= seed < 2^64."""
-    value = _check_count(seed, "seed")
-    if not 0 <= value < 2**64:
-        raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class TestConfig:
     __test__ = False  # not a pytest class, despite the name
@@ -93,9 +86,13 @@ class TestConfig:
             raise InvalidValue(f"alpha must be a real number in (0,1), got {self.alpha!r}")
         if self.method not in ("analytic", "permutation"):
             raise InvalidValue(f"method must be analytic or permutation, got {self.method!r}")
-        if _check_count(self.permutations, "permutations") < 100 and self.method == "permutation":
-            raise InvalidValue(f"permutation method needs B >= 100, got {self.permutations}")
-        _check_seed(self.seed)
+        B = _check_count(self.permutations, "permutations")
+        if self.method == "permutation" and B < 100:
+            raise InvalidValue(f"permutation method needs B >= 100, got {B}")
+        if self.method == "permutation" and 8 * B > np.iinfo(np.intp).max:
+            raise InvalidValue(f"B={B} permutations: too many for numpy to index")
+        if not 0 <= _check_count(self.seed, "seed") < 2**64:  # the streams' seed range
+            raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.sidedness not in SIDES:
             raise InvalidValue(f"sidedness must be one of {SIDES}, got {self.sidedness!r}")
 
@@ -191,11 +188,6 @@ def _raw_moments(M: MomentSummary, profiles: np.ndarray) -> Tuple[np.ndarray, ..
     np.fill_diagonal(G, np.maximum(g, 0.0))
     cov = 2.0 * max(b, 0.0) * G / (n * (n - 3)) + 4.0 * M.s3 * w3 / ((n - 1) * (n - 2) ** 2)
     return w1 * M.s1 / (n * (n - 1)), cov, 2.0 * (A @ M.lag_sums)
-
-
-def _zc_bounds(M: MomentSummary, profiles: np.ndarray) -> np.ndarray:
-    """max|B_ij| sum_t 2(n-t)|w(t)| per profile, a bound on |Z - EZ| under any permutation."""
-    return M.s_abs_max * ((2.0 * (M.n - np.arange(M.n))) @ np.abs(profiles.T))
 
 
 def _sigma_stream(seed: int, n: int, a: int, b: int):
@@ -296,6 +288,22 @@ def _lag_sum_draws(s_pairs: np.ndarray, centered: np.ndarray, B: int, seed: int)
     return out
 
 
+def _permutation_p(S, M, profiles, config: TestConfig, stat, observed: float, slope) -> float:
+    """(1 + count) / (B + 1) over the config's B seeded draws, the p of both tests.
+
+    stat maps the (B, m) draws of Z - EZ to the statistic whose upper tail
+    rejects. Draws that tie exactly sum in their own order (a knn field or a
+    cosine weight holds few values), so one counts within tol = _TIE_REL
+    sum_k |slope_k| bound_k of observed: slope is stat's gradient there, and
+    bound_k = max|B_ij| sum_t 2(n-t)|w_k(t)| bounds |Z_k - EZ_k| under any draw.
+    """
+    B = config.permutations
+    draws = _lag_sum_draws(S.condensed, _weight_sums(profiles)[3], B, config.seed)
+    bounds = M.s_abs_max * ((2.0 * (M.n - np.arange(M.n))) @ np.abs(profiles.T))
+    tol = _TIE_REL * float(np.abs(slope) @ bounds)
+    return (1.0 + int(np.sum(stat(draws) >= observed - tol))) / (B + 1.0)
+
+
 def _check_spread(M: MomentSummary) -> None:
     """Raise DegenerateVariance when the centered field is zero to rounding:
     the one degenerate rule of run_test and mahalanobis_aggregate."""
@@ -363,18 +371,19 @@ def rearrangement_bounds(S: SimilarityMatrix, W: WeightMatrix) -> Tuple[float, f
     return lower, upper
 
 
-def _observed(series: ObservationSeries, kernel, weight_specs: Sequence, hold: bool = True):
+def _observed(series: ObservationSeries, kernel, weight_specs: Sequence, config: TestConfig):
     """S, its walk M, the (m, n) profiles and their moments: what both tests start with.
 
-    Unless hold, a kernel large enough to stream (core._streams) is walked
-    on its tiles as they are made, and S is None.
+    The permutation draws read S. The analytic method walks a kernel large
+    enough to stream (core._streams) on its tiles as they are made: S is None.
     """
     if not isinstance(series, ObservationSeries):
         raise InvalidValue(f"series must be an ObservationSeries, got {type(series).__name__}")
     n = series.n
     if n < 4:
         raise TooFewObservations(f"the test needs n >= 4 observations, got n={n}")
-    S = build_similarity_matrix(series, kernel) if hold or not _streams(kernel, n) else None
+    held = config.method == "permutation" or not _streams(kernel, n)
+    S = build_similarity_matrix(series, kernel) if held else None
     profiles = np.stack([build_weight_matrix(n, spec).profile for spec in weight_specs])
     M = kernel_summary(series, kernel) if S is None else moment_summary(S)
     return S, M, profiles, _raw_moments(M, profiles)
@@ -404,9 +413,7 @@ def run_test(
         config = TestConfig()
     elif not isinstance(config, TestConfig):
         raise InvalidValue(f"config must be a TestConfig, got {type(config).__name__}")
-    S, M, profiles, (e_z, cov, z_c) = _observed(
-        series, kernel, [weight_spec], hold=config.method == "permutation"
-    )
+    S, M, profiles, (e_z, cov, z_c) = _observed(series, kernel, [weight_spec], config)
     ez, var, zc = float(e_z[0]), float(cov[0, 0]), float(z_c[0])
     try:
         diagnostics = regularity_diagnostics(M, zc)
@@ -427,14 +434,8 @@ def run_test(
         if config.method == "analytic":
             p = float((2.0 if config.sidedness == "two_sided" else 1.0) * ndtr(-orient(z_g)))
         else:
-            # a knn field or a cosine weight holds few values, so many draws
-            # tie Z - EZ exactly, yet each sums in its own order: a draw
-            # within _TIE_REL of the bound on |Z - EZ| counts as a tie
-            centered = _weight_sums(profiles)[3]
-            draws = _lag_sum_draws(S.condensed, centered, config.permutations, config.seed)
-            tol = _TIE_REL * _zc_bounds(M, profiles[0])
-            count = int(np.sum(orient(draws[:, 0]) >= orient(zc) - tol))
-            p = (1.0 + count) / (config.permutations + 1.0)
+            stat = lambda draws: orient(draws[:, 0])
+            p = _permutation_p(S, M, profiles, config, stat, orient(zc), np.ones(1))
 
     return TestResult(
         z=ez + zc,
@@ -463,8 +464,8 @@ def mahalanobis_aggregate(
     d = Z_k - EZ_k come from one walk of S, and their covariance Sigma is the
     exact one of _raw_moments, so M = d' Sigma^+ d (pseudo-inverse cut at
     _PINV_REL) treats the observed order and each of B shared seeded
-    permutations alike. The p-value is their permutation tail, ties counted
-    as in run_test; a field run_test calls degenerate raises.
+    permutations alike. Its p is run_test's permutation p, taken of M, with B
+    and seed checked by a TestConfig; a field run_test calls degenerate raises.
     """
     if isinstance(weight_specs, str) or not isinstance(weight_specs, abc.Sequence):
         raise InvalidValue(
@@ -476,16 +477,14 @@ def mahalanobis_aggregate(
     B = _check_count(B, "B")
     if B < 500:
         raise InvalidValue(f"need at least 500 permutations, got {B}")
-    seed = _check_seed(seed)
-    S, M, profiles, (_, cov, d_obs) = _observed(series, kernel, weight_specs)
+    if 8 * B * m > np.iinfo(np.intp).max:
+        raise InvalidValue(f"B={B} draws of {m} weights: too many for numpy to index")
+    config = TestConfig(method="permutation", permutations=B, seed=seed)
+    S, M, profiles, (_, cov, d_obs) = _observed(series, kernel, weight_specs, config)
     _check_spread(M)
     inverse = np.linalg.pinv(cov, _PINV_REL, True)
     x_obs = inverse @ d_obs
     m_obs = float(d_obs @ x_obs)
-    d_perm = _lag_sum_draws(S.condensed, _weight_sums(profiles)[3], B, seed)
-    m_perm = np.sum((d_perm @ inverse) * d_perm, axis=1)
-    # a draw that ties d_obs within run_test's tolerance, as the identity and
-    # the reversal do, lies within tol of m_obs to first order at any conditioning
-    tol = 2.0 * _TIE_REL * float(np.abs(x_obs) @ _zc_bounds(M, profiles))
-    p = (1.0 + int(np.sum(m_perm >= m_obs - tol))) / (B + 1.0)
-    return m_obs, float(p)
+    # M's gradient 2 Sigma^+ d_obs carries run_test's tie rule through M
+    stat = lambda draws: np.sum((draws @ inverse) * draws, axis=1)
+    return m_obs, _permutation_p(S, M, profiles, config, stat, m_obs, 2.0 * x_obs)

@@ -141,7 +141,9 @@ class SimilarityMatrix:
             raise InvalidValue("similarity matrix contains NaN or infinite entries")
         if not np.array_equal(arr, arr.T):
             raise ShapeMismatch("similarity matrix must be exactly symmetric")
-        return cls(squareform(arr, checks=False), arr.diagonal())
+        pairs = squareform(arr, checks=False)
+        pairs.flags.writeable = False  # fresh, so handed over uncopied, as a kernel's pairs are
+        return cls(pairs, arr.diagonal())
 
     @property
     def n(self) -> int:

@@ -216,6 +216,16 @@ class TestPlanValidation:
         with pytest.raises(InvalidValue):
             tiny_plan(replications=99)
 
+    # 8 bytes a replication's outcome or a draw, past what np.intp indexes
+    @pytest.mark.parametrize(
+        "changes",
+        [{"replications": 10**20}, {"method": "permutation", "permutations": 10**20}],
+        ids=["replications", "permutations"],
+    )
+    def test_counts_numpy_cannot_index(self, changes):
+        with pytest.raises(InvalidValue, match="too many for numpy to index"):
+            tiny_plan(**changes)
+
     def test_empty_grid(self):
         with pytest.raises(InvalidValue):
             tiny_plan(n_values=())

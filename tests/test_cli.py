@@ -103,6 +103,19 @@ class TestTestCommand:
         assert obj["diagnostics"]["ratio1"] is None
         assert obj["diagnostics"]["warnings"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alpha", "1.5"],
+            ["--method", "perm", "--perms", "50"],
+            ["--method", "perm", "--perms", str(10**20)],  # more than numpy can index
+        ],
+        ids=["alpha", "too few permutations", "too many permutations"],
+    )
+    def test_out_of_range_test_setting_is_data_error(self, series_csv, capsys, flags):
+        assert main(["test", "--input", series_csv, *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_weight_grammar_is_usage_error(self, series_csv, capsys):
         code = main(["test", "--input", series_csv, "--weight", "geometric:rho=1.5"])
         assert code == 2
@@ -248,6 +261,18 @@ class TestBenchCommand:
     def test_threads_below_one_is_data_error(self, plan_file, capsys, threads):
         assert main(["bench", "--plan", plan_file, "--threads", threads]) == 1
         assert capsys.readouterr().err.startswith("error: threads must be at least 1")
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"replications": 10**20}, {"method": "permutation", "permutations": 10**20}],
+        ids=["replications", "permutations"],
+    )
+    def test_count_numpy_cannot_index_is_data_error(self, tmp_path, capsys, changes):
+        plan = {"model": {"setting": "setting1.1"}, "grid": {"n": [16], "p": [2]}}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({**plan, "replications": 100, **changes}), encoding="utf-8")
+        assert main(["bench", "--plan", str(path), "--threads", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_plan_is_data_error(self, tmp_path):
         assert main(["bench", "--plan", str(tmp_path / "none.json")]) == 1

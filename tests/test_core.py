@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -377,6 +379,22 @@ def test_similarity_matrix_keeps_a_fresh_read_only_vector():
     condensed = np.arange(6.0)
     condensed.flags.writeable = False
     assert SimilarityMatrix(condensed, np.zeros(4)).condensed is condensed
+
+
+def test_similarity_matrix_from_square_makes_its_pairs_once():
+    # squareform's fresh vector is handed over, not copied again
+    n = 2000
+    a = np.random.default_rng(2).standard_normal((n, n))
+    a += a.T
+    pair_bytes = 8 * n * (n - 1) // 2
+    tracemalloc.start()
+    try:
+        S = SimilarityMatrix.from_square(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(S.condensed, a[np.triu_indices(n, 1)])
+    assert peak < 1.5 * pair_bytes
 
 
 def test_similarity_matrix_from_square_round_trips():

@@ -766,6 +766,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidValue, match="permutations must be an integer"):
             TestConfig(method=method, permutations=150.5)
 
+    # 8 bytes a draw: 2^60 draws are 2^63 bytes, one past what np.intp indexes
+    @pytest.mark.parametrize("B", [10**20, 2**60])
+    def test_permutation_count_numpy_cannot_index(self, B):
+        with pytest.raises(InvalidValue, match="too many for numpy to index"):
+            TestConfig(method="permutation", permutations=B)
+        TestConfig(permutations=B)  # the analytic method draws nothing
+
     @pytest.mark.parametrize("alpha", ["0.1", None, True])
     def test_alpha_must_be_a_real_number(self, alpha):
         with pytest.raises(InvalidValue, match="alpha"):
@@ -1256,6 +1263,30 @@ class TestMahalanobis:
             mahalanobis_aggregate(
                 pair_series(), neg_l1(), [default_weight(), cosine(4.0)], B=400, seed=0
             )
+
+    # B x m draws of 8 bytes: at two weights 2^59 draws pass what np.intp
+    # indexes, though run_test's one column of them would not
+    @pytest.mark.parametrize("B", [10**20, 2**60, 2**59])
+    def test_permutation_count_numpy_cannot_index(self, B):
+        with pytest.raises(InvalidValue, match="too many for numpy to index"):
+            mahalanobis_aggregate(
+                pair_series(), neg_l1(), [default_weight(), cosine(4.0)], B=B, seed=0
+            )
+
+    # one tie rule: over [w, w], M = z_g^2 and M's tolerance is run_test's
+    # carried through M, so the aggregate's p is run_test's two-sided p
+    @pytest.mark.parametrize("n", [6, 9, 15, 40, 200])
+    @pytest.mark.parametrize("data", ["iid", "rounded"])
+    @pytest.mark.parametrize("kernel", ["neg_l1", "knn:k=3", "gaussian:sigma=2"])
+    def test_duplicated_weight_gives_run_tests_two_sided_p(self, n, data, kernel):
+        x = np.random.default_rng(n).standard_normal((n, 3))
+        series = ObservationSeries("vector", np.round(x) if data == "rounded" else x)
+        kernel = parse_kernel_spec(kernel)
+        for w in map(parse_weight_spec, ("default", "cosine:l=4", "geometric:rho=0.5")):
+            for seed in range(3):
+                cfg = TestConfig(method="permutation", permutations=500, seed=seed)
+                want = run_test(series, kernel, w, cfg).p_value
+                assert mahalanobis_aggregate(series, kernel, [w, w], B=500, seed=seed)[1] == want
 
     def test_permutation_count_must_be_an_integer(self):
         with pytest.raises(InvalidValue, match="B must be an integer"):
